@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .inference import TrainConfig, elbo_estimate, fit, surrogate_moments
+from .inference import TrainConfig, elbo_estimate, fit, save_trajectory, surrogate_moments
 from .model import condition
 from .oracles import ChainConfig, kalman_filter_smoother, metropolis_sample
 from .surrogates import _BUILDERS
@@ -332,7 +332,7 @@ def run_benchmark(config: RunConfig):
         traj_path = os.path.join(
             config.out_dir, f"trajectory_{row['task']}_{surrogate}_{seed}.csv"
         )
-        _write_trajectory(trajectory, traj_path)
+        save_trajectory(trajectory, traj_path)
 
     results_path = os.path.join(config.out_dir, "results.csv")
     with open(results_path, "w", newline="") as fh:
@@ -374,14 +374,6 @@ def _format_cell(value):
     if isinstance(value, float):
         return repr(value)
     return value
-
-
-def _write_trajectory(trajectory, path):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["step", "negative_elbo", "wall_time_s"])
-        for step, loss, wall in trajectory:
-            writer.writerow([step, repr(loss), f"{wall:.3f}"])
 
 
 # ---------------------------------------------------------------------------

@@ -5,11 +5,14 @@ nodes; discrete nodes contribute score-function terms weighted by each
 sample's ELBO term (with a leave-one-out baseline when more than one
 sample is drawn).
 
-For fully continuous programs the ELBO graph is recorded once and then
-re-evaluated in place each step (``tape.forward``/``backward``), which
-is several times faster than re-recording.  Programs with discrete
-latents, whose graph shape can change with the sampled values, fall
-back to per-step recording.
+For fully continuous programs the ELBO graph is recorded once
+(``CompiledElbo``); the first step turns the tape into generated Python
+and every step runs that code (``tape.forward``/``backward``), which is
+several times faster than re-recording.  A link may still branch on a
+latent's value, so ``fit`` records the graph again at the first step and
+every ``window`` steps, and switches to per-step recording for good if
+the graph has changed.  Programs with discrete latents, whose graph
+shape can change with the sampled values, record every step.
 """
 
 from __future__ import annotations
@@ -85,46 +88,77 @@ def _recorded_value_and_grad(model, surrogate, params, rng, n_samples):
     return float(np.mean(w_vals)), grad
 
 
+def _record_static_elbo(model, surrogate, params, draws):
+    """Record the ELBO with parameters and noise (one list of draws per
+    sample) as tape inputs.  Returns (tape, param_nodes, noise_nodes,
+    objective)."""
+    tape = Tape()
+    param_nodes = [tape.input(v) for v in params]
+    noise_nodes = []
+    obj = None
+    for sample_draws in draws:
+        noise = [tape.input(d) for d in sample_draws]
+        noise_nodes.extend(noise)
+        values, log_q, disc_log_q = surrogate.sample_and_log_prob(param_nodes, noise)
+        if disc_log_q is not None:
+            raise ValueError("compiled ELBO requires fully continuous latents")
+        w = joint_log_prob(model, values) - log_q
+        obj = w if obj is None else obj + w
+    return tape, param_nodes, noise_nodes, obj * (1.0 / len(draws))
+
+
 class CompiledElbo:
     """One recorded ELBO graph, re-evaluated in place per step.
 
     Valid only for programs with no discrete latents and links that do
     not branch on latent values: the graph shape must not depend on the
-    sampled values.
+    sampled values.  ``rerecord`` checks that for one step.
     """
 
     def __init__(self, model, surrogate, params, n_samples):
+        self.model = model
         self.surrogate = surrogate
-        self.n_samples = n_samples
-        self.tape = Tape()
-        self.param_nodes = [self.tape.input(v) for v in params]
-        self.noise_nodes = []
         record_rng = np.random.default_rng(0)
-        obj = None
-        for _ in range(n_samples):
-            draws = surrogate.draw_noise(record_rng)
-            noise = [self.tape.input(d) for d in draws]
-            self.noise_nodes.extend(noise)
-            values, log_q, disc_log_q = surrogate.sample_and_log_prob(self.param_nodes, noise)
-            if disc_log_q is not None:
-                raise ValueError("compiled ELBO requires fully continuous latents")
-            w = joint_log_prob(model, values) - log_q
-            obj = w if obj is None else obj + w
-        self.objective = obj * (1.0 / n_samples)
+        self.draws = [surrogate.draw_noise(record_rng) for _ in range(n_samples)]
+        self.tape, self.param_nodes, self.noise_nodes, self.objective = _record_static_elbo(
+            model, surrogate, params, self.draws
+        )
 
     def value_and_grad(self, params, rng):
-        tape = self.tape
+        self.draw(params, rng)
+        return self.replay()
+
+    def draw(self, params, rng):
+        """Set the inputs of one step: `params` and fresh noise from `rng`."""
+        vals = self.tape.vals
         for node, v in zip(self.param_nodes, params):
-            tape.vals[node.i] = float(v)
-        for s in range(self.n_samples):
-            draws = self.surrogate.draw_noise(rng)
-            base = s * len(draws)
-            for k, d in enumerate(draws):
-                tape.vals[self.noise_nodes[base + k].i] = d
-        tape.forward()
-        adj = tape.backward(self.objective)
-        grad = np.array([adj[p.i] for p in self.param_nodes])
-        return self.objective.value, grad
+            vals[node.i] = float(v)
+        self.draws = [self.surrogate.draw_noise(rng) for _ in self.draws]
+        noise = (d for sample_draws in self.draws for d in sample_draws)
+        for node, d in zip(self.noise_nodes, noise):
+            vals[node.i] = d
+
+    def replay(self):
+        """(value, gradient) of the recorded graph at the current inputs."""
+        self.tape.forward()
+        adj = self.tape.backward(self.objective)
+        return self.objective.value, np.array([adj[p.i] for p in self.param_nodes])
+
+    def rerecord(self, params):
+        """Record the graph again at `params` and the drawn noise.
+
+        Returns None when the fresh tape's fingerprint matches the
+        replayed one.  Otherwise the replay no longer follows the program
+        (a link branched on a value), and the fresh recording's
+        (value, gradient) is returned to use in its place.
+        """
+        tape, param_nodes, _, objective = _record_static_elbo(
+            self.model, self.surrogate, params, self.draws
+        )
+        if tape.fingerprint() == self.tape.fingerprint():
+            return None
+        adj = tape.backward(objective)
+        return objective.value, np.array([adj[p.i] for p in param_nodes])
 
 
 def elbo_gradient(model, surrogate, params, n_samples=1, seed=0):
@@ -189,7 +223,8 @@ class TrainConfig:
     n_samples: int = 1
     seed: int = 0
     record_every: int = 10
-    window: int = 1000  # early stopping: trailing-window mean loss
+    window: int = 1000  # early stopping: trailing-window mean loss; also
+    # how often a replayed graph is checked against a fresh recording
     tol: float = 1e-4  # relative improvement threshold
     patience: int = 5  # consecutive stale windows before stopping
     compile: bool = True
@@ -205,16 +240,25 @@ class FitResult:
     seed: int
     steps_run: int = 0
     surrogate: object = field(repr=False, default=None)
+    # step at which a fresh recording no longer matched the replayed
+    # graph; that step and all later ones recorded the graph anew
+    rerecord_from: int = None
 
     @property
     def final_loss(self):
         return self.trajectory[-1][1]
 
 
+# numerical failures of one step, reported as divergence
+_DIVERGENCE = (ValueError, OverflowError, ZeroDivisionError, NonFiniteError)
+
+
 def fit(model, surrogate, config: TrainConfig = TrainConfig(), init_params=None) -> FitResult:
     """Optimize a surrogate's ELBO; `surrogate` is a kind string or a
-    built program.  Divergence (non-finite loss) is reported in the
-    result, not raised.  Bit-reproducible for a fixed config.
+    built program.  Divergence (a non-finite loss, or a domain error,
+    overflow or zero division while recording or evaluating the graph)
+    is reported in the result, not raised.  Bit-reproducible for a fixed
+    config.
 
     `init_params` warm-starts from a previous fit's parameters.
     """
@@ -230,10 +274,9 @@ def fit(model, surrogate, config: TrainConfig = TrainConfig(), init_params=None)
             raise ValueError("init_params dimension mismatch")
     state = AdamState.fresh(len(params), lr)
 
-    use_compiled = config.compile and all(k != "uniform" for k in surrogate.noise_spec)
+    replay = config.compile and all(k != "uniform" for k in surrogate.noise_spec)
     compiled = None
-    if use_compiled and config.steps > 0:
-        compiled = CompiledElbo(model, surrogate, params, config.n_samples)
+    rerecord_from = None
 
     start = time.perf_counter()
     trajectory = []
@@ -249,13 +292,24 @@ def fit(model, surrogate, config: TrainConfig = TrainConfig(), init_params=None)
 
     for step in range(config.steps):
         try:
-            if compiled is not None:
-                value, grad = compiled.value_and_grad(params, rng)
+            if replay:
+                if compiled is None:
+                    compiled = CompiledElbo(model, surrogate, params, config.n_samples)
+                compiled.draw(params, rng)
+                fresh = None
+                if step == 0 or (config.window > 0 and step % config.window == 0):
+                    fresh = compiled.rerecord(params)
+                if fresh is None:
+                    value, grad = compiled.replay()
+                else:
+                    value, grad = fresh
+                    replay = False
+                    rerecord_from = step
             else:
                 value, grad = _recorded_value_and_grad(
                     model, surrogate, params, rng, config.n_samples
                 )
-        except (ValueError, OverflowError, NonFiniteError):
+        except _DIVERGENCE:
             diverged = True
             break
         if not math.isfinite(value) or not np.all(np.isfinite(grad)):
@@ -295,15 +349,16 @@ def fit(model, surrogate, config: TrainConfig = TrainConfig(), init_params=None)
         seed=config.seed,
         steps_run=len(losses),
         surrogate=surrogate,
+        rerecord_from=rerecord_from,
     )
 
 
-def save_trajectory(result: FitResult, path):
-    """Loss trajectory as CSV (step, negative_elbo, wall_time_s)."""
+def save_trajectory(trajectory, path):
+    """A `FitResult.trajectory` as CSV (step, negative_elbo, wall_time_s)."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["step", "negative_elbo", "wall_time_s"])
-        for step, loss, wall in result.trajectory:
+        for step, loss, wall in trajectory:
             writer.writerow([step, repr(loss), f"{wall:.3f}"])
 
 

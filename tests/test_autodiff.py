@@ -160,9 +160,106 @@ def test_forward_replay_matches_fresh_record():
         fxs = [fresh.input(v) for v in vals]
         fout = build(fresh, fxs)
         fg = fresh.backward(fout)
-        assert out.value == pytest.approx(fout.value, rel=1e-14)
-        for x, fx in zip(xs, fxs):
-            assert g[x.i] == pytest.approx(fg[fx.i], rel=1e-13, abs=1e-14)
+        assert fresh.fingerprint() == tape.fingerprint()
+        assert fresh.vals == tape.vals
+        assert [g[x.i] for x in xs] == [fg[fx.i] for fx in fxs]
+
+
+@pytest.mark.parametrize(
+    "op, message",
+    [
+        (ad.log, "log of non-positive value"),
+        (ad.sqrt, "sqrt of negative value"),
+        (lambda x: x**0.5, "fractional power of negative value"),
+    ],
+)
+def test_replay_keeps_domain_checks(op, message):
+    tape = ad.Tape()
+    x = tape.input(1.0)
+    op(x)
+    tape.forward()  # generates the replay code
+    tape.set_input(x, -1.0)
+    with pytest.raises(ad.DomainError, match=message):
+        tape.forward()
+
+
+def test_replay_raises_zero_division():
+    tape = ad.Tape()
+    x = tape.input(1.0)
+    y = tape.input(1.0)
+    x / y
+    tape.set_input(y, 0.0)
+    with pytest.raises(ZeroDivisionError):
+        tape.forward()
+
+
+def test_replay_follows_recorded_edge_cases():
+    # exp overflow becomes inf, sqrt(0) has an infinite partial, and a
+    # zero adjoint is not propagated (0 * inf would give NaN)
+    def build(xs):
+        return ad.exp(xs[0]) + ad.sqrt(xs[1]) * 0.0 + xs[1] * xs[0]
+
+    point = [800.0, 0.0]
+    tape = ad.Tape()
+    xs = [tape.input(1.0), tape.input(4.0)]
+    out = build(xs)
+    for x, v in zip(xs, point):
+        tape.set_input(x, v)
+    tape.forward()
+    g = tape.backward(out)
+    assert out.value == math.inf
+    assert [g[x.i] for x in xs] == ad.gradient(build, point) == [math.inf, 800.0]
+
+
+def test_replay_matches_fresh_record_on_random_graphs():
+    # every op, repeated operands, constant leaves, infinite constants and
+    # inputs at 0, -0, huge, infinite and NaN values; repr() tells -0.0
+    # from 0.0 and treats every NaN alike
+    unary = [
+        lambda a: a + 1.5, lambda a: a * -2.5, lambda a: a * math.inf, lambda a: -a,
+        lambda a: a * a, ad.exp, ad.log, ad.tanh, ad.sigmoid, ad.softplus, ad.sqrt,
+        lambda a: a**2.0, lambda a: a**0.5, lambda a: 2.0 / a, lambda a: 0.0 / a,
+        lambda a: a + a.tape.constant(-0.75),
+    ]
+    binary = [lambda a, b: a + b, lambda a, b: a * b, lambda a, b: a / b]
+    special = [0.0, -0.0, 1e-300, 800.0, -800.0, math.inf, -math.inf, math.nan]
+
+    def build(seed, xs):
+        rng = np.random.default_rng(seed)
+        nodes = list(xs)
+        for _ in range(40):
+            a = nodes[-1 - int(rng.integers(min(len(nodes), 6)))]
+            b = nodes[int(rng.integers(len(nodes)))]
+            try:
+                if rng.random() < 0.3:
+                    nodes.append(binary[int(rng.integers(len(binary)))](a, b))
+                else:
+                    nodes.append(unary[int(rng.integers(len(unary)))](a))
+            except (ValueError, ZeroDivisionError, OverflowError):
+                pass  # recording rejected the op here; the graph skips it
+        return sum(nodes[-3:], nodes[0])
+
+    rng = np.random.default_rng(5)
+    compared = 0
+    for seed in range(150):
+        tape = ad.Tape()
+        xs = [tape.input(v) for v in rng.uniform(0.5, 2.0, 3)]
+        out = build(seed, xs)
+        for _ in range(4):
+            point = [float(rng.choice(special)) if rng.random() < 0.3 else rng.normal() for _ in xs]
+            for x, v in zip(xs, point):
+                tape.set_input(x, v)
+            fresh = ad.Tape()
+            fxs = [fresh.input(v) for v in point]
+            fout = build(seed, fxs)
+            if fresh.fingerprint() != tape.fingerprint():
+                continue  # recording took another path at this point
+            tape.forward()
+            g, fg = tape.backward(out), fresh.backward(fout)
+            assert list(map(repr, tape.vals)) == list(map(repr, fresh.vals))
+            assert [repr(g[x.i]) for x in xs] == [repr(fg[x.i]) for x in fxs]
+            compared += 1
+    assert compared > 150  # 216 of the 600 points record the same graph
 
 
 def test_pow_fractional_of_negative_rejected():

@@ -1,14 +1,17 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from convexvi.autodiff import value_of
 from convexvi.distributions import LOG_NORMAL, NORMAL, unconstrain_param
 from convexvi.inference import (
     AdamState,
     CompiledElbo,
     NonFiniteError,
     TrainConfig,
+    _recorded_value_and_grad,
     adam_step,
     elbo_estimate,
     elbo_gradient,
@@ -25,7 +28,8 @@ from convexvi.oracles import (
     kalman_filter_smoother,
 )
 from convexvi.distributions import BERNOULLI
-from convexvi.surrogates import build_asvi, build_mean_field
+from convexvi.surrogates import build_asvi, build_mean_field, build_surrogate
+from convexvi.tasks import TASK_IDS, generate_data, get_task
 
 
 def conjugate_pair(y=2.0):
@@ -156,6 +160,79 @@ def test_gradient_zero_for_unused_direction():
     asvi = build_asvi(model)
     g = elbo_gradient(model, asvi, asvi.init_params, n_samples=1, seed=0)
     assert g.shape == (asvi.num_params,)
+
+
+@pytest.mark.parametrize("kind", ["asvi", "mean-field", "ar1", "mvn"])
+@pytest.mark.parametrize("task_id", TASK_IDS)
+def test_replay_is_bit_identical_to_recording(task_id, kind):
+    task = get_task(task_id)
+    model = task.model
+    if not task.is_pre_conditioned:
+        model = condition(model, generate_data(task, seed=1)[0])
+    surrogate = build_surrogate(kind, model, init_seed=1)
+    params = surrogate.init_params.copy()
+    compiled = CompiledElbo(model, surrogate, params, n_samples=1)
+    for seed in range(3):
+        value, grad = compiled.value_and_grad(params, np.random.default_rng(seed))
+        recorded = _recorded_value_and_grad(
+            model, surrogate, params, np.random.default_rng(seed), 1
+        )
+        assert value == recorded[0]
+        assert grad.tobytes() == elbo_gradient(model, surrogate, params, seed=seed).tobytes()
+        # the float path sums the log-densities in its own order
+        assert value == pytest.approx(elbo_estimate(model, surrogate, params, seed=seed).value)
+        params = params + 0.01 * np.tanh(grad)
+
+
+def branching_link_model():
+    m = build_joint(
+        [
+            rv("x", NORMAL, params=(0.0, 1.0)),
+            rv(
+                "y",
+                NORMAL,
+                parents=("x",),
+                link=lambda x: (x, 1.0) if value_of(x) > 0 else (-x, 3.0),
+            ),
+        ]
+    )
+    return condition(m, {"y": 0.5})
+
+
+def test_fit_stops_replaying_a_graph_that_changed():
+    model = branching_link_model()
+    # at seed 4 the first step takes the other branch than the recording
+    cfg = TrainConfig(steps=100, seed=4, window=0)
+    replayed = fit(model, "asvi", cfg)
+    recorded = fit(model, "asvi", replace(cfg, compile=False))
+    assert replayed.rerecord_from == 0
+    assert recorded.rerecord_from is None
+    assert replayed.params.tobytes() == recorded.params.tobytes()
+    assert [t[:2] for t in replayed.trajectory] == [t[:2] for t in recorded.trajectory]
+    # at seed 0 the branches agree at step 0, and the change shows at the
+    # next check, one window later
+    cfg = TrainConfig(steps=100, seed=0, window=20, patience=100)
+    assert fit(model, "asvi", cfg).rerecord_from == 20
+
+
+def test_fit_keeps_replaying_a_fixed_graph():
+    model, _ = brownian(T=6, seed=5)
+    result = fit(model, "asvi", TrainConfig(steps=50, seed=1, window=10))
+    assert result.rerecord_from is None
+
+
+@pytest.mark.parametrize("compile", [True, False])
+def test_zero_division_while_recording_is_divergence(compile):
+    m = build_joint(
+        [
+            rv("x", NORMAL, params=(0.0, 1.0)),
+            rv("y", NORMAL, parents=("x",), link=lambda x: (x, 1.0 + 0.0 / (x - x))),
+        ]
+    )
+    m = condition(m, {"y": 0.5})
+    result = fit(m, "asvi", TrainConfig(steps=10, seed=0, window=0, compile=compile))
+    assert result.diverged
+    assert result.steps_run == 0
 
 
 def test_compiled_matches_recorded_path():
@@ -293,7 +370,7 @@ def test_save_trajectory_round_trip(tmp_path):
     model = conjugate_pair()
     result = fit(model, "mean-field", TrainConfig(steps=50, seed=1, record_every=10, window=0))
     path = tmp_path / "traj.csv"
-    save_trajectory(result, path)
+    save_trajectory(result.trajectory, path)
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "step,negative_elbo,wall_time_s"
     assert len(lines) == len(result.trajectory) + 1
