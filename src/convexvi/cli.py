@@ -17,7 +17,7 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -27,7 +27,7 @@ from .model import condition
 from .oracles import ChainConfig, kalman_filter_smoother, metropolis_sample
 from .surrogates import _BUILDERS
 from .tasks import (
-    SdeTaskConfig,
+    SDE_DEFAULTS,
     TASK_IDS,
     brownian_chain_spec,
     generate_data,
@@ -95,6 +95,8 @@ class RunConfig:
             raise UsageError("need at least one seed")
         if self.steps < 0 or self.n_samples < 1 or self.workers < 1:
             raise UsageError("steps must be >= 0, samples and workers >= 1")
+        if self.task_overrides and self.task not in SDE_DEFAULTS:
+            raise UsageError(f"task overrides apply to the SDE tasks only, not {self.task!r}")
 
 
 _FLAG_KEYS = {
@@ -171,12 +173,10 @@ def parse_flags(argv) -> RunConfig:
 
 
 def _build_task(config: RunConfig):
-    if config.task in ("br", "brg", "lz", "lzg") and config.task_overrides:
-        base = {"steps": 30, "dt": 0.01 if config.task.startswith("br") else 0.02,
-                "innovation_scale": 0.1,
-                "obs_scale": 0.15 if config.task.startswith("br") else 1.0}
-        base.update(config.task_overrides)
-        return get_task(config.task, sde_config=SdeTaskConfig(**base))
+    if config.task_overrides:
+        # the default mask follows `steps`, so an override of steps alone stays valid
+        sde_config = replace(SDE_DEFAULTS[config.task], **{"mask": None, **config.task_overrides})
+        return get_task(config.task, sde_config=sde_config)
     return get_task(config.task)
 
 
@@ -280,8 +280,7 @@ def run_single(config: RunConfig, surrogate_kind, seed, oracle_cache=None):
 
 
 def _pool_job(args):
-    config_dict, surrogate_kind, seed, oracle_stats = args
-    config = RunConfig(**config_dict)
+    config, surrogate_kind, seed, oracle_stats = args
     cache = {"stats": oracle_stats} if oracle_stats is not None else None
     return run_single(config, surrogate_kind, seed, oracle_cache=cache)
 
@@ -299,18 +298,8 @@ def run_benchmark(config: RunConfig):
     jobs = [(surrogate, seed) for surrogate in config.surrogates for seed in config.seeds]
     outcomes = {}
     if config.workers > 1:
-        config_dict = {
-            "task": config.task,
-            "surrogates": config.surrogates,
-            "steps": config.steps,
-            "lr": config.lr,
-            "n_samples": config.n_samples,
-            "seeds": config.seeds,
-            "out_dir": config.out_dir,
-            "task_overrides": config.task_overrides,
-            "workers": 1,
-        }
-        args = [(config_dict, s, seed, shared_oracle) for s, seed in jobs]
+        worker_config = replace(config, workers=1)
+        args = [(worker_config, s, seed, shared_oracle) for s, seed in jobs]
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
             for (s, seed), outcome in zip(jobs, pool.map(_pool_job, args)):
                 outcomes[(s, seed)] = outcome
@@ -350,13 +339,7 @@ def run_benchmark(config: RunConfig):
     meta = {
         "version": __version__,
         "config": {
-            "task": config.task,
-            "surrogates": list(config.surrogates),
-            "steps": config.steps,
-            "lr": config.lr,
-            "n_samples": config.n_samples,
-            "seeds": list(config.seeds),
-            "task_overrides": config.task_overrides,
+            k: v for k, v in asdict(config).items() if k not in ("out_dir", "workers")
         },
         "oracle": task.oracle,
         "final_elbo_samples": FINAL_ELBO_SAMPLES,
@@ -390,13 +373,13 @@ def summarize(result_dir):
     if not rows:
         raise ValueError(f"results.csv in {result_dir!r} is empty")
 
+    # every (task, surrogate) pair gets a row; one whose runs all failed
+    # has n_runs 0 and n/a statistics
     groups = {}
     for row in rows:
-        if row["failed"] == "true":
-            continue
-        groups.setdefault((row["task"], row["surrogate"]), []).append(row)
-    if not groups:
-        raise ValueError(f"no successful rows in {path!r}")
+        grp = groups.setdefault((row["task"], row["surrogate"]), [])
+        if row["failed"] != "true":
+            grp.append(row)
 
     def mean_se(values):
         if not values:
@@ -436,7 +419,8 @@ def summarize(result_dir):
         writer = csv.writer(fh)
         writer.writerow(columns)
         for s in summary:
-            writer.writerow(["" if s[c] is None else s[c] for c in columns])
+            missing = "n/a" if s["n_runs"] == 0 else ""
+            writer.writerow([missing if s[c] is None else s[c] for c in columns])
 
     lines = [
         f"{'task':<6} {'surrogate':<12} {'n':>3} {'neg ELBO (mean+/-se)':>24} "
@@ -448,8 +432,9 @@ def summarize(result_dir):
             if s["neg_elbo_mean"] is not None
             else "n/a"
         )
-        m_err = f"{s['mean_error_mean']:.3f}" if s["mean_error_mean"] is not None else "-"
-        s_err = f"{s['sd_error_mean']:.3f}" if s["sd_error_mean"] is not None else "-"
+        missing = "n/a" if s["n_runs"] == 0 else "-"
+        m_err = f"{s['mean_error_mean']:.3f}" if s["mean_error_mean"] is not None else missing
+        s_err = f"{s['sd_error_mean']:.3f}" if s["sd_error_mean"] is not None else missing
         lines.append(
             f"{s['task']:<6} {s['surrogate']:<12} {s['n_runs']:>3} {elbo:>24} "
             f"{m_err:>8} {s_err:>8} {s['best']}"
@@ -470,8 +455,12 @@ def main(argv=None):
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    run_benchmark(config)
+    results_path = run_benchmark(config)
     print(summarize(config.out_dir))
+    with open(results_path, newline="") as fh:
+        if all(row["failed"] == "true" for row in csv.DictReader(fh)):
+            print(f"error: every run failed; see {results_path}", file=sys.stderr)
+            return 1
     return 0
 
 

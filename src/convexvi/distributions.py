@@ -135,15 +135,6 @@ def bijector_for(constraint_kind):
     return _BIJECTOR_FOR_KIND[constraint_kind]
 
 
-def constrain(bijector, unconstrained):
-    return bijector.forward(unconstrained)
-
-
-def unconstrain(bijector, constrained):
-    """Float-only; errors at the boundary of the constraint region."""
-    return bijector.inverse(constrained)
-
-
 def constrain_param(constraint_kind, u):
     """Unconstrained storage -> usable parameter value.
 

@@ -5,14 +5,16 @@ nodes; discrete nodes contribute score-function terms weighted by each
 sample's ELBO term (with a leave-one-out baseline when more than one
 sample is drawn).
 
-For fully continuous programs the ELBO graph is recorded once
-(``CompiledElbo``); the first step turns the tape into generated Python
-and every step runs that code (``tape.forward``/``backward``), which is
-several times faster than re-recording.  A link may still branch on a
-latent's value, so ``fit`` records the graph again at the first step and
-every ``window`` steps, and switches to per-step recording for good if
-the graph has changed.  Programs with discrete latents, whose graph
-shape can change with the sampled values, record every step.
+Every gradient comes from one recorder, ``CompiledElbo``: the ELBO graph
+recorded at one step's parameters and noise draws.  For fully
+continuous programs ``fit`` records it at the first step and then
+replays it: the tape turns into generated Python once, and every step
+runs that code (``tape.forward``/``backward``), several times faster
+than re-recording.  A link may still branch on a latent's value, so
+``fit`` records the graph again at step 1 and at every multiple of
+``window`` and compares fingerprints; if the graph has changed, it
+records every step from then on.  Programs with discrete latents, whose
+graph shape can change with the sampled values, record every step.
 """
 
 from __future__ import annotations
@@ -24,7 +26,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .autodiff import Tape, value_of
+from .autodiff import DomainError, Tape, value_of
+from .distributions import ParameterError
 from .model import joint_log_prob
 from .surrogates import build_surrogate
 
@@ -61,104 +64,65 @@ def elbo_estimate(model, surrogate, params, n_samples=1, seed=0) -> ElboEstimate
     )
 
 
-def _recorded_value_and_grad(model, surrogate, params, rng, n_samples):
-    """Re-record the ELBO graph; handles discrete latents."""
-    tape = Tape()
-    pnodes = [tape.input(v) for v in params]
-    samples = []
-    for _ in range(n_samples):
-        noise = surrogate.draw_noise(rng)
-        values, log_q, disc_log_q = surrogate.sample_and_log_prob(pnodes, noise)
-        w = joint_log_prob(model, values) - log_q
-        samples.append((w, disc_log_q))
-    w_vals = [value_of(w) for w, _ in samples]
-    obj = None
-    for s, (w, disc_log_q) in enumerate(samples):
-        term = w
-        if disc_log_q is not None:
-            if n_samples > 1:
-                baseline = (sum(w_vals) - w_vals[s]) / (n_samples - 1)
-            else:
-                baseline = 0.0
-            term = term + (w_vals[s] - baseline) * disc_log_q
-        obj = term if obj is None else obj + term
-    obj = obj * (1.0 / n_samples)
-    adj = tape.backward(obj)
-    grad = np.array([adj[p.i] for p in pnodes])
-    return float(np.mean(w_vals)), grad
-
-
-def _record_static_elbo(model, surrogate, params, draws):
-    """Record the ELBO with parameters and noise (one list of draws per
-    sample) as tape inputs.  Returns (tape, param_nodes, noise_nodes,
-    objective)."""
-    tape = Tape()
-    param_nodes = [tape.input(v) for v in params]
-    noise_nodes = []
-    obj = None
-    for sample_draws in draws:
-        noise = [tape.input(d) for d in sample_draws]
-        noise_nodes.extend(noise)
-        values, log_q, disc_log_q = surrogate.sample_and_log_prob(param_nodes, noise)
-        if disc_log_q is not None:
-            raise ValueError("compiled ELBO requires fully continuous latents")
-        w = joint_log_prob(model, values) - log_q
-        obj = w if obj is None else obj + w
-    return tape, param_nodes, noise_nodes, obj * (1.0 / len(draws))
-
-
 class CompiledElbo:
-    """One recorded ELBO graph, re-evaluated in place per step.
+    """The ELBO graph, recorded at one step's parameters and noise draws
+    (`draws` holds one list of draws per sample).
 
-    Valid only for programs with no discrete latents and links that do
-    not branch on latent values: the graph shape must not depend on the
-    sampled values.  ``rerecord`` checks that for one step.
+    Parameters and non-uniform noise are tape inputs; uniform noise,
+    which picks the values of discrete latents, is folded in as a float.
+    Discrete latents add a score-function term weighted by the sample's
+    ELBO term less a leave-one-out baseline (none at one sample).
+    `value` is the ELBO estimate at the recorded inputs, the mean of the
+    samples' terms.
+
+    `replay` re-evaluates the recorded graph at new inputs, which is
+    right only while the graph shape does not depend on the sampled
+    values: no discrete latents, and no link that branches on a latent's
+    value.  `fit` checks that by comparing `tape.fingerprint()` with a
+    fresh recording.
     """
 
-    def __init__(self, model, surrogate, params, n_samples):
-        self.model = model
-        self.surrogate = surrogate
-        record_rng = np.random.default_rng(0)
-        self.draws = [surrogate.draw_noise(record_rng) for _ in range(n_samples)]
-        self.tape, self.param_nodes, self.noise_nodes, self.objective = _record_static_elbo(
-            model, surrogate, params, self.draws
-        )
+    def __init__(self, model, surrogate, params, draws):
+        self.tape = tape = Tape()
+        self.param_nodes = [tape.input(v) for v in params]
+        self.noise_nodes = []
+        samples = []
+        for sample_draws in draws:
+            noise = []
+            for kind, d in zip(surrogate.noise_spec, sample_draws):
+                if kind != "uniform":
+                    d = tape.input(d)
+                    self.noise_nodes.append(d)
+                noise.append(d)
+            values, log_q, disc_log_q = surrogate.sample_and_log_prob(self.param_nodes, noise)
+            samples.append((joint_log_prob(model, values) - log_q, disc_log_q))
+        n = len(draws)
+        w_vals = [value_of(w) for w, _ in samples]
+        obj = None
+        for s, (w, disc_log_q) in enumerate(samples):
+            if disc_log_q is not None:
+                baseline = (sum(w_vals) - w_vals[s]) / (n - 1) if n > 1 else 0.0
+                w = w + (w_vals[s] - baseline) * disc_log_q
+            obj = w if obj is None else obj + w
+        self.objective = obj * (1.0 / n)
+        self.value = sum(w_vals) * (1.0 / n)
 
-    def value_and_grad(self, params, rng):
-        self.draw(params, rng)
-        return self.replay()
+    def gradient(self):
+        """Gradient of the recorded objective with respect to the params."""
+        adj = self.tape.backward(self.objective)
+        return np.array([adj[p.i] for p in self.param_nodes])
 
-    def draw(self, params, rng):
-        """Set the inputs of one step: `params` and fresh noise from `rng`."""
+    def replay(self, params, draws):
+        """(value, gradient) of the recorded graph at new `params` and
+        `draws`, run as generated code (`Tape.forward`)."""
         vals = self.tape.vals
         for node, v in zip(self.param_nodes, params):
             vals[node.i] = float(v)
-        self.draws = [self.surrogate.draw_noise(rng) for _ in self.draws]
-        noise = (d for sample_draws in self.draws for d in sample_draws)
+        noise = (d for sample_draws in draws for d in sample_draws)
         for node, d in zip(self.noise_nodes, noise):
             vals[node.i] = d
-
-    def replay(self):
-        """(value, gradient) of the recorded graph at the current inputs."""
         self.tape.forward()
-        adj = self.tape.backward(self.objective)
-        return self.objective.value, np.array([adj[p.i] for p in self.param_nodes])
-
-    def rerecord(self, params):
-        """Record the graph again at `params` and the drawn noise.
-
-        Returns None when the fresh tape's fingerprint matches the
-        replayed one.  Otherwise the replay no longer follows the program
-        (a link branched on a value), and the fresh recording's
-        (value, gradient) is returned to use in its place.
-        """
-        tape, param_nodes, _, objective = _record_static_elbo(
-            self.model, self.surrogate, params, self.draws
-        )
-        if tape.fingerprint() == self.tape.fingerprint():
-            return None
-        adj = tape.backward(objective)
-        return objective.value, np.array([adj[p.i] for p in param_nodes])
+        return self.objective.value, self.gradient()
 
 
 def elbo_gradient(model, surrogate, params, n_samples=1, seed=0):
@@ -171,11 +135,13 @@ def elbo_gradient(model, surrogate, params, n_samples=1, seed=0):
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     rng = np.random.default_rng(seed)
-    value, grad = _recorded_value_and_grad(model, surrogate, list(params), rng, n_samples)
+    draws = [surrogate.draw_noise(rng) for _ in range(n_samples)]
+    graph = CompiledElbo(model, surrogate, params, draws)
+    grad = graph.gradient()
     bad = [i for i, g in enumerate(grad) if not math.isfinite(g)]
-    if not math.isfinite(value) or bad:
+    if not math.isfinite(graph.value) or bad:
         names = [surrogate.param_names[i] for i in bad[:5]]
-        raise NonFiniteError(f"non-finite ELBO gradient (value={value!r}, params {names})")
+        raise NonFiniteError(f"non-finite ELBO gradient (value={graph.value!r}, params {names})")
     return grad
 
 
@@ -223,11 +189,11 @@ class TrainConfig:
     n_samples: int = 1
     seed: int = 0
     record_every: int = 10
-    window: int = 1000  # early stopping: trailing-window mean loss; also
-    # how often a replayed graph is checked against a fresh recording
+    window: int = 1000  # early stopping: trailing-window mean loss; a
+    # replayed graph is also checked against a fresh recording at step 1
+    # and at every multiple of `window`
     tol: float = 1e-4  # relative improvement threshold
     patience: int = 5  # consecutive stale windows before stopping
-    compile: bool = True
 
 
 @dataclass
@@ -249,15 +215,17 @@ class FitResult:
         return self.trajectory[-1][1]
 
 
-# numerical failures of one step, reported as divergence
-_DIVERGENCE = (ValueError, OverflowError, ZeroDivisionError, NonFiniteError)
+# numerical failures of one step, reported as divergence; any other
+# error (a ModelError, say) is a bug and is raised
+_DIVERGENCE = (DomainError, ParameterError, OverflowError, ZeroDivisionError, NonFiniteError)
 
 
 def fit(model, surrogate, config: TrainConfig = TrainConfig(), init_params=None) -> FitResult:
     """Optimize a surrogate's ELBO; `surrogate` is a kind string or a
-    built program.  Divergence (a non-finite loss, or a domain error,
-    overflow or zero division while recording or evaluating the graph)
-    is reported in the result, not raised.  Bit-reproducible for a fixed
+    built program.  Divergence (a non-finite loss, or a domain or
+    distribution-parameter error, overflow or zero division while
+    recording or evaluating the graph) is reported in the result, not
+    raised; any other error is raised.  Bit-reproducible for a fixed
     config.
 
     `init_params` warm-starts from a previous fit's parameters.
@@ -274,8 +242,9 @@ def fit(model, surrogate, config: TrainConfig = TrainConfig(), init_params=None)
             raise ValueError("init_params dimension mismatch")
     state = AdamState.fresh(len(params), lr)
 
-    replay = config.compile and all(k != "uniform" for k in surrogate.noise_spec)
-    compiled = None
+    # a graph without discrete latents is replayed until a check finds it changed
+    replay = all(k != "uniform" for k in surrogate.noise_spec)
+    graph = None
     rerecord_from = None
 
     start = time.perf_counter()
@@ -291,24 +260,22 @@ def fit(model, surrogate, config: TrainConfig = TrainConfig(), init_params=None)
         trajectory.append((0, -est.value, time.perf_counter() - start))
 
     for step in range(config.steps):
+        draws = [surrogate.draw_noise(rng) for _ in range(config.n_samples)]
+        check = step == 1 or (config.window > 0 and step % config.window == 0)
         try:
-            if replay:
-                if compiled is None:
-                    compiled = CompiledElbo(model, surrogate, params, config.n_samples)
-                compiled.draw(params, rng)
-                fresh = None
-                if step == 0 or (config.window > 0 and step % config.window == 0):
-                    fresh = compiled.rerecord(params)
-                if fresh is None:
-                    value, grad = compiled.replay()
-                else:
-                    value, grad = fresh
+            if graph is None or not replay or check:
+                fresh = CompiledElbo(model, surrogate, params, draws)
+                if graph is None:
+                    graph = fresh
+                elif replay and fresh.tape.fingerprint() != graph.tape.fingerprint():
                     replay = False
                     rerecord_from = step
+                if not replay:
+                    graph = fresh
+            if replay:
+                value, grad = graph.replay(params, draws)
             else:
-                value, grad = _recorded_value_and_grad(
-                    model, surrogate, params, rng, config.n_samples
-                )
+                value, grad = graph.value, graph.gradient()
         except _DIVERGENCE:
             diverged = True
             break

@@ -211,15 +211,3 @@ def joint_log_prob(model: JointModel, values: Mapping) -> float:
 def latent_log_prob(model: JointModel, values: Mapping):
     """Log-density of the latent (unobserved) nodes only."""
     return _accumulate(model, model.latent_nodes, values)
-
-
-def log_prob_terms(model: JointModel, values: Mapping) -> dict:
-    """Per-node log-density contributions, as floats."""
-    out = {}
-    for node in model.nodes:
-        x = model.observations.get(node.name, values.get(node.name))
-        if x is None:
-            raise ModelError(f"missing assignment for node {node.name!r}")
-        params = node.params(_parent_values(node, values, model.observations))
-        out[node.name] = value_of(node.family.log_prob(params, x))
-    return out

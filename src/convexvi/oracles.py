@@ -9,7 +9,6 @@ random-walk Metropolis sampler for small nonconjugate models.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
@@ -377,43 +376,6 @@ def metropolis_sample(model: JointModel, config: ChainConfig = ChainConfig()) ->
         reliable=reliable,
         warnings=warnings,
     )
-
-
-def save_kalman_csv(result: KalmanResult, path):
-    """Per-step filter/smoother output as CSV for external cross-checks."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["step", "filtered_mean", "filtered_var", "smoothed_mean", "smoothed_var", "gain"]
-        )
-        for t in range(len(result.filtered_means)):
-            writer.writerow(
-                [
-                    t,
-                    repr(float(result.filtered_means[t])),
-                    repr(float(result.filtered_vars[t])),
-                    repr(float(result.smoothed_means[t])),
-                    repr(float(result.smoothed_vars[t])),
-                    repr(float(result.gains[t])),
-                ]
-            )
-
-
-def save_metropolis_csv(result: MetropolisResult, path):
-    """Per-latent posterior statistics as CSV."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["name", "mean", "sd", "mean_se", "rhat"])
-        for name in result.means:
-            writer.writerow(
-                [
-                    name,
-                    repr(result.means[name]),
-                    repr(result.sds[name]),
-                    repr(result.mean_ses[name]),
-                    repr(result.rhat[name]),
-                ]
-            )
 
 
 def _split_rhat(chain_draws):

@@ -52,6 +52,8 @@ class SdeTaskConfig:
 
 BR_CONFIG = SdeTaskConfig(steps=30, dt=0.01, innovation_scale=0.1, obs_scale=0.15)
 LZ_CONFIG = SdeTaskConfig(steps=30, dt=0.02, innovation_scale=0.1, obs_scale=1.0)
+# the default configuration of each SDE task
+SDE_DEFAULTS = {"br": BR_CONFIG, "brg": BR_CONFIG, "lz": LZ_CONFIG, "lzg": LZ_CONFIG}
 
 
 def make_brownian(config: SdeTaskConfig = BR_CONFIG, with_globals=False) -> JointModel:
@@ -388,14 +390,14 @@ TASK_IDS = ("br", "brg", "lz", "lzg", "es", "radon")
 
 def get_task(task_id, sde_config=None, schools_data=None, radon_records=None) -> Task:
     if task_id in ("br", "brg"):
-        cfg = sde_config or BR_CONFIG
+        cfg = sde_config or SDE_DEFAULTS[task_id]
         model = make_brownian(cfg, with_globals=task_id == "brg")
         data_model = make_brownian(cfg) if task_id == "brg" else None
         observed = tuple(f"y_{t}" for t in range(cfg.steps) if cfg.mask[t])
         oracle = "kalman" if task_id == "br" else "metropolis"
         return Task(task_id, model, observed, oracle, cfg, data_model)
     if task_id in ("lz", "lzg"):
-        cfg = sde_config or LZ_CONFIG
+        cfg = sde_config or SDE_DEFAULTS[task_id]
         model = make_lorenz(cfg, with_globals=task_id == "lzg")
         data_model = make_lorenz(cfg) if task_id == "lzg" else None
         observed = tuple(f"y_{t}" for t in range(cfg.steps) if cfg.mask[t])

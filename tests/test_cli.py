@@ -1,12 +1,17 @@
 import csv
 import json
 import os
+from dataclasses import replace
 
 import pytest
 
+from convexvi.tasks import LZ_CONFIG, default_mask
+
 from convexvi.cli import (
+    RESULT_COLUMNS,
     RunConfig,
     UsageError,
+    _build_task,
     parse_flags,
     run_benchmark,
     run_single,
@@ -60,6 +65,13 @@ def test_run_config_validation():
         RunConfig(task="br", seeds=())
     with pytest.raises(UsageError):
         RunConfig(task="br", n_samples=0)
+    with pytest.raises(UsageError, match="SDE tasks only"):
+        RunConfig(task="es", task_overrides={"steps": 6})
+
+
+def test_task_overrides_replace_the_task_defaults():
+    task = _build_task(RunConfig(task="lz", task_overrides={"steps": 6, "dt": 0.05}))
+    assert task.config == replace(LZ_CONFIG, steps=6, dt=0.05, mask=default_mask(6))
 
 
 def small_config(tmp_path, **kw):
@@ -145,6 +157,40 @@ def test_summarize_identical_rows_zero_se(tmp_path):
     summarize(str(out))
     rows = read_rows(out / "summary.csv")
     assert float(rows[0]["neg_elbo_se"]) == 0.0
+
+
+def write_all_failed_results(out):
+    out.mkdir()
+    with open(out / "results.csv", "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(RESULT_COLUMNS)
+        writer.writerow(["es", "mvn", 1, "", "", "", "", 104, "false", "true"])
+        writer.writerow(["es", "mvn", 2, "", "", "", "", 33, "false", "true"])
+    return str(out / "results.csv")
+
+
+def test_summarize_all_failed_rows(tmp_path):
+    out = tmp_path / "out"
+    write_all_failed_results(out)
+    table = summarize(str(out))
+    rows = read_rows(out / "summary.csv")
+    assert len(rows) == 1
+    assert rows[0]["n_runs"] == "0"
+    assert rows[0]["neg_elbo_mean"] == rows[0]["mean_error_mean"] == "n/a"
+    assert rows[0]["best"] == ""
+    assert (out / "summary.txt").read_text() == table + "\n"
+    assert table.splitlines()[1].split()[3:] == ["n/a", "n/a", "n/a"]
+
+
+def test_main_exits_1_when_every_run_failed(tmp_path, capsys, monkeypatch):
+    import convexvi.cli as cli_mod
+
+    out = tmp_path / "run"
+    monkeypatch.setattr(cli_mod, "run_benchmark", lambda config: write_all_failed_results(out))
+    code = cli_mod.main(["--task", "es", "--surrogate", "mvn", "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "every run failed" in err
 
 
 def test_summarize_empty_dir_errors(tmp_path):

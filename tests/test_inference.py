@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,7 +10,6 @@ from convexvi.inference import (
     CompiledElbo,
     NonFiniteError,
     TrainConfig,
-    _recorded_value_and_grad,
     adam_step,
     elbo_estimate,
     elbo_gradient,
@@ -19,7 +17,7 @@ from convexvi.inference import (
     save_trajectory,
     surrogate_moments,
 )
-from convexvi.model import build_joint, condition, rv
+from convexvi.model import ModelError, build_joint, condition, rv
 from convexvi.oracles import (
     ChainConfig,
     LinearGaussianChainSpec,
@@ -162,6 +160,10 @@ def test_gradient_zero_for_unused_direction():
     assert g.shape == (asvi.num_params,)
 
 
+def draw(surrogate, n_samples, rng):
+    return [surrogate.draw_noise(rng) for _ in range(n_samples)]
+
+
 @pytest.mark.parametrize("kind", ["asvi", "mean-field", "ar1", "mvn"])
 @pytest.mark.parametrize("task_id", TASK_IDS)
 def test_replay_is_bit_identical_to_recording(task_id, kind):
@@ -170,18 +172,23 @@ def test_replay_is_bit_identical_to_recording(task_id, kind):
     if not task.is_pre_conditioned:
         model = condition(model, generate_data(task, seed=1)[0])
     surrogate = build_surrogate(kind, model, init_seed=1)
-    params = surrogate.init_params.copy()
-    compiled = CompiledElbo(model, surrogate, params, n_samples=1)
-    for seed in range(3):
-        value, grad = compiled.value_and_grad(params, np.random.default_rng(seed))
-        recorded = _recorded_value_and_grad(
-            model, surrogate, params, np.random.default_rng(seed), 1
-        )
-        assert value == recorded[0]
-        assert grad.tobytes() == elbo_gradient(model, surrogate, params, seed=seed).tobytes()
-        # the float path sums the log-densities in its own order
-        assert value == pytest.approx(elbo_estimate(model, surrogate, params, seed=seed).value)
-        params = params + 0.01 * np.tanh(grad)
+    for n_samples in (1, 2):
+        params = surrogate.init_params.copy()
+        recorded_at = draw(surrogate, n_samples, np.random.default_rng(99))
+        graph = CompiledElbo(model, surrogate, params, recorded_at)
+        for seed in range(3):
+            draws = draw(surrogate, n_samples, np.random.default_rng(seed))
+            value, grad = graph.replay(params, draws)
+            fresh = CompiledElbo(model, surrogate, params, draws)
+            assert fresh.tape.fingerprint() == graph.tape.fingerprint()
+            assert value == fresh.value
+            assert grad.tobytes() == fresh.gradient().tobytes()
+            g = elbo_gradient(model, surrogate, params, n_samples, seed=seed)
+            assert grad.tobytes() == g.tobytes()
+            # the float path sums the log-densities in its own order
+            est = elbo_estimate(model, surrogate, params, n_samples, seed=seed)
+            assert value == pytest.approx(est.value)
+            params = params + 0.01 * np.tanh(grad)
 
 
 def branching_link_model():
@@ -199,20 +206,35 @@ def branching_link_model():
     return condition(m, {"y": 0.5})
 
 
+def recorded_fit(model, config):
+    """What `fit` does with an asvi surrogate at its default learning rate,
+    recording the graph at every step and never stopping early."""
+    surrogate = build_surrogate("asvi", model, init_seed=config.seed)
+    rng = np.random.default_rng(config.seed)
+    params = surrogate.init_params.copy()
+    state = AdamState.fresh(len(params), lr=1e-2)
+    losses = []
+    for _ in range(config.steps):
+        graph = CompiledElbo(model, surrogate, params, draw(surrogate, config.n_samples, rng))
+        losses.append(-graph.value)
+        state, params = adam_step(state, graph.gradient(), params)
+    return params, losses
+
+
 def test_fit_stops_replaying_a_graph_that_changed():
     model = branching_link_model()
-    # at seed 4 the first step takes the other branch than the recording
-    cfg = TrainConfig(steps=100, seed=4, window=0)
-    replayed = fit(model, "asvi", cfg)
-    recorded = fit(model, "asvi", replace(cfg, compile=False))
-    assert replayed.rerecord_from == 0
-    assert recorded.rerecord_from is None
-    assert replayed.params.tobytes() == recorded.params.tobytes()
-    assert [t[:2] for t in replayed.trajectory] == [t[:2] for t in recorded.trajectory]
-    # at seed 0 the branches agree at step 0, and the change shows at the
-    # next check, one window later
-    cfg = TrainConfig(steps=100, seed=0, window=20, patience=100)
-    assert fit(model, "asvi", cfg).rerecord_from == 20
+    # the first check is at step 1, the next ones at multiples of `window`;
+    # at seeds 0, 2 and 3 the branch taken changes by step 1, at seeds 6
+    # and 7 it shows only at step 20
+    for seed, window, caught_at in [(0, 0, 1), (2, 0, 1), (3, 0, 1), (6, 20, 20), (7, 20, 20)]:
+        cfg = TrainConfig(steps=60, seed=seed, window=window, patience=100, record_every=1)
+        result = fit(model, "asvi", cfg)
+        assert result.rerecord_from == caught_at, seed
+        if caught_at == 1:
+            # no step ran on a stale graph, so the fit is the recorded one
+            params, losses = recorded_fit(model, cfg)
+            assert result.params.tobytes() == params.tobytes()
+            assert [loss for _, loss, _ in result.trajectory] == losses
 
 
 def test_fit_keeps_replaying_a_fixed_graph():
@@ -221,8 +243,7 @@ def test_fit_keeps_replaying_a_fixed_graph():
     assert result.rerecord_from is None
 
 
-@pytest.mark.parametrize("compile", [True, False])
-def test_zero_division_while_recording_is_divergence(compile):
+def test_zero_division_while_recording_is_divergence():
     m = build_joint(
         [
             rv("x", NORMAL, params=(0.0, 1.0)),
@@ -230,22 +251,21 @@ def test_zero_division_while_recording_is_divergence(compile):
         ]
     )
     m = condition(m, {"y": 0.5})
-    result = fit(m, "asvi", TrainConfig(steps=10, seed=0, window=0, compile=compile))
+    result = fit(m, "asvi", TrainConfig(steps=10, seed=0, window=0))
     assert result.diverged
     assert result.steps_run == 0
 
 
-def test_compiled_matches_recorded_path():
-    model, _ = brownian(T=6, seed=5)
-    asvi = build_asvi(model, init_seed=4)
-    params = asvi.init_params.copy()
-    compiled = CompiledElbo(model, asvi, params, n_samples=2)
-    for seed in range(5):
-        v1, g1 = compiled.value_and_grad(params, np.random.default_rng(seed))
-        est = elbo_estimate(model, asvi, params, n_samples=2, seed=seed)
-        g2 = elbo_gradient(model, asvi, params, n_samples=2, seed=seed)
-        assert v1 == pytest.approx(est.value, rel=1e-12)
-        assert np.allclose(g1, g2, rtol=1e-10, atol=1e-12)
+def test_model_error_is_raised_not_divergence():
+    def link(x):
+        raise ModelError("link bug")
+
+    m = build_joint(
+        [rv("x", NORMAL, params=(0.0, 1.0)), rv("y", NORMAL, parents=("x",), link=link)]
+    )
+    m = condition(m, {"y": 0.5})
+    with pytest.raises(ModelError, match="link bug"):
+        fit(m, "asvi", TrainConfig(steps=10, seed=0, window=0))
 
 
 def two_bernoulli_model():
@@ -353,17 +373,17 @@ def test_fit_reports_divergence():
     bad[asvi.param_index["s.loc.lam_logit"]] = -40.0
     result = fit(m, asvi, TrainConfig(steps=100, seed=0, window=0), init_params=bad)
     assert result.diverged
-    result = fit(m, asvi, TrainConfig(steps=100, seed=0, window=0, compile=False), init_params=bad)
-    assert result.diverged
 
 
 def test_fit_uncompiled_matches_compiled():
+    # replaying the graph gives the bits of recording it at every step
     model = conjugate_pair(y=1.5)
-    c1 = TrainConfig(steps=200, seed=3, window=0, compile=True)
-    c2 = TrainConfig(steps=200, seed=3, window=0, compile=False)
-    r1 = fit(model, "asvi", c1)
-    r2 = fit(model, "asvi", c2)
-    assert np.allclose(r1.params, r2.params, rtol=1e-9, atol=1e-12)
+    cfg = TrainConfig(steps=200, seed=3, window=0, record_every=1)
+    result = fit(model, "asvi", cfg)
+    params, losses = recorded_fit(model, cfg)
+    assert result.rerecord_from is None
+    assert result.params.tobytes() == params.tobytes()
+    assert [loss for _, loss, _ in result.trajectory] == losses
 
 
 def test_save_trajectory_round_trip(tmp_path):

@@ -5,7 +5,6 @@ import pytest
 
 from convexvi.distributions import BERNOULLI, NORMAL
 from convexvi.model import ModelError, build_joint, condition, rv
-from convexvi import oracles
 from convexvi.oracles import (
     ChainConfig,
     ConjugateSpec,
@@ -305,24 +304,3 @@ def test_metropolis_brownian_chain_against_kalman():
     for t in range(T):
         assert abs(res.means[f"x_{t}"] - kalman.smoothed_means[t]) < 3 * res.mean_ses[f"x_{t}"], t
 
-
-def test_save_kalman_csv(tmp_path):
-    spec = br_like_spec(T=5, mask=[True] * 5)
-    res = kalman_filter_smoother(spec, {t: 0.1 * t for t in range(5)})
-    path = tmp_path / "kalman.csv"
-    oracles.save_kalman_csv(res, path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0].startswith("step,filtered_mean")
-    assert len(lines) == 6
-    assert float(lines[1].split(",")[3]) == res.smoothed_means[0]
-
-
-def test_save_metropolis_csv(tmp_path):
-    m = gaussian_pair_model(obs=1.0)
-    res = metropolis_sample(m, ChainConfig(steps=2000, burn_in=500, seed=0))
-    path = tmp_path / "mcmc.csv"
-    oracles.save_metropolis_csv(res, path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "name,mean,sd,mean_se,rhat"
-    assert lines[1].split(",")[0] == "x"
-    assert float(lines[1].split(",")[1]) == res.means["x"]
