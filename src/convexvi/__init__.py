@@ -5,14 +5,7 @@ __version__ = "0.1.0"
 from .distributions import BERNOULLI, HALF_NORMAL, LOG_NORMAL, NORMAL, Categorical
 from .inference import TrainConfig, elbo_estimate, elbo_gradient, fit
 from .model import build_joint, condition, joint_log_prob, rv, sample_forward
-from .surrogates import (
-    build_ar1,
-    build_asvi,
-    build_mean_field,
-    build_mvn,
-    build_surrogate,
-    convex_update,
-)
+from .surrogates import SURROGATES, build_surrogate, convex_update
 
 __all__ = [
     "BERNOULLI",
@@ -20,12 +13,9 @@ __all__ = [
     "LOG_NORMAL",
     "NORMAL",
     "Categorical",
+    "SURROGATES",
     "TrainConfig",
-    "build_ar1",
-    "build_asvi",
     "build_joint",
-    "build_mean_field",
-    "build_mvn",
     "build_surrogate",
     "condition",
     "convex_update",

@@ -22,20 +22,27 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from . import __version__
-from .inference import TrainConfig, elbo_estimate, fit, save_trajectory, surrogate_moments
+from .inference import (
+    _DIVERGENCE,
+    TrainConfig,
+    elbo_estimate,
+    fit,
+    save_trajectory,
+    surrogate_moments,
+)
 from .model import condition
 from .oracles import ChainConfig, kalman_filter_smoother, metropolis_sample
-from .surrogates import _BUILDERS
+from .surrogates import SURROGATES
 from .tasks import (
     SDE_DEFAULTS,
     TASK_IDS,
     brownian_chain_spec,
+    check_task_overrides,
     generate_data,
     get_task,
     load_task_config,
 )
 
-SURROGATE_KINDS = tuple(sorted(_BUILDERS))
 FINAL_ELBO_SAMPLES = 1000
 MOMENT_SAMPLES = 4000
 
@@ -52,12 +59,12 @@ RESULT_COLUMNS = (
     "failed",
 )
 
-USAGE = """\
+USAGE = f"""\
 usage: convexvi --task ID [options]
 
 flags (last occurrence wins; --config applies its file at its position):
   --task ID          one of: br, brg, lz, lzg, es, radon
-  --surrogate KINDS  comma-separated: asvi, mean-field, ar1, mvn (default asvi)
+  --surrogate KINDS  comma-separated: {", ".join(SURROGATES)} (default asvi)
   --steps N          max optimization steps (default 30000, early stopping on)
   --lr X             learning rate (default per surrogate kind)
   --samples N        Monte-Carlo samples per gradient step (default 1)
@@ -89,8 +96,9 @@ class RunConfig:
         if self.task not in TASK_IDS:
             raise UsageError(f"invalid task {self.task!r}; choose from {TASK_IDS}")
         for s in self.surrogates:
-            if s not in SURROGATE_KINDS:
-                raise UsageError(f"invalid surrogate {s!r}; choose from {SURROGATE_KINDS}")
+            if s not in SURROGATES:
+                kinds = tuple(sorted(SURROGATES))
+                raise UsageError(f"invalid surrogate {s!r}; choose from {kinds}")
         if not self.seeds:
             raise UsageError("need at least one seed")
         if self.steps < 0 or self.n_samples < 1 or self.workers < 1:
@@ -109,6 +117,7 @@ _FLAG_KEYS = {
     "out": "out_dir",
     "workers": "workers",
 }
+_CONFIG_KEYS = {**_FLAG_KEYS, "task_overrides": "task_overrides"}
 
 
 def _coerce(key, value):
@@ -124,6 +133,8 @@ def _coerce(key, value):
         return int(value)
     if key == "lr":
         return None if value is None else float(value)
+    if key == "task_overrides":
+        return check_task_overrides(value)
     return str(value)
 
 
@@ -147,14 +158,17 @@ def parse_flags(argv) -> RunConfig:
             except (OSError, json.JSONDecodeError) as exc:
                 raise UsageError(f"cannot read config file {value!r}: {exc}")
             for key, v in data.items():
-                if key not in _FLAG_KEYS and key != "task_overrides":
+                if key not in _CONFIG_KEYS:
                     raise UsageError(f"unknown config key {key!r}")
-                if key == "task_overrides":
-                    settings["task_overrides"] = dict(v)
-                else:
-                    settings[_FLAG_KEYS[key]] = _coerce(_FLAG_KEYS[key], v)
+                try:
+                    settings[_CONFIG_KEYS[key]] = _coerce(_CONFIG_KEYS[key], v)
+                except ValueError as exc:
+                    raise UsageError(f"bad value for config key {key!r}: {exc}")
         elif name == "task-config":
-            settings["task_overrides"] = load_task_config(value)
+            try:
+                settings["task_overrides"] = load_task_config(value)
+            except (OSError, ValueError) as exc:
+                raise UsageError(f"cannot use task config {value!r}: {exc}")
         elif name in _FLAG_KEYS:
             key = _FLAG_KEYS[name]
             try:
@@ -224,7 +238,9 @@ def _normalized_errors(surrogate, params, oracle, seed):
 
 
 def run_single(config: RunConfig, surrogate_kind, seed, oracle_cache=None):
-    """One (task, surrogate, seed) cell; failures become flagged rows."""
+    """One (task, surrogate, seed) cell.  A divergence, in `fit` or in
+    the evaluation after it, becomes a flagged row; any other error
+    raises."""
     task = _build_task(config)
     model, _ = _conditioned_model(task, seed)
     row = {
@@ -274,7 +290,7 @@ def run_single(config: RunConfig, surrogate_kind, seed, oracle_cache=None):
             row["mean_error"] = m_err
             row["sd_error"] = s_err
             row["oracle_reliable"] = oracle.get("reliable", True)
-    except Exception:
+    except _DIVERGENCE:
         row["failed"] = True
     return row, trajectory, wall
 
@@ -286,7 +302,8 @@ def _pool_job(args):
 
 
 def run_benchmark(config: RunConfig):
-    """Full sweep; writes result files into config.out_dir."""
+    """Full sweep; writes the result files and the summary into
+    config.out_dir and returns the path of results.csv."""
     os.makedirs(config.out_dir, exist_ok=True)
     task = _build_task(config)
 
@@ -456,7 +473,8 @@ def main(argv=None):
         print(f"error: {exc}", file=sys.stderr)
         return 2
     results_path = run_benchmark(config)
-    print(summarize(config.out_dir))
+    with open(os.path.join(config.out_dir, "summary.txt")) as fh:
+        print(fh.read(), end="")
     with open(results_path, newline="") as fh:
         if all(row["failed"] == "true" for row in csv.DictReader(fh)):
             print(f"error: every run failed; see {results_path}", file=sys.stderr)

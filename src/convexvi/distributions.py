@@ -334,23 +334,6 @@ LOG_NORMAL = LogNormal()
 BERNOULLI = Bernoulli()
 
 
-def sample_reparam(family, params, eps):
-    """Differentiable sample from a continuous family given base noise."""
-    if family.is_discrete:
-        raise TypeError(
-            f"{family.name} is discrete; use sample_score (score-function estimator)"
-        )
-    return family.sample_reparam(params, eps)
-
-
-def sample_score(family, params, u):
-    """Inverse-CDF draw for a discrete family; gradients flow only
-    through log_prob, never through the returned value."""
-    if not family.is_discrete:
-        raise TypeError(f"{family.name} is continuous; use sample_reparam")
-    return family.sample_score(params, u)
-
-
 _SUPPORT_BIJECTOR = {"real": IDENTITY, "positive": SOFTPLUS}
 
 

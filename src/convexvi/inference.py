@@ -29,9 +29,7 @@ import numpy as np
 from .autodiff import DomainError, Tape, value_of
 from .distributions import ParameterError
 from .model import joint_log_prob
-from .surrogates import build_surrogate
-
-DEFAULT_LEARNING_RATES = {"asvi": 1e-2, "mean-field": 1e-2, "ar1": 1e-2, "mvn": 1e-3}
+from .surrogates import SURROGATES, build_surrogate
 
 
 class NonFiniteError(RuntimeError):
@@ -185,7 +183,7 @@ def adam_step(state: AdamState, gradient, params):
 @dataclass(frozen=True)
 class TrainConfig:
     steps: int = 10000
-    lr: float = None  # defaults per surrogate kind
+    lr: float = None  # None: the kind's default, `SURROGATES[kind].lr`
     n_samples: int = 1
     seed: int = 0
     record_every: int = 10
@@ -221,18 +219,18 @@ _DIVERGENCE = (DomainError, ParameterError, OverflowError, ZeroDivisionError, No
 
 
 def fit(model, surrogate, config: TrainConfig = TrainConfig(), init_params=None) -> FitResult:
-    """Optimize a surrogate's ELBO; `surrogate` is a kind string or a
-    built program.  Divergence (a non-finite loss, or a domain or
-    distribution-parameter error, overflow or zero division while
-    recording or evaluating the graph) is reported in the result, not
-    raised; any other error is raised.  Bit-reproducible for a fixed
-    config.
+    """Optimize a surrogate's ELBO; `surrogate` is a key of `SURROGATES`
+    or a program from `build_surrogate`.  Divergence (a non-finite
+    loss, or a domain or distribution-parameter error, overflow or zero
+    division while recording or evaluating the graph) is reported in
+    the result, not raised; any other error is raised.
+    Bit-reproducible for a fixed config.
 
     `init_params` warm-starts from a previous fit's parameters.
     """
     if isinstance(surrogate, str):
         surrogate = build_surrogate(surrogate, model, init_seed=config.seed)
-    lr = config.lr if config.lr is not None else DEFAULT_LEARNING_RATES.get(surrogate.kind, 1e-2)
+    lr = config.lr if config.lr is not None else SURROGATES[surrogate.kind].lr
     rng = np.random.default_rng(config.seed)
     if init_params is None:
         params = surrogate.init_params.copy().astype(float)

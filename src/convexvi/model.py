@@ -19,7 +19,6 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .autodiff import value_of
-from .distributions import sample_reparam, sample_score
 
 
 class ModelError(ValueError):
@@ -170,9 +169,9 @@ def sample_forward(model: JointModel, seed) -> Trace:
         if node.name in model.observations:
             x = model.observations[node.name]
         elif node.family.is_discrete:
-            x = sample_score(node.family, params, rng.uniform())
+            x = node.family.sample_score(params, rng.uniform())
         else:
-            x = sample_reparam(node.family, params, rng.standard_normal())
+            x = node.family.sample_reparam(params, rng.standard_normal())
         values[node.name] = x
         lp = node.family.log_prob(params, x)
         log_densities[node.name] = lp

@@ -1,6 +1,6 @@
 """Automatic construction of variational programs from a joint model.
 
-The main construction (``build_asvi``) rewrites every latent
+The main construction (kind ``asvi``) rewrites every latent
 conditional so its parameters become a learned convex combination of
 the prior-propagated parameters and a free term:
 
@@ -8,10 +8,11 @@ the prior-propagated parameters and a free term:
 
 with one (lam, alpha) pair per scalar parameter and alpha stored in
 unconstrained space.  Structure, control flow, and family kinds of the
-latent sub-model are preserved.  Baselines: mean-field (the same
-program with lam frozen at zero), a linear-Gaussian autoregression over
-unconstrained values (``build_ar1``), and a full-covariance Gaussian
-(``build_mvn``).
+latent sub-model are preserved.  Baselines: ``mean-field`` (the same
+program with lam frozen at zero), ``ar1``, a linear-Gaussian
+autoregression over unconstrained values, and ``mvn``, a
+full-covariance Gaussian.  ``SURROGATES`` maps each kind to its
+constructor and default learning rate; ``build_surrogate`` builds one.
 
 All programs expose the same surface: a flat named parameter vector,
 a noise spec, ``sample_and_log_prob`` (differentiable when given tape
@@ -20,8 +21,9 @@ nodes), and ``log_prob`` of a given trace.
 
 from __future__ import annotations
 
-import json
 import math
+from functools import partial
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -30,12 +32,10 @@ from .autodiff import value_of
 from .distributions import (
     SOFTMAX_CENTERED,
     constrain_param,
-    sample_reparam,
-    sample_score,
     support_bijector,
     unconstrain_param,
 )
-from .model import JointModel, sample_forward
+from .model import sample_forward
 
 HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 
@@ -121,12 +121,13 @@ class _ParamLayout:
         self.index[name] = len(self.names)
         self.names.append(name)
         self.init.append(float(init_value))
+        return self.index[name]
 
 
 class SurrogateProgram:
     """Base container: flat named trainable vector plus a noise spec."""
 
-    kind = None
+    kind = None  # the SURROGATES key, set by build_surrogate
 
     def __init__(self, model, layout, noise_spec):
         self.model = model
@@ -139,20 +140,6 @@ class SurrogateProgram:
     @property
     def num_params(self):
         return len(self.param_names)
-
-    def params_to_json(self, params):
-        return json.dumps(
-            {name: float(value_of(v)) for name, v in zip(self.param_names, params)},
-            indent=2,
-            sort_keys=True,
-        )
-
-    def params_from_json(self, text):
-        data = json.loads(text)
-        missing = set(self.param_names) - set(data)
-        if missing:
-            raise ValueError(f"missing parameters in checkpoint: {sorted(missing)}")
-        return np.array([data[name] for name in self.param_names], dtype=float)
 
     def draw_noise(self, rng):
         out = []
@@ -195,8 +182,7 @@ class ConvexUpdateProgram(SurrogateProgram):
                     )
                 lam_idx = None
                 if with_lam:
-                    layout.add(f"{node.name}.{pname}.lam_logit", rng.uniform(-1.0, 1.0))
-                    lam_idx = len(layout.names) - 1
+                    lam_idx = layout.add(f"{node.name}.{pname}.lam_logit", rng.uniform(-1.0, 1.0))
                 if kind == "simplex":
                     k_classes = node.family.num_classes
                     if theta_center is not None:
@@ -208,10 +194,10 @@ class ConvexUpdateProgram(SurrogateProgram):
                             alpha0 = list(rng.standard_normal(k_classes - 1))
                     else:
                         alpha0 = list(rng.standard_normal(k_classes - 1))
-                    alpha_idx = []
-                    for i, a0 in enumerate(alpha0):
+                    alpha_idx = [
                         layout.add(f"{node.name}.{pname}.alpha_{i}", a0)
-                        alpha_idx.append(len(layout.names) - 1)
+                        for i, a0 in enumerate(alpha0)
+                    ]
                 else:
                     if theta_center is not None:
                         try:
@@ -220,8 +206,7 @@ class ConvexUpdateProgram(SurrogateProgram):
                             a0 = rng.standard_normal()
                     else:
                         a0 = rng.standard_normal()
-                    layout.add(f"{node.name}.{pname}.alpha", a0)
-                    alpha_idx = len(layout.names) - 1
+                    alpha_idx = layout.add(f"{node.name}.{pname}.alpha", a0)
                 entries.append((kind, lam_idx, alpha_idx))
             self._rules.append((node, entries))
             noise_spec.append(node.family.noise)
@@ -265,11 +250,11 @@ class ConvexUpdateProgram(SurrogateProgram):
             parent_values = [obs.get(p, values.get(p)) for p in node.parents]
             q_params = self._node_params(node, entries, params, parent_values)
             if node.family.is_discrete:
-                x = sample_score(node.family, q_params, eps)
+                x = node.family.sample_score(q_params, eps)
                 term = node.family.log_prob(q_params, x)
                 disc_log_q = term if disc_log_q is None else disc_log_q + term
             else:
-                x = sample_reparam(node.family, q_params, eps)
+                x = node.family.sample_reparam(q_params, eps)
                 term = node.family.log_prob(q_params, x)
             values[node.name] = x
             log_q = term if log_q is None else log_q + term
@@ -298,8 +283,6 @@ class Ar1Program(SurrogateProgram):
     first node has none.
     """
 
-    kind = "ar1"
-
     def __init__(self, model, init_seed=0):
         stats = _prior_unconstrained_stats(model, init_seed)
         latents = model.latent_nodes
@@ -313,12 +296,9 @@ class Ar1Program(SurrogateProgram):
             mean_u, sd_u = stats[node.name]
             coef_idx = None
             if i > 0 and prev_name not in model.global_names:
-                layout.add(f"{node.name}.ar_coef", 0.0)
-                coef_idx = len(layout.names) - 1
-            layout.add(f"{node.name}.offset", mean_u)
-            offset_idx = len(layout.names) - 1
-            layout.add(f"{node.name}.scale", _softplus_inverse_safe(sd_u))
-            scale_idx = len(layout.names) - 1
+                coef_idx = layout.add(f"{node.name}.ar_coef", 0.0)
+            offset_idx = layout.add(f"{node.name}.offset", mean_u)
+            scale_idx = layout.add(f"{node.name}.scale", _softplus_inverse_safe(sd_u))
             self._rows.append((node, bij, coef_idx, offset_idx, scale_idx))
             prev_name = node.name
         super().__init__(model, layout, ["normal"] * len(latents))
@@ -359,8 +339,6 @@ class Ar1Program(SurrogateProgram):
 class MvnProgram(SurrogateProgram):
     """Full-covariance Gaussian over the unconstrained latent space."""
 
-    kind = "mvn"
-
     def __init__(self, model, init_seed=0):
         stats = _prior_unconstrained_stats(model, init_seed)
         latents = model.latent_nodes
@@ -378,8 +356,8 @@ class MvnProgram(SurrogateProgram):
         self._chol_idx = {}
         for i in range(d):
             for j in range(i + 1):
-                layout.add(f"chol.{i}.{j}", diag_init[i] if i == j else 0.0)
-                self._chol_idx[(i, j)] = len(layout.names) - 1
+                init = diag_init[i] if i == j else 0.0
+                self._chol_idx[(i, j)] = layout.add(f"chol.{i}.{j}", init)
         self._dim = d
         super().__init__(model, layout, ["normal"] * d)
 
@@ -419,51 +397,27 @@ class MvnProgram(SurrogateProgram):
         return total
 
 
-class AsviProgram(ConvexUpdateProgram):
-    kind = "asvi"
-
-    def __init__(self, model, init_seed=0):
-        super().__init__(model, with_lam=True, init_seed=init_seed)
-
-
-class MeanFieldProgram(ConvexUpdateProgram):
-    kind = "mean-field"
-
-    def __init__(self, model, init_seed=0):
-        super().__init__(model, with_lam=False, init_seed=init_seed)
-
-
 def _softplus_inverse_safe(y):
     return unconstrain_param("positive", y + 2e-6)
 
 
-def build_asvi(model: JointModel, init_seed=0) -> AsviProgram:
-    """Convex-update program over the model's latent conditionals."""
-    return AsviProgram(model, init_seed=init_seed)
+class SurrogateKind(NamedTuple):
+    build: Callable  # (model, init_seed=...) -> SurrogateProgram
+    lr: float  # default Adam learning rate
 
 
-def build_mean_field(model: JointModel, init_seed=0) -> MeanFieldProgram:
-    """Fully factorized program: a free alpha per parameter, lam = 0."""
-    return MeanFieldProgram(model, init_seed=init_seed)
-
-
-def build_ar1(model: JointModel, init_seed=0) -> Ar1Program:
-    return Ar1Program(model, init_seed=init_seed)
-
-
-def build_mvn(model: JointModel, init_seed=0) -> MvnProgram:
-    return MvnProgram(model, init_seed=init_seed)
-
-
-_BUILDERS = {
-    "asvi": build_asvi,
-    "mean-field": build_mean_field,
-    "ar1": build_ar1,
-    "mvn": build_mvn,
+SURROGATES = {
+    "asvi": SurrogateKind(partial(ConvexUpdateProgram, with_lam=True), 1e-2),
+    "mean-field": SurrogateKind(partial(ConvexUpdateProgram, with_lam=False), 1e-2),
+    "ar1": SurrogateKind(Ar1Program, 1e-2),
+    "mvn": SurrogateKind(MvnProgram, 1e-3),
 }
 
 
 def build_surrogate(kind, model, init_seed=0):
-    if kind not in _BUILDERS:
-        raise ValueError(f"unknown surrogate kind {kind!r}; choose from {sorted(_BUILDERS)}")
-    return _BUILDERS[kind](model, init_seed=init_seed)
+    """The `kind` program over `model`'s latents, with `.kind` set."""
+    if kind not in SURROGATES:
+        raise ValueError(f"unknown surrogate kind {kind!r}; choose from {sorted(SURROGATES)}")
+    program = SURROGATES[kind].build(model, init_seed=init_seed)
+    program.kind = kind
+    return program

@@ -414,14 +414,20 @@ def get_task(task_id, sde_config=None, schools_data=None, radon_records=None) ->
     raise ValueError(f"unknown task {task_id!r}; choose from {TASK_IDS}")
 
 
-def load_task_config(path):
-    """JSON overrides for the SDE task defaults (steps, dt, scales, mask)."""
-    with open(path) as fh:
-        data = json.load(fh)
+def check_task_overrides(data):
+    """Overrides of the SDE task defaults (steps, dt, scales, mask),
+    checked: unknown keys raise, a mask becomes a tuple of bools."""
     allowed = {"steps", "dt", "innovation_scale", "obs_scale", "mask"}
     unknown = set(data) - allowed
     if unknown:
         raise ValueError(f"unknown task-config keys {sorted(unknown)}")
-    if "mask" in data and data["mask"] is not None:
+    data = dict(data)
+    if data.get("mask") is not None:
         data["mask"] = tuple(bool(b) for b in data["mask"])
     return data
+
+
+def load_task_config(path):
+    """JSON overrides for the SDE task defaults, checked."""
+    with open(path) as fh:
+        return check_task_overrides(json.load(fh))

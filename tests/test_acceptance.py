@@ -23,7 +23,7 @@ from convexvi.oracles import (
     kalman_filter_smoother,
     metropolis_sample,
 )
-from convexvi.surrogates import build_asvi, build_mean_field
+from convexvi.surrogates import build_surrogate
 from convexvi.tasks import (
     BR_CONFIG,
     TASK_IDS,
@@ -64,7 +64,7 @@ def set_lam_logits(surrogate, params, value):
 def test_criterion_1_prior_containment():
     worst = 0.0
     for task_id, model in conditioned_benchmark_models():
-        asvi = build_asvi(model, init_seed=11)
+        asvi = build_surrogate("asvi", model, init_seed=11)
         params = set_lam_logits(asvi, asvi.init_params.copy(), 40.0)
         for seed in range(100):
             tr = sample_forward(model, seed=seed)
@@ -76,8 +76,8 @@ def test_criterion_1_prior_containment():
 def test_criterion_2_mean_field_degeneration():
     worst = 0.0
     for task_id, model in conditioned_benchmark_models():
-        asvi = build_asvi(model, init_seed=5)
-        mf = build_mean_field(model, init_seed=7)
+        asvi = build_surrogate("asvi", model, init_seed=5)
+        mf = build_surrogate("mean-field", model, init_seed=7)
         asvi_params = set_lam_logits(asvi, asvi.init_params.copy(), -40.0)
         mf_params = mf.init_params.copy()
         for name, idx in mf.param_index.items():
@@ -97,8 +97,8 @@ def test_criterion_3_parameter_count_audit():
     ok = True
     for task_id, model in conditioned_benchmark_models():
         p_total = sum(SCALAR_PARAM_COUNT[n.family.name] for n in model.latent_nodes)
-        n_asvi = build_asvi(model).num_params
-        n_mf = build_mean_field(model).num_params
+        n_asvi = build_surrogate("asvi", model).num_params
+        n_mf = build_surrogate("mean-field", model).num_params
         ok = ok and n_asvi == 2 * p_total and n_mf == p_total
         lines.append(f"{task_id}: P={p_total} asvi={n_asvi} mf={n_mf}")
     report(3, ok, "parameter counts exact (asvi=2P, mean-field=P): " + "; ".join(lines))
@@ -270,7 +270,7 @@ def test_criterion_7_gradient_fidelity():
 
     worst = {}
     for name, model in cases:
-        asvi = build_asvi(model, init_seed=3)
+        asvi = build_surrogate("asvi", model, init_seed=3)
         rng = np.random.default_rng(31)
         worst[name] = 0.0
         for point in range(10):
@@ -301,7 +301,7 @@ def test_criterion_8_score_function_unbiasedness():
         ]
     )
     m = condition(m, {"y": 1.0})
-    asvi = build_asvi(m, init_seed=0)
+    asvi = build_surrogate("asvi", m, init_seed=0)
     rng = np.random.default_rng(77)
     params = asvi.init_params + 0.3 * rng.standard_normal(asvi.num_params)
     posterior = enumerate_discrete_posterior(m)

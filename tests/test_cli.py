@@ -7,16 +7,20 @@ import pytest
 
 from convexvi.tasks import LZ_CONFIG, default_mask
 
+import convexvi.cli as cli_mod
 from convexvi.cli import (
     RESULT_COLUMNS,
     RunConfig,
     UsageError,
     _build_task,
+    main,
     parse_flags,
     run_benchmark,
     run_single,
     summarize,
 )
+from convexvi.inference import NonFiniteError
+from convexvi.model import ModelError
 
 
 def test_parse_basic_flags():
@@ -67,6 +71,20 @@ def test_run_config_validation():
         RunConfig(task="br", n_samples=0)
     with pytest.raises(UsageError, match="SDE tasks only"):
         RunConfig(task="es", task_overrides={"steps": 6})
+
+
+def test_task_overrides_are_checked_from_either_file(tmp_path, capsys):
+    run_file = tmp_path / "run.json"
+    task_file = tmp_path / "task.json"
+    run_file.write_text(json.dumps({"task": "br", "task_overrides": {"mask": [1, 0, 1]}}))
+    assert parse_flags(["--config", str(run_file)]).task_overrides == {"mask": (True, False, True)}
+    run_file.write_text(json.dumps({"task": "br", "task_overrides": {"stepz": 6}}))
+    task_file.write_text(json.dumps({"stepz": 6}))
+    for argv in (["--config", str(run_file)], ["--task", "br", "--task-config", str(task_file)]):
+        with pytest.raises(UsageError, match="unknown task-config keys"):
+            parse_flags(argv)
+        assert main(argv) == 2
+        assert "stepz" in capsys.readouterr().err
 
 
 def test_task_overrides_replace_the_task_defaults():
@@ -183,10 +201,14 @@ def test_summarize_all_failed_rows(tmp_path):
 
 
 def test_main_exits_1_when_every_run_failed(tmp_path, capsys, monkeypatch):
-    import convexvi.cli as cli_mod
-
     out = tmp_path / "run"
-    monkeypatch.setattr(cli_mod, "run_benchmark", lambda config: write_all_failed_results(out))
+
+    def all_failed_sweep(config):
+        results_path = write_all_failed_results(out)
+        summarize(config.out_dir)
+        return results_path
+
+    monkeypatch.setattr(cli_mod, "run_benchmark", all_failed_sweep)
     code = cli_mod.main(["--task", "es", "--surrogate", "mvn", "--out", str(out)])
     assert code == 1
     err = capsys.readouterr().err
@@ -208,17 +230,30 @@ def test_summary_round_trips_through_results(tmp_path):
         assert repr(val) == row["final_neg_elbo"]
 
 
+def raiser(exc):
+    def boom(*a, **k):
+        raise exc
+
+    return boom
+
+
 def test_run_single_failure_flagged(tmp_path, monkeypatch):
     cfg = small_config(tmp_path, surrogates=("asvi",), seeds=(1,))
-    import convexvi.cli as cli_mod
-
-    def boom(*a, **k):
-        raise RuntimeError("injected")
-
-    monkeypatch.setattr(cli_mod, "fit", boom)
+    monkeypatch.setattr(cli_mod, "fit", raiser(NonFiniteError("injected")))
     row, trajectory, wall = run_single(cfg, "asvi", 1)
     assert row["failed"] is True
     assert trajectory == []
+
+
+def test_run_single_flags_divergence_and_raises_bugs(tmp_path, monkeypatch):
+    cfg = small_config(tmp_path, surrogates=("asvi",), seeds=(1,))
+    monkeypatch.setattr(cli_mod, "elbo_estimate", raiser(NonFiniteError("injected")))
+    row, trajectory, _ = run_single(cfg, "asvi", 1)
+    assert row["failed"] is True and row["final_neg_elbo"] == ""
+    assert row["iterations"] == cfg.steps and trajectory
+    monkeypatch.setattr(cli_mod, "fit", raiser(ModelError("injected")))
+    with pytest.raises(ModelError, match="injected"):
+        run_single(cfg, "asvi", 1)
 
 
 def test_workers_match_sequential(tmp_path):
@@ -229,9 +264,9 @@ def test_workers_match_sequential(tmp_path):
     assert open(p1, "rb").read() == open(p2, "rb").read()
 
 
-def test_main_end_to_end(tmp_path, capsys):
-    from convexvi.cli import main
-
+def test_main_end_to_end(tmp_path, capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr(cli_mod, "summarize", lambda d: calls.append(d) or summarize(d))
     out = tmp_path / "run"
     code = main(
         [
@@ -243,11 +278,11 @@ def test_main_end_to_end(tmp_path, capsys):
     printed = capsys.readouterr().out
     assert "asvi" in printed and "task" in printed
     assert (out / "results.csv").exists()
+    # the printed table is the one summary the sweep wrote
+    assert calls == [str(out)] and printed == (out / "summary.txt").read_text()
 
 
 def test_main_usage_paths(capsys):
-    from convexvi.cli import main
-
     assert main([]) == 0
     assert "usage:" in capsys.readouterr().out
     assert main(["--task", "nope"]) == 2

@@ -59,27 +59,17 @@ def test_invalid_params_raise():
 
 
 def test_reparam_examples():
-    assert dist.sample_reparam(dist.NORMAL, (2.0, 3.0), 0.0) == 2.0
-    assert dist.sample_reparam(dist.NORMAL, (0.0, 1.0), 1.5) == 1.5
-    assert dist.sample_reparam(dist.LOG_NORMAL, (0.0, 1.0), 0.0) == 1.0
-    assert dist.sample_reparam(dist.HALF_NORMAL, (2.0,), -1.0) == 2.0
-
-
-def test_reparam_on_discrete_directs_to_score():
-    with pytest.raises(TypeError, match="sample_score"):
-        dist.sample_reparam(dist.BERNOULLI, (0.5,), 0.0)
+    assert dist.NORMAL.sample_reparam((2.0, 3.0), 0.0) == 2.0
+    assert dist.NORMAL.sample_reparam((0.0, 1.0), 1.5) == 1.5
+    assert dist.LOG_NORMAL.sample_reparam((0.0, 1.0), 0.0) == 1.0
+    assert dist.HALF_NORMAL.sample_reparam((2.0,), -1.0) == 2.0
 
 
 def test_score_sampling_edge_probs():
     for u in (0.0, 0.31, 0.99):
-        assert dist.sample_score(dist.BERNOULLI, (1.0,), u) == 1.0
-        assert dist.sample_score(dist.BERNOULLI, (0.0,), u) == 0.0
-        assert dist.sample_score(dist.Categorical(3), ([0.0, 1.0, 0.0],), u) == 1.0
-
-
-def test_score_on_continuous_rejected():
-    with pytest.raises(TypeError):
-        dist.sample_score(dist.NORMAL, (0.0, 1.0), 0.5)
+        assert dist.BERNOULLI.sample_score((1.0,), u) == 1.0
+        assert dist.BERNOULLI.sample_score((0.0,), u) == 0.0
+        assert dist.Categorical(3).sample_score(([0.0, 1.0, 0.0],), u) == 1.0
 
 
 def test_densities_normalize_by_quadrature():
@@ -110,7 +100,7 @@ def test_densities_normalize_by_quadrature():
 def test_reparam_normal_sample_mean():
     rng = np.random.default_rng(1)
     loc, scale, n = 0.7, 1.3, 10**5
-    draws = [dist.sample_reparam(dist.NORMAL, (loc, scale), e) for e in rng.standard_normal(n)]
+    draws = [dist.NORMAL.sample_reparam((loc, scale), e) for e in rng.standard_normal(n)]
     se = scale / math.sqrt(n)
     assert abs(np.mean(draws) - loc) < 4 * se
 

@@ -26,7 +26,7 @@ from convexvi.oracles import (
     kalman_filter_smoother,
 )
 from convexvi.distributions import BERNOULLI
-from convexvi.surrogates import build_asvi, build_mean_field, build_surrogate
+from convexvi.surrogates import build_surrogate
 from convexvi.tasks import TASK_IDS, generate_data, get_task
 
 
@@ -72,7 +72,7 @@ def test_elbo_zero_when_q_is_prior():
         ]
     )
     m = condition(m, {})
-    asvi = build_asvi(m)
+    asvi = build_surrogate("asvi", m)
     params = asvi.init_params.copy()
     for name, idx in asvi.param_index.items():
         if name.endswith(".lam_logit"):
@@ -83,7 +83,7 @@ def test_elbo_zero_when_q_is_prior():
 
 def test_elbo_at_exact_posterior_equals_log_evidence():
     m = conjugate_pair(y=2.0)
-    mf = build_mean_field(m)
+    mf = build_surrogate("mean-field", m)
     params = mf.init_params.copy()
     params[mf.param_index["x.loc.alpha"]] = 1.0
     params[mf.param_index["x.scale.alpha"]] = unconstrain_param("positive", math.sqrt(0.5))
@@ -96,7 +96,7 @@ def test_elbo_at_exact_posterior_equals_log_evidence():
 
 def test_elbo_bounded_by_kalman_evidence():
     model, kalman = brownian(seed=2)
-    asvi = build_asvi(model, init_seed=1)
+    asvi = build_surrogate("asvi", model, init_seed=1)
     est = elbo_estimate(model, asvi, asvi.init_params, n_samples=2000, seed=5)
     se = np.std(est.per_sample_terms) / math.sqrt(est.n_samples)
     assert est.value <= kalman.log_evidence + 3 * se
@@ -104,7 +104,7 @@ def test_elbo_bounded_by_kalman_evidence():
 
 def test_elbo_estimate_rejects_bad_sample_count():
     m = conjugate_pair()
-    mf = build_mean_field(m)
+    mf = build_surrogate("mean-field", m)
     with pytest.raises(ValueError):
         elbo_estimate(m, mf, mf.init_params, n_samples=0)
 
@@ -117,7 +117,7 @@ def test_elbo_nonfinite_raises_diagnostic():
         ]
     )
     m = condition(m, {"x": 0.5})
-    asvi = build_asvi(m)
+    asvi = build_surrogate("asvi", m)
     params = asvi.init_params.copy()
     params[asvi.param_index["s.loc.alpha"]] = 1000.0  # exp overflow -> inf sample
     params[asvi.param_index["s.loc.lam_logit"]] = -40.0
@@ -140,7 +140,7 @@ def central_diff_gradient(model, surrogate, params, n_samples, seed, h=1e-5):
 
 def test_gradient_matches_common_random_number_differences():
     model, _ = brownian(T=5, seed=3)
-    asvi = build_asvi(model, init_seed=2)
+    asvi = build_surrogate("asvi", model, init_seed=2)
     rng = np.random.default_rng(0)
     for trial in range(3):
         params = asvi.init_params + 0.1 * rng.standard_normal(asvi.num_params)
@@ -155,7 +155,7 @@ def test_gradient_zero_for_unused_direction():
     # log q with exactly cancelling pathwise terms at lam=0 ... but a
     # *separate* frozen surrogate parameter must have exactly zero grad.
     model = conjugate_pair()
-    asvi = build_asvi(model)
+    asvi = build_surrogate("asvi", model)
     g = elbo_gradient(model, asvi, asvi.init_params, n_samples=1, seed=0)
     assert g.shape == (asvi.num_params,)
 
@@ -281,7 +281,7 @@ def two_bernoulli_model():
 
 def test_score_function_gradient_unbiased():
     model = two_bernoulli_model()
-    asvi = build_asvi(model, init_seed=0)
+    asvi = build_surrogate("asvi", model, init_seed=0)
     params = asvi.init_params.copy()
     posterior = enumerate_discrete_posterior(model)
     exact = np.array(exact_discrete_elbo_gradient(posterior, model, asvi, list(params)))
@@ -344,7 +344,7 @@ def test_fit_conjugate_reaches_evidence():
 
 def test_fit_zero_steps_returns_initial():
     model = conjugate_pair()
-    asvi = build_asvi(model, init_seed=0)
+    asvi = build_surrogate("asvi", model, init_seed=0)
     result = fit(model, "asvi", TrainConfig(steps=0, seed=0))
     assert np.array_equal(result.params, asvi.init_params)
     assert len(result.trajectory) == 1
@@ -367,7 +367,7 @@ def test_fit_reports_divergence():
         ]
     )
     m = condition(m, {"x": 0.5})
-    asvi = build_asvi(m)
+    asvi = build_surrogate("asvi", m)
     bad = asvi.init_params.copy()
     bad[asvi.param_index["s.loc.alpha"]] = 800.0  # exp overflow -> inf sample
     bad[asvi.param_index["s.loc.lam_logit"]] = -40.0
@@ -401,7 +401,7 @@ def test_save_trajectory_round_trip(tmp_path):
 
 def test_surrogate_moments_match_known_gaussian():
     model = conjugate_pair(y=2.0)
-    mf = build_mean_field(model)
+    mf = build_surrogate("mean-field", model)
     params = mf.init_params.copy()
     params[mf.param_index["x.loc.alpha"]] = 1.0
     params[mf.param_index["x.scale.alpha"]] = unconstrain_param("positive", math.sqrt(0.5))

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from convexvi.cli import USAGE, RunConfig, UsageError
 from convexvi.distributions import (
     BERNOULLI,
     HALF_NORMAL,
@@ -13,15 +14,10 @@ from convexvi.distributions import (
     SOFTPLUS,
 )
 from convexvi.model import build_joint, condition, latent_log_prob, rv, sample_forward
+from convexvi.inference import TrainConfig, fit
 from convexvi.oracles import LinearGaussianChainSpec, kalman_filter_smoother
-from convexvi.surrogates import (
-    build_ar1,
-    build_asvi,
-    build_mean_field,
-    build_mvn,
-    build_surrogate,
-    convex_update,
-)
+from convexvi.surrogates import SURROGATES, build_surrogate, convex_update
+from convexvi.tasks import TASK_IDS, generate_data, get_task
 
 LOG_2PI = math.log(2.0 * math.pi)
 
@@ -64,20 +60,20 @@ def test_convex_update_length_mismatch():
 
 def test_asvi_param_count_brownian():
     m = brownian_chain()
-    assert build_asvi(m).num_params == 120
-    assert build_mean_field(m).num_params == 60
+    assert build_surrogate("asvi", m).num_params == 120
+    assert build_surrogate("mean-field", m).num_params == 60
 
 
 def test_asvi_double_mean_field_counts():
     for m in (brownian_chain(T=7), mixed_model()):
-        asvi = build_asvi(m)
-        mf = build_mean_field(m)
+        asvi = build_surrogate("asvi", m)
+        mf = build_surrogate("mean-field", m)
         assert asvi.num_params == 2 * mf.num_params
 
 
 def test_structure_preserved():
     m = mixed_model()
-    asvi = build_asvi(m)
+    asvi = build_surrogate("asvi", m)
     assert asvi.latent_names == tuple(n.name for n in m.latent_nodes)
     for node in m.latent_nodes:
         lam_name = f"{node.name}.{node.family.param_schema[0][0]}.lam_logit"
@@ -93,7 +89,7 @@ def set_by_suffix(surrogate, params, suffix, value):
 
 def test_prior_recovery_at_high_lam_logit():
     for m in (brownian_chain(T=12), mixed_model()):
-        asvi = build_asvi(m, init_seed=3)
+        asvi = build_surrogate("asvi", m, init_seed=3)
         params = asvi.init_params.copy()
         set_by_suffix(asvi, params, ".lam_logit", 40.0)
         for seed in range(100):
@@ -105,8 +101,8 @@ def test_prior_recovery_at_high_lam_logit():
 
 def test_mean_field_recovery_at_low_lam_logit():
     for m in (brownian_chain(T=12), mixed_model()):
-        asvi = build_asvi(m, init_seed=1)
-        mf = build_mean_field(m, init_seed=1)
+        asvi = build_surrogate("asvi", m, init_seed=1)
+        mf = build_surrogate("mean-field", m, init_seed=1)
         asvi_params = asvi.init_params.copy()
         set_by_suffix(asvi, asvi_params, ".lam_logit", -40.0)
         mf_params = mf.init_params.copy()
@@ -123,7 +119,7 @@ def test_mean_field_recovery_at_low_lam_logit():
 def test_mean_field_log_prob_ignores_parents():
     # changing a parent value must only move that node's own factor
     m = brownian_chain(T=6)
-    mf = build_mean_field(m)
+    mf = build_surrogate("mean-field", m)
     params = list(mf.init_params)
     tr = sample_forward(m, seed=0).values
     base = mf.log_prob(params, tr)
@@ -142,7 +138,7 @@ def test_mean_field_log_prob_ignores_parents():
 
 def test_asvi_lam_one_matches_prior_sampling_path():
     m = mixed_model()
-    asvi = build_asvi(m, init_seed=0)
+    asvi = build_surrogate("asvi", m, init_seed=0)
     params = list(set_by_suffix(asvi, asvi.init_params.copy(), ".lam_logit", 40.0))
     rng = np.random.default_rng(42)
     noise = asvi.draw_noise(rng)
@@ -176,7 +172,7 @@ def test_asvi_kalman_containment_fully_observed():
     )
     kalman = kalman_filter_smoother(spec, ys)
 
-    asvi = build_asvi(m)
+    asvi = build_surrogate("asvi", m)
     params = asvi.init_params.copy()
     for t in range(T):
         k_t = kalman.gains[t]
@@ -198,7 +194,7 @@ def test_asvi_discrete_bernoulli_update():
         ),
         {},
     )
-    asvi = build_asvi(m)
+    asvi = build_surrogate("asvi", m)
     params = asvi.init_params.copy()
     lam1, alpha1 = 0.7, 0.9
     params[asvi.param_index["b1.prob.lam_logit"]] = SIGMOID.inverse(lam1)
@@ -213,7 +209,7 @@ def test_asvi_discrete_bernoulli_update():
 
 def test_asvi_sampling_deterministic_given_noise():
     m = mixed_model()
-    asvi = build_asvi(m)
+    asvi = build_surrogate("asvi", m)
     noise = asvi.draw_noise(np.random.default_rng(0))
     v1, lq1, _ = asvi.sample_and_log_prob(list(asvi.init_params), noise)
     v2, lq2, _ = asvi.sample_and_log_prob(list(asvi.init_params), noise)
@@ -222,7 +218,7 @@ def test_asvi_sampling_deterministic_given_noise():
 
 def test_ar1_param_count_chain_of_three():
     m = brownian_chain(T=3, observed=[True, True, True])
-    ar1 = build_ar1(m)
+    ar1 = build_surrogate("ar1", m)
     assert ar1.num_params == 8
 
 
@@ -233,7 +229,7 @@ def test_ar1_globals_get_no_outgoing_coef():
         rv("x_1", NORMAL, parents=("x_0", "sigma"), link=lambda p, s: (p, s)),
     ]
     m = condition(build_joint(nodes, global_names=("sigma",)), {})
-    ar1 = build_ar1(m)
+    ar1 = build_surrogate("ar1", m)
     # edge sigma -> x_0 frozen (sigma is global); edge x_0 -> x_1 trainable
     assert "x_0.ar_coef" not in ar1.param_index
     assert "x_1.ar_coef" in ar1.param_index
@@ -241,7 +237,7 @@ def test_ar1_globals_get_no_outgoing_coef():
 
 def test_ar1_zero_coef_is_gaussian_mean_field():
     m = brownian_chain(T=4)
-    ar1 = build_ar1(m)
+    ar1 = build_surrogate("ar1", m)
     params = list(ar1.init_params)
     noise = ar1.draw_noise(np.random.default_rng(1))
     values, log_q, _ = ar1.sample_and_log_prob(params, noise)
@@ -256,12 +252,12 @@ def test_ar1_zero_coef_is_gaussian_mean_field():
 
 def test_mvn_param_count():
     m = brownian_chain(T=30)
-    assert build_mvn(m).num_params == 30 + 30 * 31 // 2
+    assert build_surrogate("mvn", m).num_params == 30 + 30 * 31 // 2
 
 
 def test_mvn_identity_chol_log_density_at_origin():
     m = brownian_chain(T=5)
-    mvn = build_mvn(m)
+    mvn = build_surrogate("mvn", m)
     params = list(mvn.init_params)
     for name, idx in mvn.param_index.items():
         if name.endswith(".mvn_mean"):
@@ -277,7 +273,7 @@ def test_mvn_identity_chol_log_density_at_origin():
 def test_mvn_log_density_carries_bijector_log_det():
     # 1-d positive latent: density must integrate to one over (0, inf)
     m = condition(build_joint([rv("s", HALF_NORMAL, params=(1.0,))]), {})
-    mvn = build_mvn(m)
+    mvn = build_surrogate("mvn", m)
     params = list(mvn.init_params)
     grid = np.linspace(1e-7, 40.0, 400001)
     pdf = np.array([math.exp(mvn.log_prob(params, {"s": x})) for x in grid])
@@ -286,7 +282,7 @@ def test_mvn_log_density_carries_bijector_log_det():
 
 def test_mvn_sample_log_prob_consistent():
     m = brownian_chain(T=4)
-    mvn = build_mvn(m)
+    mvn = build_surrogate("mvn", m)
     params = list(mvn.init_params)
     rng = np.random.default_rng(3)
     for _ in range(10):
@@ -297,7 +293,7 @@ def test_mvn_sample_log_prob_consistent():
 
 def test_ar1_sample_log_prob_consistent():
     m = mixed_model()
-    ar1 = build_ar1(m)
+    ar1 = build_surrogate("ar1", m)
     params = list(ar1.init_params)
     rng = np.random.default_rng(4)
     for _ in range(10):
@@ -306,18 +302,31 @@ def test_ar1_sample_log_prob_consistent():
         assert log_q == pytest.approx(ar1.log_prob(params, values), rel=1e-9)
 
 
-def test_param_json_round_trip():
-    m = mixed_model()
-    for kind in ("asvi", "mean-field", "ar1", "mvn"):
-        s = build_surrogate(kind, m)
-        text = s.params_to_json(s.init_params)
-        back = s.params_from_json(text)
-        assert np.array_equal(back, s.init_params)
-
-
 def test_build_surrogate_rejects_unknown_kind():
     with pytest.raises(ValueError, match="unknown surrogate"):
         build_surrogate("flow", mixed_model())
+
+
+@pytest.mark.parametrize("task_id", TASK_IDS)
+@pytest.mark.parametrize("kind", list(SURROGATES))
+def test_every_kind_in_the_table_builds_fits_and_parses(kind, task_id):
+    task = get_task(task_id)
+    model = task.model
+    if not task.is_pre_conditioned:
+        model = condition(model, generate_data(task, seed=1)[0])
+    result = fit(model, kind, TrainConfig(steps=1, lr=None, seed=1))
+    assert result.surrogate.kind == kind and not result.diverged
+    # Adam's first step moves each parameter by lr * |g| / (|g| + eps)
+    step = np.abs(result.params - result.surrogate.init_params)
+    assert step.max() == pytest.approx(SURROGATES[kind].lr, rel=1e-3)
+
+    assert RunConfig(task=task_id, surrogates=(kind,)).surrogates == (kind,)
+    with pytest.raises(UsageError, match="invalid surrogate"):
+        RunConfig(task=task_id, surrogates=(kind + "x",))
+    (line,) = [ln for ln in USAGE.splitlines() if ln.lstrip().startswith("--surrogate")]
+    assert line.split(": ")[1].split(" (")[0].split(", ") == list(SURROGATES)
+    with pytest.raises(ValueError, match="unknown surrogate"):
+        build_surrogate(kind + "x", model)
 
 
 def categorical_model():
@@ -333,7 +342,7 @@ def categorical_model():
 
 def test_asvi_categorical_single_lam_preserves_simplex():
     m = categorical_model()
-    asvi = build_asvi(m, init_seed=2)
+    asvi = build_surrogate("asvi", m, init_seed=2)
     # one lam plus k-1 alphas for the simplex parameter
     assert "c.probs.lam_logit" in asvi.param_index
     assert "c.probs.alpha_0" in asvi.param_index and "c.probs.alpha_1" in asvi.param_index
@@ -355,7 +364,7 @@ def test_asvi_categorical_sampling_and_gradient():
     from convexvi.inference import elbo_gradient
 
     m = categorical_model()
-    asvi = build_asvi(m, init_seed=2)
+    asvi = build_surrogate("asvi", m, init_seed=2)
     noise = asvi.draw_noise(np.random.default_rng(0))
     values, log_q, disc = asvi.sample_and_log_prob(list(asvi.init_params), noise)
     assert values["c"] in (0.0, 1.0, 2.0)
@@ -367,6 +376,6 @@ def test_asvi_categorical_sampling_and_gradient():
 
 def test_mean_field_categorical_param_count():
     m = categorical_model()
-    mf = build_mean_field(m, init_seed=0)
+    mf = build_surrogate("mean-field", m, init_seed=0)
     # k-1 = 2 trainable scalars for the lone categorical latent
     assert mf.num_params == 2
