@@ -22,7 +22,6 @@ import math
 
 # Op kinds.  Binary ops with a folded float operand keep their kind and
 # store the constant in `aux` with parent2 = -1.
-CONST = 0
 INPUT = 1
 ADD = 2
 MUL = 3
@@ -161,21 +160,16 @@ class Tape:
         self.input_ids.append(node.i)
         return node
 
-    def constant(self, value):
-        """A leaf the gradient does not flow into."""
-        return self._append(CONST, -1, -1, 0.0, 0.0, 0.0, float(value))
-
     def set_input(self, node, value):
         if self.ops[node.i] != INPUT:
             raise ValueError("set_input on a non-input node")
         self.vals[node.i] = float(value)
 
     def fingerprint(self):
-        """Everything a replay takes as fixed: ops, parents, folded
-        constants and the values of constant leaves.  A function recorded
-        twice replays alike exactly when the two fingerprints are equal."""
-        consts = [v for op, v in zip(self.ops, self.vals) if op == CONST]
-        return self.ops, self.p1, self.p2, self.aux, consts
+        """Everything a replay takes as fixed: ops, parents and folded
+        constants.  A function recorded twice replays alike exactly when
+        the two fingerprints are equal."""
+        return self.ops, self.p1, self.p2, self.aux
 
     def forward(self):
         """Recompute all values and local partials from current inputs.
@@ -403,8 +397,7 @@ def _backward_source(tape, nodes, output, last_child):
     adjoint is zero; that matters only where a partial can be infinite
     or NaN (0 * inf is NaN), so only those nodes test it.  Elsewhere the
     term is a signed zero, which changes neither a sum that is not -0.0
-    nor whether an inner node's adjoint is zero.  Constants take no
-    adjoint.
+    nor whether an inner node's adjoint is zero.
     """
     ops, p1, p2 = tape.ops, tape.p1, tape.p2
     hi = nodes[0]
@@ -435,7 +428,7 @@ def _backward_source(tape, nodes, output, last_child):
         guarded = not (op in (ADD, NEG) or (op == MUL and k < 0 and math.isfinite(tape.aux[i])))
         updates = []
         for parent, sign, term in terms:
-            if parent < 0 or ops[parent] == CONST:
+            if parent < 0:
                 continue
             if parent not in inside:
                 updates.append(f"g[{parent}] {sign}= {term}")

@@ -2,10 +2,13 @@
 
 Six tasks: Brownian-motion bridging with fixed or unknown scales
 (br/brg), a stochastic Lorenz system likewise (lz/lzg), Eight Schools
-(es), and a hierarchical Radon regression (radon).  The SDE tasks
-declare observation nodes only at masked-in steps, so the latent set is
-exactly the state chain; data for them is produced by forward
-simulation (``generate_data``) and bound with ``condition``.
+(es), and a hierarchical Radon regression (radon).  The four SDE tasks
+are one Euler-Maruyama chain (``_euler_maruyama``): Brownian motion is
+its driftless 1-D case, and the global-scale variants give its two
+scales LogNormal priors.  They declare observation nodes only at
+masked-in steps, so the latent set is exactly the state chain; data for
+them is produced by forward simulation (``generate_data``) and bound
+with ``condition``.
 """
 
 from __future__ import annotations
@@ -56,45 +59,55 @@ LZ_CONFIG = SdeTaskConfig(steps=30, dt=0.02, innovation_scale=0.1, obs_scale=1.0
 SDE_DEFAULTS = {"br": BR_CONFIG, "brg": BR_CONFIG, "lz": LZ_CONFIG, "lzg": LZ_CONFIG}
 
 
+def _euler_maruyama(config, locs=None, scale_prior=None, scale_name="sigma"):
+    """Euler-Maruyama chain from the origin, observed at masked-in steps.
+
+    With `locs` None the state is the scalar walk x_t (no drift).  With
+    `locs(x0, x1, x2)`, the means of the next state, it is the 3-D state
+    x_t_i, and only x_t_0 is observed.  A `scale_prior` (LogNormal
+    parameters) turns the innovation and observation scales into the
+    latents `scale_name` and `sigma_obs`.  Every sample calls every
+    link, so each link takes its parents as plain positional arguments.
+    """
+    sqdt = math.sqrt(config.dt)
+    dims = ("",) if locs is None else ("_0", "_1", "_2")
+    if scale_prior is None:
+        scale, obs_scale = config.innovation_scale * sqdt, config.obs_scale
+        globals_, scales, obs_scales = (), (), ()
+        start = {"params": (0.0, scale)}
+        walk = lambda p: (p, scale)
+        drift = [lambda a, b, c, i=i: (locs(a, b, c)[i], scale) for i in range(3)]
+        observe = lambda x: (x, obs_scale)
+    else:
+        globals_, scales, obs_scales = (scale_name, "sigma_obs"), (scale_name,), ("sigma_obs",)
+        start = {"link": lambda s: (0.0, s * sqdt)}
+        walk = lambda p, s: (p, s * sqdt)
+        drift = [lambda a, b, c, s, i=i: (locs(a, b, c)[i], s * sqdt) for i in range(3)]
+        observe = lambda x, s: (x, s)
+    nodes = [rv(name, LOG_NORMAL, params=scale_prior) for name in globals_]
+    for t in range(config.steps):
+        prev = tuple(f"x_{t-1}{d}" for d in dims)
+        for i, d in enumerate(dims):
+            if t == 0:
+                # previous state pinned at the origin, where the drift vanishes
+                nodes.append(rv(f"x_0{d}", NORMAL, scales, **start))
+            else:
+                link = walk if locs is None else drift[i]
+                nodes.append(rv(f"x_{t}{d}", NORMAL, prev + scales, link=link))
+    for t in range(config.steps):
+        if config.mask[t]:
+            nodes.append(rv(f"y_{t}", NORMAL, (f"x_{t}{dims[0]}",) + obs_scales, link=observe))
+    return build_joint(nodes, global_names=globals_)
+
+
 def make_brownian(config: SdeTaskConfig = BR_CONFIG, with_globals=False) -> JointModel:
     """Driftless random walk, x_0 anchored at zero, ends observed.
 
     With globals, the innovation and observation scales become
-    LogNormal(0, 2) latents.
+    LogNormal(0, 2) latents `sigma_x` and `sigma_obs`.
     """
-    sqdt = math.sqrt(config.dt)
-    nodes = []
-    globals_ = ()
-    if with_globals:
-        nodes.append(rv("sigma_x", LOG_NORMAL, params=(0.0, 2.0)))
-        nodes.append(rv("sigma_obs", LOG_NORMAL, params=(0.0, 2.0)))
-        globals_ = ("sigma_x", "sigma_obs")
-        nodes.append(rv("x_0", NORMAL, parents=("sigma_x",), link=lambda s: (0.0, s * sqdt)))
-        for t in range(1, config.steps):
-            nodes.append(
-                rv(f"x_{t}", NORMAL, parents=(f"x_{t-1}", "sigma_x"),
-                   link=lambda p, s: (p, s * sqdt))
-            )
-        for t in range(config.steps):
-            if config.mask[t]:
-                nodes.append(
-                    rv(f"y_{t}", NORMAL, parents=(f"x_{t}", "sigma_obs"),
-                       link=lambda x, s: (x, s))
-                )
-    else:
-        step_scale = config.innovation_scale * sqdt
-        nodes.append(rv("x_0", NORMAL, params=(0.0, step_scale)))
-        for t in range(1, config.steps):
-            nodes.append(
-                rv(f"x_{t}", NORMAL, parents=(f"x_{t-1}",), link=lambda p: (p, step_scale))
-            )
-        for t in range(config.steps):
-            if config.mask[t]:
-                nodes.append(
-                    rv(f"y_{t}", NORMAL, parents=(f"x_{t}",),
-                       link=lambda x: (x, config.obs_scale))
-                )
-    return build_joint(nodes, global_names=globals_)
+    prior = (0.0, 2.0) if with_globals else None
+    return _euler_maruyama(config, scale_prior=prior, scale_name="sigma_x")
 
 
 def brownian_chain_spec(config: SdeTaskConfig = BR_CONFIG) -> LinearGaussianChainSpec:
@@ -124,71 +137,15 @@ def make_lorenz(config: SdeTaskConfig = LZ_CONFIG, with_globals=False) -> JointM
 
     The chain starts from the origin; only the first coordinate is
     observed.  With globals, the innovation and observation scales
-    become LogNormal(-1, 1) latents.
+    become LogNormal(-1, 1) latents `sigma` and `sigma_obs`.
     """
     dt = config.dt
-    sqdt = math.sqrt(dt)
 
     def locs(x0, x1, x2):
         d0, d1, d2 = lorenz_drift(x0, x1, x2)
         return (x0 + d0 * dt, x1 + d1 * dt, x2 + d2 * dt)
 
-    nodes = []
-    globals_ = ()
-    if with_globals:
-        nodes.append(rv("sigma", LOG_NORMAL, params=(-1.0, 1.0)))
-        nodes.append(rv("sigma_obs", LOG_NORMAL, params=(-1.0, 1.0)))
-        globals_ = ("sigma", "sigma_obs")
-
-    def add_dim(t, i):
-        if t == 0:
-            # previous state pinned at the origin, where the drift vanishes
-            if with_globals:
-                nodes.append(
-                    rv(f"x_{t}_{i}", NORMAL, parents=("sigma",), link=lambda s: (0.0, s * sqdt))
-                )
-            else:
-                nodes.append(
-                    rv(f"x_{t}_{i}", NORMAL, params=(0.0, config.innovation_scale * sqdt))
-                )
-            return
-        prev = (f"x_{t-1}_0", f"x_{t-1}_1", f"x_{t-1}_2")
-        if with_globals:
-            nodes.append(
-                rv(
-                    f"x_{t}_{i}",
-                    NORMAL,
-                    parents=prev + ("sigma",),
-                    link=lambda a, b, c, s, i=i: (locs(a, b, c)[i], s * sqdt),
-                )
-            )
-        else:
-            scale = config.innovation_scale * sqdt
-            nodes.append(
-                rv(
-                    f"x_{t}_{i}",
-                    NORMAL,
-                    parents=prev,
-                    link=lambda a, b, c, i=i: (locs(a, b, c)[i], scale),
-                )
-            )
-
-    for t in range(config.steps):
-        for i in range(3):
-            add_dim(t, i)
-    for t in range(config.steps):
-        if config.mask[t]:
-            if with_globals:
-                nodes.append(
-                    rv(f"y_{t}", NORMAL, parents=(f"x_{t}_0", "sigma_obs"),
-                       link=lambda x, s: (x, s))
-                )
-            else:
-                nodes.append(
-                    rv(f"y_{t}", NORMAL, parents=(f"x_{t}_0",),
-                       link=lambda x: (x, config.obs_scale))
-                )
-    return build_joint(nodes, global_names=globals_)
+    return _euler_maruyama(config, locs, scale_prior=(-1.0, 1.0) if with_globals else None)
 
 
 # ---------------------------------------------------------------------------
@@ -388,26 +345,22 @@ def generate_data(task: Task, seed):
 TASK_IDS = ("br", "brg", "lz", "lzg", "es", "radon")
 
 
-def get_task(task_id, sde_config=None, schools_data=None, radon_records=None) -> Task:
-    if task_id in ("br", "brg"):
+def get_task(task_id, sde_config=None) -> Task:
+    if task_id in SDE_DEFAULTS:
         cfg = sde_config or SDE_DEFAULTS[task_id]
-        model = make_brownian(cfg, with_globals=task_id == "brg")
-        data_model = make_brownian(cfg) if task_id == "brg" else None
+        make = make_brownian if task_id.startswith("br") else make_lorenz
+        with_globals = task_id in ("brg", "lzg")
+        model = make(cfg, with_globals=with_globals)
+        data_model = make(cfg) if with_globals else None
         observed = tuple(f"y_{t}" for t in range(cfg.steps) if cfg.mask[t])
-        oracle = "kalman" if task_id == "br" else "metropolis"
+        oracle = {"br": "kalman", "brg": "metropolis"}.get(task_id, "none")
         return Task(task_id, model, observed, oracle, cfg, data_model)
-    if task_id in ("lz", "lzg"):
-        cfg = sde_config or SDE_DEFAULTS[task_id]
-        model = make_lorenz(cfg, with_globals=task_id == "lzg")
-        data_model = make_lorenz(cfg) if task_id == "lzg" else None
-        observed = tuple(f"y_{t}" for t in range(cfg.steps) if cfg.mask[t])
-        return Task(task_id, model, observed, "none", cfg, data_model)
     if task_id == "es":
-        data = schools_data or SchoolsData()
+        data = SchoolsData()
         model = make_eight_schools(data)
         return Task(task_id, model, tuple(f"y_{i}" for i in range(8)), "metropolis", data)
     if task_id == "radon":
-        records = radon_records or synthetic_radon_records()
+        records = synthetic_radon_records()
         model = make_radon(records)
         observed = tuple(f"y_{j}" for j in range(len(records)))
         return Task(task_id, model, observed, "metropolis", tuple(records))

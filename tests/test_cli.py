@@ -2,14 +2,16 @@ import csv
 import json
 import os
 from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
 
-from convexvi.tasks import LZ_CONFIG, default_mask
+from convexvi.tasks import LZ_CONFIG, TASK_IDS, default_mask
 
 import convexvi.cli as cli_mod
 from convexvi.cli import (
     RESULT_COLUMNS,
+    USAGE,
     RunConfig,
     UsageError,
     _build_task,
@@ -256,6 +258,29 @@ def test_run_single_flags_divergence_and_raises_bugs(tmp_path, monkeypatch):
         run_single(cfg, "asvi", 1)
 
 
+def test_oracle_seed_is_the_same_alone_and_in_a_sweep(tmp_path, monkeypatch):
+    seeds = []
+
+    def fake_metropolis(model, config):
+        seeds.append(config.seed)
+        names = [n.name for n in model.latent_nodes]
+        return SimpleNamespace(means=dict.fromkeys(names, 0.0), sds=dict.fromkeys(names, 1.0),
+                               reliable=True)
+
+    monkeypatch.setattr(cli_mod, "metropolis_sample", fake_metropolis)
+    # fixed data: one chain at seed 0, whichever cell or sweep runs it
+    cfg = RunConfig(task="es", steps=2, seeds=(3,), out_dir=str(tmp_path / "es"))
+    run_single(cfg, "asvi", 3)
+    run_benchmark(cfg)
+    assert seeds == [0, 0]
+    # simulated data: one chain per data seed
+    seeds.clear()
+    cfg = small_config(tmp_path, task="brg", surrogates=("asvi",), steps=2, seeds=(3,))
+    run_single(cfg, "asvi", 3)
+    run_benchmark(cfg)
+    assert seeds == [300_003, 300_003]
+
+
 def test_workers_match_sequential(tmp_path):
     seq = small_config(tmp_path, out_dir=str(tmp_path / "seq"), steps=60)
     par = small_config(tmp_path, out_dir=str(tmp_path / "par"), steps=60, workers=2)
@@ -287,3 +312,5 @@ def test_main_usage_paths(capsys):
     assert "usage:" in capsys.readouterr().out
     assert main(["--task", "nope"]) == 2
     assert "invalid task" in capsys.readouterr().err
+    (line,) = [ln for ln in USAGE.splitlines() if ln.lstrip().startswith("--task ID")]
+    assert line.split("one of: ")[1] == ", ".join(TASK_IDS)

@@ -80,14 +80,44 @@ def test_lorenz_structure():
     assert len(mg.nodes) == len(m.nodes) + 2
 
 
-def test_lorenz_transition_link():
-    m = make_lorenz()
-    node = m.node("x_5_1")
-    state = (1.2, -0.7, 2.0)
-    loc, scale = node.params(state)
-    d = lorenz_drift(*state)
-    assert loc == pytest.approx(state[1] + d[1] * 0.02)
-    assert scale == pytest.approx(0.1 * math.sqrt(0.02))
+@pytest.mark.parametrize("task_id", ["br", "brg", "lz", "lzg"])
+def test_lorenz_transition_link(task_id):
+    # start, innovation and observation links of each SDE task at fixed
+    # parent values: parent order, loc and scale, bit for bit
+    m = get_task(task_id).model
+    state, s, s_obs = (1.2, -0.7, 2.0), 0.3, 0.4
+    if task_id.startswith("br"):
+        sqdt = math.sqrt(0.01)
+        dims = [("x_0", "x_5", ("x_4",), state[0])]
+        obs_parent, obs_scale = "x_2", 0.15
+    else:
+        sqdt = math.sqrt(0.02)
+        d = lorenz_drift(*state)
+        dims = [
+            (f"x_0_{i}", f"x_5_{i}", ("x_4_0", "x_4_1", "x_4_2"), state[i] + d[i] * 0.02)
+            for i in range(3)
+        ]
+        obs_parent, obs_scale = "x_2_0", 1.0
+    with_globals = task_id.endswith("g")
+    scale_name = {"brg": "sigma_x", "lzg": "sigma"}.get(task_id)
+    for start, name, prev, loc in dims:
+        if with_globals:
+            assert m.node(start).parents == (scale_name,)
+            assert m.node(start).params((s,)) == (0.0, s * sqdt)
+            assert m.node(name).parents == prev + (scale_name,)
+            assert m.node(name).params(state[: len(prev)] + (s,)) == (loc, s * sqdt)
+        else:
+            assert m.node(start).parents == ()
+            assert m.node(start).params(()) == (0.0, 0.1 * sqdt)
+            assert m.node(name).parents == prev
+            assert m.node(name).params(state[: len(prev)]) == (loc, 0.1 * sqdt)
+    obs = m.node("y_2")
+    if with_globals:
+        assert obs.parents == (obs_parent, "sigma_obs")
+        assert obs.params((1.2, s_obs)) == (1.2, s_obs)
+    else:
+        assert obs.parents == (obs_parent,)
+        assert obs.params((1.2,)) == (1.2, obs_scale)
 
 
 def test_eight_schools_bundled_dataset():
