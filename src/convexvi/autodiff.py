@@ -2,14 +2,16 @@
 
 A ``Tape`` records a computation over scalar nodes in topological
 (creation) order; ``backward`` runs one reverse sweep and returns the
-gradient with respect to every declared input.  Graphs are static once
-recorded, so a tape can be re-evaluated at new input values with
-``forward`` without re-recording (useful inside optimization loops).
-The first ``forward`` turns the tape into straight-line Python, one
-statement group per node, compiled in small functions; that code then
-runs every later ``forward`` and ``backward`` of the tape (reverse mode
-by source transformation).  A tape swept only once, just after
-recording, is swept by a loop over the nodes instead.
+gradient with respect to every declared input.  ``forward`` re-evaluates
+a recorded tape at new input values.  Its first call turns the tape into
+straight-line Python, one statement group per node, compiled in small
+functions; that code then runs every later ``forward`` and ``backward``
+(reverse mode by source transformation).  A tape swept only once, just
+after recording, is swept by a loop over the nodes instead.  A replay
+equals a fresh recording only if recording decided nothing on a node's
+value: reads through ``Node.value`` or ``value_of`` set
+``Tape.value_read``, while the ops, and checks that a replay repeats by
+itself (``value_for_check``), read values without setting it.
 
 Everything is double precision.  The math helpers at the bottom
 (``exp``, ``log``, ``sigmoid``, ...) accept either a ``Node`` or a plain
@@ -48,7 +50,9 @@ class Node:
 
     @property
     def value(self):
-        return self.tape.vals[self.i]
+        t = self.tape
+        t.value_read = True
+        return t.vals[self.i]
 
     def __add__(self, other):
         t = self.tape
@@ -108,7 +112,7 @@ class Node:
         return t._unary_aux(POW, self.i, a ** p, p * a ** (p - 1.0), p)
 
     def __repr__(self):
-        return f"Node({self.value!r})"
+        return f"Node({self.tape.vals[self.i]!r})"
 
 
 class Tape:
@@ -118,7 +122,7 @@ class Tape:
     topological order and one reverse sweep suffices for backward.
     """
 
-    __slots__ = ("ops", "p1", "p2", "d1", "d2", "aux", "vals", "input_ids", "_replay")
+    __slots__ = ("ops", "p1", "p2", "d1", "d2", "aux", "vals", "input_ids", "value_read", "_replay")
 
     def __init__(self):
         self.ops = []
@@ -129,6 +133,7 @@ class Tape:
         self.aux = []
         self.vals = []
         self.input_ids = []
+        self.value_read = False  # set by `Node.value` and `value_of`
         self._replay = None  # generated code, once `forward` has run
 
     def __len__(self):
@@ -164,12 +169,6 @@ class Tape:
         if self.ops[node.i] != INPUT:
             raise ValueError("set_input on a non-input node")
         self.vals[node.i] = float(value)
-
-    def fingerprint(self):
-        """Everything a replay takes as fixed: ops, parents and folded
-        constants.  A function recorded twice replays alike exactly when
-        the two fingerprints are equal."""
-        return self.ops, self.p1, self.p2, self.aux
 
     def forward(self):
         """Recompute all values and local partials from current inputs.
@@ -453,14 +452,14 @@ def _backward_source(tape, nodes, output, last_child):
 
 def exp(x):
     if isinstance(x, Node):
-        v = _exp_float(x.value)
+        v = _exp_float(x.tape.vals[x.i])
         return x.tape._unary(EXP, x.i, v, v)
     return _exp_float(x)
 
 
 def log(x):
     if isinstance(x, Node):
-        a = x.value
+        a = x.tape.vals[x.i]
         if a <= 0.0:
             raise DomainError(f"log of non-positive value {a!r}")
         return x.tape._unary(LOG, x.i, math.log(a), 1.0 / a)
@@ -471,28 +470,28 @@ def log(x):
 
 def tanh(x):
     if isinstance(x, Node):
-        v = math.tanh(x.value)
+        v = math.tanh(x.tape.vals[x.i])
         return x.tape._unary(TANH, x.i, v, 1.0 - v * v)
     return math.tanh(x)
 
 
 def sigmoid(x):
     if isinstance(x, Node):
-        v = _sigmoid_float(x.value)
+        v = _sigmoid_float(x.tape.vals[x.i])
         return x.tape._unary(SIGMOID, x.i, v, v * (1.0 - v))
     return _sigmoid_float(x)
 
 
 def softplus(x):
     if isinstance(x, Node):
-        a = x.value
+        a = x.tape.vals[x.i]
         return x.tape._unary_aux(SOFTPLUS, x.i, _softplus_float(a), _sigmoid_float(a), 0.0)
     return _softplus_float(x)
 
 
 def sqrt(x):
     if isinstance(x, Node):
-        a = x.value
+        a = x.tape.vals[x.i]
         if a < 0.0:
             raise DomainError(f"sqrt of negative value {a!r}")
         v = math.sqrt(a)
@@ -505,6 +504,12 @@ def sqrt(x):
 def value_of(x):
     """Float value of a Node or a plain number."""
     return x.value if isinstance(x, Node) else float(x)
+
+
+def value_for_check(x):
+    """`value_of` without setting `Tape.value_read`, for a check whose
+    failure a replay reproduces by itself; each caller says why."""
+    return x.tape.vals[x.i] if isinstance(x, Node) else float(x)
 
 
 def record(fn, point):

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 
 from . import autodiff as ad
-from .autodiff import value_of
+from .autodiff import value_for_check, value_of
 
 HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 SCALE_FLOOR = 1e-6
@@ -160,8 +160,9 @@ def unconstrain_param(constraint_kind, y):
 
 
 def _check_scale(scale, who):
-    if not value_of(scale) > 0.0:
-        raise ParameterError(f"{who} requires scale > 0, got {value_of(scale)!r}")
+    # unnoted read: a replay divides by the scale and takes its log
+    if not value_for_check(scale) > 0.0:
+        raise ParameterError(f"{who} requires scale > 0, got {value_for_check(scale)!r}")
 
 
 class Normal:
@@ -200,7 +201,8 @@ class HalfNormal:
     def log_prob(self, params, value):
         (scale,) = params
         _check_scale(scale, self.name)
-        if value_of(value) < 0.0:
+        # unnoted read: a sample, scale * |eps| or a softplus, is never < 0
+        if value_for_check(value) < 0.0:
             return NEG_INF
         z = value / scale
         return math.log(2.0) - 0.5 * (z * z) - ad.log(scale) - HALF_LOG_2PI
@@ -229,7 +231,8 @@ class LogNormal:
     def log_prob(self, params, value):
         loc, scale = params
         _check_scale(scale, self.name)
-        if value_of(value) <= 0.0:
+        # unnoted read: a replay takes the log of the value below
+        if value_for_check(value) <= 0.0:
             return NEG_INF
         log_value = ad.log(value)
         z = (log_value - loc) / scale

@@ -6,15 +6,14 @@ sample's ELBO term (with a leave-one-out baseline when more than one
 sample is drawn).
 
 Every gradient comes from one recorder, ``CompiledElbo``: the ELBO graph
-recorded at one step's parameters and noise draws.  For fully
-continuous programs ``fit`` records it at the first step and then
-replays it: the tape turns into generated Python once, and every step
-runs that code (``tape.forward``/``backward``), several times faster
-than re-recording.  A link may still branch on a latent's value, so
-``fit`` records the graph again at step 1 and at every multiple of
-``window`` and compares fingerprints; if the graph has changed, it
-records every step from then on.  Programs with discrete latents, whose
-graph shape can change with the sampled values, record every step.
+recorded at one step's parameters and noise draws.  The recording says
+whether the graph can be replayed: it can unless recording read a
+node's value (a link that branches on a latent's value, a discrete
+density) or drew uniform noise (discrete latents).  ``fit`` records a
+replayable graph once and replays it at every step, the first included:
+the tape turns into generated Python once, and every step runs that
+code (``tape.forward``/``backward``), several times faster than
+re-recording.  Any other graph is recorded anew at every step.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .autodiff import DomainError, Tape, value_of
+from .autodiff import DomainError, Node, Tape, value_of
 from .distributions import ParameterError
 from .model import joint_log_prob
 from .surrogates import SURROGATES, build_surrogate
@@ -44,7 +43,9 @@ class ElboEstimate:
 
 
 def elbo_estimate(model, surrogate, params, n_samples=1, seed=0) -> ElboEstimate:
-    """Mean over samples of log p(x, y) - log q(x) with x ~ q."""
+    """Mean over samples of log p(x, y) - log q(x) with x ~ q, on floats.
+    It can differ from `CompiledElbo.value` in the last bits: a node
+    divided by `b` is `a * (1 / b)` on the tape, floats compute `a / b`."""
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     rng = np.random.default_rng(seed)
@@ -71,13 +72,12 @@ class CompiledElbo:
     Discrete latents add a score-function term weighted by the sample's
     ELBO term less a leave-one-out baseline (none at one sample).
     `value` is the ELBO estimate at the recorded inputs, the mean of the
-    samples' terms.
+    samples' terms.  An objective that no parameter reaches (every term
+    a float, such as NaN from -inf - -inf) raises `NonFiniteError`.
 
-    `replay` re-evaluates the recorded graph at new inputs, which is
-    right only while the graph shape does not depend on the sampled
-    values: no discrete latents, and no link that branches on a latent's
-    value.  `fit` checks that by comparing `tape.fingerprint()` with a
-    fresh recording.
+    `replayable`: `replay` gives what a fresh recording at new inputs
+    would, since recording read no node's value (`Tape.value_read`) and
+    drew no uniform noise.
     """
 
     def __init__(self, model, surrogate, params, draws):
@@ -95,6 +95,8 @@ class CompiledElbo:
             values, log_q, disc_log_q = surrogate.sample_and_log_prob(self.param_nodes, noise)
             samples.append((joint_log_prob(model, values) - log_q, disc_log_q))
         n = len(draws)
+        # taken before the reads of the terms' values just below
+        self.replayable = not tape.value_read and "uniform" not in surrogate.noise_spec
         w_vals = [value_of(w) for w, _ in samples]
         obj = None
         for s, (w, disc_log_q) in enumerate(samples):
@@ -102,6 +104,8 @@ class CompiledElbo:
                 baseline = (sum(w_vals) - w_vals[s]) / (n - 1) if n > 1 else 0.0
                 w = w + (w_vals[s] - baseline) * disc_log_q
             obj = w if obj is None else obj + w
+        if not isinstance(obj, Node):
+            raise NonFiniteError(f"ELBO objective {obj!r} depends on no parameter")
         self.objective = obj * (1.0 / n)
         self.value = sum(w_vals) * (1.0 / n)
 
@@ -187,9 +191,7 @@ class TrainConfig:
     n_samples: int = 1
     seed: int = 0
     record_every: int = 10
-    window: int = 1000  # early stopping: trailing-window mean loss; a
-    # replayed graph is also checked against a fresh recording at step 1
-    # and at every multiple of `window`
+    window: int = 1000  # early stopping: trailing-window mean loss
     tol: float = 1e-4  # relative improvement threshold
     patience: int = 5  # consecutive stale windows before stopping
 
@@ -204,9 +206,6 @@ class FitResult:
     seed: int
     steps_run: int = 0
     surrogate: object = field(repr=False, default=None)
-    # step at which a fresh recording no longer matched the replayed
-    # graph; that step and all later ones recorded the graph anew
-    rerecord_from: int = None
 
     @property
     def final_loss(self):
@@ -239,11 +238,7 @@ def fit(model, surrogate, config: TrainConfig = TrainConfig(), init_params=None)
         if params.shape != (surrogate.num_params,):
             raise ValueError("init_params dimension mismatch")
     state = AdamState.fresh(len(params), lr)
-
-    # a graph without discrete latents is replayed until a check finds it changed
-    replay = all(k != "uniform" for k in surrogate.noise_spec)
     graph = None
-    rerecord_from = None
 
     start = time.perf_counter()
     trajectory = []
@@ -259,18 +254,10 @@ def fit(model, surrogate, config: TrainConfig = TrainConfig(), init_params=None)
 
     for step in range(config.steps):
         draws = [surrogate.draw_noise(rng) for _ in range(config.n_samples)]
-        check = step == 1 or (config.window > 0 and step % config.window == 0)
         try:
-            if graph is None or not replay or check:
-                fresh = CompiledElbo(model, surrogate, params, draws)
-                if graph is None:
-                    graph = fresh
-                elif replay and fresh.tape.fingerprint() != graph.tape.fingerprint():
-                    replay = False
-                    rerecord_from = step
-                if not replay:
-                    graph = fresh
-            if replay:
+            if graph is None or not graph.replayable:
+                graph = CompiledElbo(model, surrogate, params, draws)
+            if graph.replayable:
                 value, grad = graph.replay(params, draws)
             else:
                 value, grad = graph.value, graph.gradient()
@@ -314,7 +301,6 @@ def fit(model, surrogate, config: TrainConfig = TrainConfig(), init_params=None)
         seed=config.seed,
         steps_run=len(losses),
         surrogate=surrogate,
-        rerecord_from=rerecord_from,
     )
 
 

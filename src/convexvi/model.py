@@ -8,7 +8,10 @@ surrogate re-executes the link at posterior parent values.
 
 Stochastic control flow is supported through links that branch on a
 *discrete* parent's value (discrete values are plain floats and never
-carry gradients), selecting among pre-declared parameter rules.
+carry gradients), selecting among pre-declared parameter rules.  A link
+may also read a continuous parent's value (``value_of``); the ELBO graph
+then depends on the sampled values, and ``fit`` records it every step
+instead of replaying it.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .autodiff import value_of
+from .autodiff import value_for_check
 
 
 class ModelError(ValueError):
@@ -190,9 +193,10 @@ def _accumulate(model, node_subset, values):
             raise ModelError(f"missing assignment for node {node.name!r}")
         params = node.params(_parent_values(node, values, model.observations))
         lp = node.family.log_prob(params, x)
-        if value_of(lp) == float("-inf"):
+        if value_for_check(lp) == float("-inf"):
             # density is zero at an out-of-support point; children may
             # see nonsense parameters there, so do not evaluate them
+            # (unnoted read: a -inf term makes a replayed sum non-finite)
             return float("-inf")
         total = lp if total is None else total + lp
     return 0.0 if total is None else total

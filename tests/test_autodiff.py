@@ -157,7 +157,7 @@ def test_forward_replay_matches_fresh_record():
         fxs = [fresh.input(v) for v in vals]
         fout = build(fresh, fxs)
         fg = fresh.backward(fout)
-        assert fresh.fingerprint() == tape.fingerprint()
+        assert (fresh.ops, fresh.p1, fresh.p2, fresh.aux) == (tape.ops, tape.p1, tape.p2, tape.aux)
         assert fresh.vals == tape.vals
         assert [g[x.i] for x in xs] == [fg[fx.i] for fx in fxs]
 
@@ -249,7 +249,7 @@ def test_replay_matches_fresh_record_on_random_graphs():
             fresh = ad.Tape()
             fxs = [fresh.input(v) for v in point]
             fout = build(seed, fxs)
-            if fresh.fingerprint() != tape.fingerprint():
+            if (fresh.ops, fresh.p1, fresh.p2, fresh.aux) != (tape.ops, tape.p1, tape.p2, tape.aux):
                 continue  # recording took another path at this point
             tape.forward()
             g, fg = tape.backward(out), fresh.backward(fout)
@@ -257,6 +257,21 @@ def test_replay_matches_fresh_record_on_random_graphs():
             assert [repr(g[x.i]) for x in xs] == [repr(fg[x.i]) for x in fxs]
             compared += 1
     assert compared > 150  # 216 of the 600 points record the same graph
+
+
+def test_value_read_notes_reads_of_node_values_only():
+    tape = ad.Tape()
+    x = tape.input(0.5)
+    y = ad.log(ad.sqrt(ad.exp(ad.tanh(ad.sigmoid(ad.softplus(x))))) / x + x * x - x ** 2.0)
+    1.0 / y
+    ad.value_for_check(y)
+    repr(y)
+    assert not tape.value_read
+    assert ad.value_of(y) == tape.vals[y.i]
+    assert tape.value_read
+    other = ad.Tape()
+    other.input(1.0).value
+    assert other.value_read
 
 
 def test_pow_fractional_of_negative_rejected():

@@ -3,9 +3,17 @@ import math
 import numpy as np
 import pytest
 
-from convexvi.autodiff import value_of
-from convexvi.distributions import LOG_NORMAL, NORMAL, unconstrain_param
+from convexvi import inference
+from convexvi.autodiff import DomainError, value_of
+from convexvi.distributions import (
+    HALF_NORMAL,
+    LOG_NORMAL,
+    NORMAL,
+    ParameterError,
+    unconstrain_param,
+)
 from convexvi.inference import (
+    _DIVERGENCE,
     AdamState,
     CompiledElbo,
     NonFiniteError,
@@ -26,7 +34,7 @@ from convexvi.oracles import (
     kalman_filter_smoother,
 )
 from convexvi.distributions import BERNOULLI
-from convexvi.surrogates import build_surrogate
+from convexvi.surrogates import SURROGATES, build_surrogate
 from convexvi.tasks import TASK_IDS, generate_data, get_task
 
 
@@ -176,16 +184,20 @@ def test_replay_is_bit_identical_to_recording(task_id, kind):
         params = surrogate.init_params.copy()
         recorded_at = draw(surrogate, n_samples, np.random.default_rng(99))
         graph = CompiledElbo(model, surrogate, params, recorded_at)
+        assert graph.replayable
+        tape = graph.tape
         for seed in range(3):
             draws = draw(surrogate, n_samples, np.random.default_rng(seed))
             value, grad = graph.replay(params, draws)
             fresh = CompiledElbo(model, surrogate, params, draws)
-            assert fresh.tape.fingerprint() == graph.tape.fingerprint()
+            assert fresh.replayable
+            ft = fresh.tape
+            assert (ft.ops, ft.p1, ft.p2, ft.aux) == (tape.ops, tape.p1, tape.p2, tape.aux)
             assert value == fresh.value
             assert grad.tobytes() == fresh.gradient().tobytes()
             g = elbo_gradient(model, surrogate, params, n_samples, seed=seed)
             assert grad.tobytes() == g.tobytes()
-            # the float path sums the log-densities in its own order
+            # a node divided by b is a * (1 / b) on the tape, a / b on floats
             est = elbo_estimate(model, surrogate, params, n_samples, seed=seed)
             assert value == pytest.approx(est.value)
             params = params + 0.01 * np.tanh(grad)
@@ -206,41 +218,181 @@ def branching_link_model():
     return condition(m, {"y": 0.5})
 
 
-def recorded_fit(model, config):
-    """What `fit` does with an asvi surrogate at its default learning rate,
-    recording the graph at every step and never stopping early."""
-    surrogate = build_surrogate("asvi", model, init_seed=config.seed)
+def recorded_fit(model, config, kind="asvi", init_params=None):
+    """What `fit` does at the kind's default learning rate, recording the
+    graph at every step and never stopping early: (params, losses,
+    diverged)."""
+    surrogate = build_surrogate(kind, model, init_seed=config.seed)
     rng = np.random.default_rng(config.seed)
-    params = surrogate.init_params.copy()
-    state = AdamState.fresh(len(params), lr=1e-2)
+    params = surrogate.init_params.copy() if init_params is None else np.array(init_params)
+    state = AdamState.fresh(len(params), lr=SURROGATES[kind].lr)
     losses = []
     for _ in range(config.steps):
-        graph = CompiledElbo(model, surrogate, params, draw(surrogate, config.n_samples, rng))
-        losses.append(-graph.value)
-        state, params = adam_step(state, graph.gradient(), params)
-    return params, losses
+        try:
+            graph = CompiledElbo(model, surrogate, params, draw(surrogate, config.n_samples, rng))
+            value, grad = graph.value, graph.gradient()
+        except _DIVERGENCE:
+            return params, losses, True
+        if not math.isfinite(value) or not np.all(np.isfinite(grad)):
+            return params, losses, True
+        losses.append(-value)
+        state, params = adam_step(state, grad, params)
+    return params, losses, False
+
+
+def assert_fit_is_recorded(model, config, kind="asvi", init_params=None):
+    """`fit` equals `recorded_fit` in bytes (`config.record_every` is 1);
+    returns the fit."""
+    result = fit(model, kind, config, init_params=init_params)
+    params, losses, diverged = recorded_fit(model, config, kind, init_params)
+    assert (result.diverged, result.steps_run) == (diverged, len(losses))
+    assert result.params.tobytes() == params.tobytes()
+    assert [loss for _, loss, _ in result.trajectory] == losses
+    return result
 
 
 def test_fit_stops_replaying_a_graph_that_changed():
     model = branching_link_model()
-    # the first check is at step 1, the next ones at multiples of `window`;
-    # at seeds 0, 2 and 3 the branch taken changes by step 1, at seeds 6
-    # and 7 it shows only at step 20
-    for seed, window, caught_at in [(0, 0, 1), (2, 0, 1), (3, 0, 1), (6, 20, 20), (7, 20, 20)]:
-        cfg = TrainConfig(steps=60, seed=seed, window=window, patience=100, record_every=1)
-        result = fit(model, "asvi", cfg)
-        assert result.rerecord_from == caught_at, seed
-        if caught_at == 1:
-            # no step ran on a stale graph, so the fit is the recorded one
-            params, losses = recorded_fit(model, cfg)
-            assert result.params.tobytes() == params.tobytes()
-            assert [loss for _, loss, _ in result.trajectory] == losses
+    surrogate = build_surrogate("asvi", model)
+    graph = CompiledElbo(model, surrogate, surrogate.init_params, [[0.0, 0.0]])
+    assert not graph.replayable  # the link reads x's value
+    for seed in range(8):
+        cfg = TrainConfig(steps=60, seed=seed, window=20, patience=100, record_every=1)
+        assert_fit_is_recorded(model, cfg)
 
 
-def test_fit_keeps_replaying_a_fixed_graph():
+def count_recordings(monkeypatch):
+    """A list that gets one entry per `CompiledElbo` that `fit` builds."""
+    built = []
+
+    class Counted(CompiledElbo):
+        def __init__(self, *args):
+            built.append(1)
+            super().__init__(*args)
+
+    monkeypatch.setattr(inference, "CompiledElbo", Counted)
+    return built
+
+
+def test_fit_keeps_replaying_a_fixed_graph(monkeypatch):
     model, _ = brownian(T=6, seed=5)
+    built = count_recordings(monkeypatch)
     result = fit(model, "asvi", TrainConfig(steps=50, seed=1, window=10))
-    assert result.rerecord_from is None
+    assert result.steps_run == 50 and len(built) == 1
+
+
+def test_discrete_graph_is_recorded_every_step(monkeypatch):
+    model = two_bernoulli_model()
+    surrogate = build_surrogate("asvi", model)
+    rng = np.random.default_rng(0)
+    assert not CompiledElbo(model, surrogate, surrogate.init_params, draw(surrogate, 1, rng)).replayable
+    built = count_recordings(monkeypatch)
+    fit(model, surrogate, TrainConfig(steps=20, seed=0, window=0))
+    assert len(built) == 20
+
+
+def stopped_in_replay(model, config, kind, init_params=None):
+    """A fit that equals `recorded_fit` and diverged after some replayed
+    steps: (fit, its step-0 graph, the draws of the step that diverged)."""
+    result = assert_fit_is_recorded(model, config, kind, init_params)
+    assert result.diverged and result.steps_run > 1
+    surrogate = result.surrogate
+    rng = np.random.default_rng(config.seed)
+    draws = [draw(surrogate, config.n_samples, rng) for _ in range(result.steps_run + 1)]
+    start = surrogate.init_params if init_params is None else init_params
+    return result, CompiledElbo(model, surrogate, start, draws[0]), draws[-1]
+
+
+def test_scale_turning_non_positive_in_replay_stops_fit_as_recording():
+    m = build_joint(
+        [
+            rv("s", NORMAL, params=(0.3, 0.3)),
+            rv("y", NORMAL, parents=("s",), link=lambda s: (0.0, s)),
+        ]
+    )
+    m = condition(m, {"y": 0.1})
+    cfg = TrainConfig(steps=100, seed=0, window=0, record_every=1)
+    result, graph, draws = stopped_in_replay(m, cfg, "mean-field")
+    assert result.steps_run == 9
+    with pytest.raises(ParameterError, match="scale > 0"):
+        CompiledElbo(m, result.surrogate, result.params, draws)
+    with pytest.raises(DomainError, match="log of non-positive"):
+        graph.replay(result.params, draws)
+
+
+def test_lognormal_underflow_in_replay_stops_fit_as_recording():
+    m = build_joint(
+        [
+            rv("s", LOG_NORMAL, params=(0.0, 1.0)),
+            rv("x", NORMAL, params=(0.0, 1.0)),
+            rv("y", NORMAL, parents=("x",), link=lambda x: (x, 1.0)),
+        ]
+    )
+    m = condition(m, {"y": 0.5})
+    mf = build_surrogate("mean-field", m)
+    start = mf.init_params.copy()
+    start[mf.param_index["s.loc.alpha"]] = -650.0
+    start[mf.param_index["s.scale.alpha"]] = unconstrain_param("positive", 60.0)
+    cfg = TrainConfig(steps=100, seed=0, window=0, record_every=1)
+    result, graph, draws = stopped_in_replay(m, cfg, "mean-field", start)
+    values, _, _ = mf.sample_and_log_prob(list(result.params), draws[0])
+    assert values["s"] == 0.0
+    # recording takes log q and log p of s as -inf: the term is NaN
+    assert math.isnan(CompiledElbo(m, result.surrogate, result.params, draws).value)
+    with pytest.raises(DomainError, match="log of non-positive"):
+        graph.replay(result.params, draws)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")  # Adam squares gradients near 1e308
+def test_log_density_overflow_in_replay_stops_fit_as_recording():
+    m = build_joint(
+        [
+            rv("s", NORMAL, params=(0.0, 1.0)),
+            rv("y", NORMAL, parents=("s",), link=lambda s: (s * 1e154, 1.0)),
+        ]
+    )
+    m = condition(m, {"y": 0.0})
+    for kind in ("asvi", "mean-field"):
+        cfg = TrainConfig(steps=100, seed=0, window=0, record_every=1)
+        result, graph, draws = stopped_in_replay(m, cfg, kind)
+        recorded = CompiledElbo(m, result.surrogate, result.params, draws)
+        assert recorded.value == -math.inf  # `_accumulate` stopped at y's -inf
+        value, _ = graph.replay(result.params, draws)
+        assert not math.isfinite(value)
+
+
+def test_halfnormal_support_check_cannot_fail_in_replay():
+    m = build_joint(
+        [
+            rv("t", HALF_NORMAL, params=(1.0,)),
+            rv("s", HALF_NORMAL, parents=("t",), link=lambda t: (t,)),
+            rv("y", NORMAL, parents=("s",), link=lambda s: (0.0, s)),
+        ]
+    )
+    m = condition(m, {"y": 0.3})
+    for kind in SURROGATES:
+        cfg = TrainConfig(steps=150, seed=1, window=0, record_every=1)
+        assert not assert_fit_is_recorded(m, cfg, kind).diverged, kind
+
+
+def test_elbo_off_the_tape_is_divergence():
+    # the lone latent's sample underflows to 0, so log q and log p are
+    # both the float -inf and the objective is a float NaN
+    m = build_joint(
+        [
+            rv("s", LOG_NORMAL, params=(0.0, 1.0)),
+            rv("x", NORMAL, parents=("s",), link=lambda s: (0.0, s)),
+        ]
+    )
+    m = condition(m, {"x": 0.5})
+    asvi = build_surrogate("asvi", m)
+    bad = asvi.init_params.copy()
+    bad[asvi.param_index["s.loc.alpha"]] = -800.0
+    bad[asvi.param_index["s.loc.lam_logit"]] = -40.0
+    with pytest.raises(NonFiniteError, match="depends on no parameter"):
+        elbo_gradient(m, asvi, bad)
+    result = fit(m, asvi, TrainConfig(steps=10, seed=0, window=0), init_params=bad)
+    assert result.diverged and result.steps_run == 0
 
 
 def test_zero_division_while_recording_is_divergence():
@@ -378,12 +530,9 @@ def test_fit_reports_divergence():
 def test_fit_uncompiled_matches_compiled():
     # replaying the graph gives the bits of recording it at every step
     model = conjugate_pair(y=1.5)
-    cfg = TrainConfig(steps=200, seed=3, window=0, record_every=1)
-    result = fit(model, "asvi", cfg)
-    params, losses = recorded_fit(model, cfg)
-    assert result.rerecord_from is None
-    assert result.params.tobytes() == params.tobytes()
-    assert [loss for _, loss, _ in result.trajectory] == losses
+    for kind in SURROGATES:
+        cfg = TrainConfig(steps=200, seed=3, window=0, record_every=1)
+        assert not assert_fit_is_recorded(model, cfg, kind).diverged
 
 
 def test_save_trajectory_round_trip(tmp_path):
