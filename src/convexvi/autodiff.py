@@ -14,13 +14,21 @@ value: reads through ``Node.value`` or ``value_of`` set
 itself (``value_for_check``), read values without setting it.
 
 Everything is double precision.  The math helpers at the bottom
-(``exp``, ``log``, ``sigmoid``, ...) accept either a ``Node`` or a plain
-float, so the same formula can be evaluated on or off the tape.
+(``exp``, ``log``, ``sigmoid``, ...) accept a ``Node``, a float, or a
+float array, so the same formula can be evaluated on the tape, on one
+sample, or on a batch of samples at once (one array entry per sample).
+On an array, a transcendental maps the float function over the entries
+(numpy's own ``exp``/``log``/``tanh`` differ from libm in the last bit
+on some inputs), so every entry has the bits the float path gives;
+``+ - * /``, ``abs`` and ``sqrt`` are exact either way.  A batch cannot
+branch on a value: ``value_of`` of an array raises ``PerSampleOnly``.
 """
 
 from __future__ import annotations
 
 import math
+
+import numpy as np
 
 # Op kinds.  Binary ops with a folded float operand keep their kind and
 # store the constant in `aux` with parent2 = -1.
@@ -217,6 +225,12 @@ class Tape:
 class DomainError(ValueError):
     """Raised when an op is recorded outside its domain (log/sqrt of a
     negative argument); arguments are rejected rather than clamped."""
+
+
+class PerSampleOnly(Exception):
+    """`value_of` was given an array of samples: the caller decides on a
+    single sample's value, so the batch has to be evaluated one sample
+    at a time."""
 
 
 def _sigmoid_float(x):
@@ -450,66 +464,110 @@ def _backward_source(tape, nodes, output, last_child):
     return lines
 
 
+def _map(f, a):
+    """`f` over the entries of the float array `a`, as floats."""
+    return np.fromiter(map(f, a.tolist()), float, len(a))
+
+
+# Each helper tests for a float first, so the float path that samplers
+# run pays one type test; a Node goes on the tape, an array of samples
+# is mapped, and any other number takes the float path.
+
+
 def exp(x):
-    if isinstance(x, Node):
-        v = _exp_float(x.tape.vals[x.i])
-        return x.tape._unary(EXP, x.i, v, v)
+    if type(x) is not float:
+        if isinstance(x, Node):
+            v = _exp_float(x.tape.vals[x.i])
+            return x.tape._unary(EXP, x.i, v, v)
+        if isinstance(x, np.ndarray):
+            return _map(_exp_float, x)
     return _exp_float(x)
 
 
 def log(x):
-    if isinstance(x, Node):
-        a = x.tape.vals[x.i]
-        if a <= 0.0:
-            raise DomainError(f"log of non-positive value {a!r}")
-        return x.tape._unary(LOG, x.i, math.log(a), 1.0 / a)
+    if type(x) is not float:
+        if isinstance(x, Node):
+            a = x.tape.vals[x.i]
+            if a <= 0.0:
+                raise DomainError(f"log of non-positive value {a!r}")
+            return x.tape._unary(LOG, x.i, math.log(a), 1.0 / a)
+        if isinstance(x, np.ndarray):
+            bad = x <= 0.0
+            if bad.any():
+                raise DomainError(f"log of non-positive value {float(x[bad][0])!r}")
+            return _map(math.log, x)
     if x <= 0.0:
         raise DomainError(f"log of non-positive value {x!r}")
     return math.log(x)
 
 
 def tanh(x):
-    if isinstance(x, Node):
-        v = math.tanh(x.tape.vals[x.i])
-        return x.tape._unary(TANH, x.i, v, 1.0 - v * v)
+    if type(x) is not float:
+        if isinstance(x, Node):
+            v = math.tanh(x.tape.vals[x.i])
+            return x.tape._unary(TANH, x.i, v, 1.0 - v * v)
+        if isinstance(x, np.ndarray):
+            return _map(math.tanh, x)
     return math.tanh(x)
 
 
 def sigmoid(x):
-    if isinstance(x, Node):
-        v = _sigmoid_float(x.tape.vals[x.i])
-        return x.tape._unary(SIGMOID, x.i, v, v * (1.0 - v))
+    if type(x) is not float:
+        if isinstance(x, Node):
+            v = _sigmoid_float(x.tape.vals[x.i])
+            return x.tape._unary(SIGMOID, x.i, v, v * (1.0 - v))
+        if isinstance(x, np.ndarray):
+            return _map(_sigmoid_float, x)
     return _sigmoid_float(x)
 
 
 def softplus(x):
-    if isinstance(x, Node):
-        a = x.tape.vals[x.i]
-        return x.tape._unary_aux(SOFTPLUS, x.i, _softplus_float(a), _sigmoid_float(a), 0.0)
+    if type(x) is not float:
+        if isinstance(x, Node):
+            a = x.tape.vals[x.i]
+            return x.tape._unary_aux(SOFTPLUS, x.i, _softplus_float(a), _sigmoid_float(a), 0.0)
+        if isinstance(x, np.ndarray):
+            return _map(_softplus_float, x)
     return _softplus_float(x)
 
 
 def sqrt(x):
-    if isinstance(x, Node):
-        a = x.tape.vals[x.i]
-        if a < 0.0:
-            raise DomainError(f"sqrt of negative value {a!r}")
-        v = math.sqrt(a)
-        return x.tape._unary(SQRT, x.i, v, 0.5 / v if v > 0.0 else math.inf)
+    if type(x) is not float:
+        if isinstance(x, Node):
+            a = x.tape.vals[x.i]
+            if a < 0.0:
+                raise DomainError(f"sqrt of negative value {a!r}")
+            v = math.sqrt(a)
+            return x.tape._unary(SQRT, x.i, v, 0.5 / v if v > 0.0 else math.inf)
+        if isinstance(x, np.ndarray):
+            bad = x < 0.0
+            if bad.any():
+                raise DomainError(f"sqrt of negative value {float(x[bad][0])!r}")
+            return np.sqrt(x)  # correctly rounded, as math.sqrt
     if x < 0.0:
         raise DomainError(f"sqrt of negative value {x!r}")
     return math.sqrt(x)
 
 
 def value_of(x):
-    """Float value of a Node or a plain number."""
-    return x.value if isinstance(x, Node) else float(x)
+    """Float value of a Node or a plain number.  An array of samples
+    raises `PerSampleOnly`: a decision on the value needs one sample."""
+    if isinstance(x, Node):
+        return x.value
+    if isinstance(x, np.ndarray):
+        raise PerSampleOnly("a value was read from a batch of samples")
+    return float(x)
 
 
 def value_for_check(x):
     """`value_of` without setting `Tape.value_read`, for a check whose
-    failure a replay reproduces by itself; each caller says why."""
-    return x.tape.vals[x.i] if isinstance(x, Node) else float(x)
+    failure a replay reproduces by itself; each caller says why.  An
+    array of samples is returned as is, for a check per sample."""
+    if type(x) is float:
+        return x
+    if isinstance(x, Node):
+        return x.tape.vals[x.i]
+    return x if isinstance(x, np.ndarray) else float(x)
 
 
 def record(fn, point):

@@ -3,7 +3,11 @@
 Outputs per run directory:
   results.csv     one row per (task, surrogate, seed); deterministic,
                   so identical configs reproduce it bit-exactly
-  timings.csv     wall times (kept out of results.csv on purpose)
+  timings.csv     wall times (kept out of results.csv on purpose): the
+                  fit's own wall_time_s, then where the cell's time went,
+                  fit_s (surrogate build included), final_elbo_s,
+                  moments_s and oracle_s (0 where a cached oracle was
+                  used, such as the one fixed-data chain of es and radon)
   summary.csv     per-(task, surrogate) aggregates, best-of-task marked
   summary.txt     the same aggregates as the printed table
   trajectory_<task>_<surrogate>_<seed>.csv
@@ -17,6 +21,7 @@ import json
 import math
 import os
 import sys
+import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 
@@ -46,6 +51,8 @@ from .tasks import (
 
 FINAL_ELBO_SAMPLES = 1000
 MOMENT_SAMPLES = 4000
+
+TIMING_COLUMNS = ("wall_time_s", "fit_s", "final_elbo_s", "moments_s", "oracle_s")
 
 RESULT_COLUMNS = (
     "task",
@@ -241,9 +248,19 @@ def _normalized_errors(surrogate, params, oracle, seed):
     return float(np.mean(m_errs)), float(np.mean(s_errs))
 
 
+def _timed(times, key, fn, *args, **kwargs):
+    """`fn(*args, **kwargs)`, its wall time stored in `times[key]`."""
+    start = time.perf_counter()
+    try:
+        return fn(*args, **kwargs)
+    finally:
+        times[key] = time.perf_counter() - start
+
+
 def run_single(config: RunConfig, surrogate_kind, seed, oracle_cache=None):
-    """One (task, surrogate, seed) cell.  A divergence, in `fit` or in
-    the evaluation after it, becomes a flagged row; any other error
+    """One (task, surrogate, seed) cell: (row, trajectory, times), with
+    `times` keyed by `TIMING_COLUMNS`.  A divergence, in `fit` or in the
+    evaluation after it, becomes a flagged row; any other error
     raises."""
     task = _build_task(config)
     model, _ = _conditioned_model(task, seed)
@@ -260,7 +277,7 @@ def run_single(config: RunConfig, surrogate_kind, seed, oracle_cache=None):
         "failed": False,
     }
     trajectory = []
-    wall = 0.0
+    times = dict.fromkeys(TIMING_COLUMNS, 0.0)
     try:
         train = TrainConfig(
             steps=config.steps,
@@ -268,27 +285,28 @@ def run_single(config: RunConfig, surrogate_kind, seed, oracle_cache=None):
             n_samples=config.n_samples,
             seed=seed,
         )
-        result = fit(model, surrogate_kind, train)
+        result = _timed(times, "fit_s", fit, model, surrogate_kind, train)
         trajectory = result.trajectory
-        wall = result.wall_time
+        times["wall_time_s"] = result.wall_time
         row["iterations"] = result.steps_run
         row["converged"] = result.converged
         if result.diverged:
             row["failed"] = True
-            return row, trajectory, wall
-        est = elbo_estimate(
-            model, result.surrogate, result.params,
+            return row, trajectory, times
+        est = _timed(
+            times, "final_elbo_s", elbo_estimate, model, result.surrogate, result.params,
             n_samples=FINAL_ELBO_SAMPLES, seed=seed + 100_000,
         )
         row["final_neg_elbo"] = -est.value
         if oracle_cache is not None and "stats" in oracle_cache:
             oracle = oracle_cache["stats"]
         else:
-            oracle = _oracle_stats(task, model, seed)
+            oracle = _timed(times, "oracle_s", _oracle_stats, task, model, seed)
             if oracle_cache is not None:
                 oracle_cache["stats"] = oracle
-        m_err, s_err = _normalized_errors(
-            result.surrogate, result.params, oracle, seed + 200_000
+        m_err, s_err = _timed(
+            times, "moments_s", _normalized_errors, result.surrogate, result.params, oracle,
+            seed + 200_000,
         )
         if m_err is not None:
             row["mean_error"] = m_err
@@ -296,7 +314,7 @@ def run_single(config: RunConfig, surrogate_kind, seed, oracle_cache=None):
             row["oracle_reliable"] = oracle.get("reliable", True)
     except _DIVERGENCE:
         row["failed"] = True
-    return row, trajectory, wall
+    return row, trajectory, times
 
 
 def _pool_job(args):
@@ -336,9 +354,9 @@ def run_benchmark(config: RunConfig):
 
     rows, timings = [], []
     for surrogate, seed in sorted(outcomes):
-        row, trajectory, wall = outcomes[(surrogate, seed)]
+        row, trajectory, times = outcomes[(surrogate, seed)]
         rows.append(row)
-        timings.append((row["task"], surrogate, seed, wall))
+        timings.append([row["task"], surrogate, seed] + [f"{times[c]:.3f}" for c in TIMING_COLUMNS])
         traj_path = os.path.join(
             config.out_dir, f"trajectory_{row['task']}_{surrogate}_{seed}.csv"
         )
@@ -353,9 +371,8 @@ def run_benchmark(config: RunConfig):
 
     with open(os.path.join(config.out_dir, "timings.csv"), "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["task", "surrogate", "seed", "wall_time_s"])
-        for task_id, surrogate, seed, wall in timings:
-            writer.writerow([task_id, surrogate, seed, f"{wall:.3f}"])
+        writer.writerow(["task", "surrogate", "seed", *TIMING_COLUMNS])
+        writer.writerows(timings)
 
     meta = {
         "version": __version__,

@@ -3,8 +3,10 @@
 Families carry a parameter schema (name, constraint kind) and provide
 log densities plus reparameterized sampling (continuous families) or
 inverse-CDF sampling (discrete families).  All density code is written
-against the generic scalar helpers in :mod:`convexvi.autodiff`, so the
-same formulas evaluate on plain floats or on a tape.
+against the generic helpers in :mod:`convexvi.autodiff`, so the same
+formulas evaluate on plain floats, on a tape, or on float arrays that
+hold one entry per sample; the checks of the continuous families act
+per sample on an array.
 
 Scale-type parameters materialized from unconstrained storage get a
 small additive floor (``SCALE_FLOOR``) after the softplus, since an
@@ -15,6 +17,8 @@ degenerate density.
 from __future__ import annotations
 
 import math
+
+import numpy as np
 
 from . import autodiff as ad
 from .autodiff import value_for_check, value_of
@@ -161,8 +165,21 @@ def unconstrain_param(constraint_kind, y):
 
 def _check_scale(scale, who):
     # unnoted read: a replay divides by the scale and takes its log
-    if not value_for_check(scale) > 0.0:
-        raise ParameterError(f"{who} requires scale > 0, got {value_for_check(scale)!r}")
+    s = value_for_check(scale)
+    ok = s > 0.0  # False for NaN; one bool per sample on an array
+    if ok is not True and not np.all(ok):
+        bad = float(s[~ok][0]) if isinstance(s, np.ndarray) else s
+        raise ParameterError(f"{who} requires scale > 0, got {bad!r}")
+
+
+def _outside_support(family, params, value, outside):
+    """`family.log_prob` of samples that fail its support test (`outside`
+    is True or a bool array with a True entry): -inf for one sample; on
+    an array, -inf for the failing samples only and the density of the
+    others, computed with the failing entries set to 1.0."""
+    if outside is True:
+        return NEG_INF
+    return np.where(outside, NEG_INF, family.log_prob(params, np.where(outside, 1.0, value)))
 
 
 class Normal:
@@ -202,8 +219,9 @@ class HalfNormal:
         (scale,) = params
         _check_scale(scale, self.name)
         # unnoted read: a sample, scale * |eps| or a softplus, is never < 0
-        if value_for_check(value) < 0.0:
-            return NEG_INF
+        outside = value_for_check(value) < 0.0
+        if outside is not False and np.any(outside):
+            return _outside_support(self, params, value, outside)
         z = value / scale
         return math.log(2.0) - 0.5 * (z * z) - ad.log(scale) - HALF_LOG_2PI
 
@@ -232,8 +250,9 @@ class LogNormal:
         loc, scale = params
         _check_scale(scale, self.name)
         # unnoted read: a replay takes the log of the value below
-        if value_for_check(value) <= 0.0:
-            return NEG_INF
+        outside = value_for_check(value) <= 0.0
+        if outside is not False and np.any(outside):
+            return _outside_support(self, params, value, outside)
         log_value = ad.log(value)
         z = (log_value - loc) / scale
         return -0.5 * (z * z) - ad.log(scale) - HALF_LOG_2PI - log_value

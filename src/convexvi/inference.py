@@ -1,5 +1,12 @@
 """Monte-Carlo ELBO estimation, gradients, Adam, and the fit loop.
 
+The final ELBO (``elbo_estimate``) and the posterior moments
+(``surrogate_moments``) are reductions over one evaluator,
+``sample_batch``: it runs the program once over a sample axis, one float
+array per latent, with the bits the per-sample float loop gives; a
+program that cannot run on arrays (uniform noise, or a link that reads a
+value) runs that loop instead.
+
 Gradients go through the reparameterized sampling path for continuous
 nodes; discrete nodes contribute score-function terms weighted by each
 sample's ELBO term (with a leave-one-out baseline when more than one
@@ -25,7 +32,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .autodiff import DomainError, Node, Tape, value_of
+from .autodiff import DomainError, Node, PerSampleOnly, Tape, value_of
 from .distributions import ParameterError
 from .model import joint_log_prob
 from .surrogates import SURROGATES, build_surrogate
@@ -42,24 +49,76 @@ class ElboEstimate:
     n_samples: int
 
 
+def sample_batch(surrogate, params, n, rng, model=None):
+    """`n` samples of the surrogate program at `params`, noise from `rng`.
+
+    Returns `(values, terms)`: `values` maps each latent to a float array
+    of its `n` sampled values, and `terms` holds each sample's ELBO term
+    log p(x, y) - log q(x) under `model` (None without a model).
+
+    The noise is one `(n, k)` standard-normal draw, which in row-major
+    order is what `n` calls of `draw_noise` draw; `sample_and_log_prob`
+    and `joint_log_prob` then run once, with one array of `n` entries in
+    place of each float, and every entry has the bits that sample gets
+    on floats.  Two kinds of program cannot run on arrays and run one
+    sample at a time instead, on the same noise and into the same
+    arrays: one with uniform noise (discrete latents, whose values links
+    branch on), and one that reads a value (`value_of` of an array
+    raises `PerSampleOnly`).  An array operation that overflows or
+    divides by zero gives the IEEE inf or NaN silently; on floats, a
+    division by zero raises `ZeroDivisionError`.  Only a link that
+    divides by a sampled value can meet that: the families check their
+    scales before dividing by them.
+    """
+    params = [float(p) for p in params]
+    spec = surrogate.noise_spec
+    if "uniform" in spec:
+        return _one_at_a_time(surrogate, params, [surrogate.draw_noise(rng) for _ in range(n)], model)
+    # row j holds noise entry j of every sample; only this copy is kept
+    eps = rng.standard_normal((n, len(spec))).T.copy()
+    for j, kind in enumerate(spec):
+        if kind == "abs-normal":
+            np.abs(eps[j], out=eps[j])
+    try:
+        with np.errstate(all="ignore"):
+            values, log_q, _ = surrogate.sample_and_log_prob(params, list(eps))
+            terms = None if model is None else joint_log_prob(model, values) - log_q
+    except PerSampleOnly:
+        return _one_at_a_time(surrogate, params, eps.T.tolist(), model)
+    return {name: values[name] for name in surrogate.latent_names}, terms
+
+
+def _one_at_a_time(surrogate, params, noise, model):
+    """`sample_batch` on floats, one sample (one list in `noise`) at a time."""
+    values = {name: np.empty(len(noise)) for name in surrogate.latent_names}
+    terms = None if model is None else np.empty(len(noise))
+    for s, eps in enumerate(noise):
+        sample, log_q, _ = surrogate.sample_and_log_prob(params, eps)
+        for name, column in values.items():
+            column[s] = value_of(sample[name])
+        if model is not None:
+            terms[s] = joint_log_prob(model, sample) - log_q
+    return values, terms
+
+
 def elbo_estimate(model, surrogate, params, n_samples=1, seed=0) -> ElboEstimate:
-    """Mean over samples of log p(x, y) - log q(x) with x ~ q, on floats.
-    It can differ from `CompiledElbo.value` in the last bits: a node
-    divided by `b` is `a * (1 / b)` on the tape, floats compute `a / b`."""
+    """Mean over samples of log p(x, y) - log q(x) with x ~ q, on floats:
+    the mean of `sample_batch`'s terms, which come from one pass over
+    arrays, or from the per-sample loop where the surrogate draws uniform
+    noise or a link reads a value.  The first non-finite term raises
+    `NonFiniteError` with its sample index.  The value can differ from
+    `CompiledElbo.value` in the last bits: a node divided by `b` is
+    `a * (1 / b)` on the tape, floats compute `a / b`."""
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     rng = np.random.default_rng(seed)
-    params = [float(p) for p in params]
-    terms = []
-    for s in range(n_samples):
-        noise = surrogate.draw_noise(rng)
-        values, log_q, _ = surrogate.sample_and_log_prob(params, noise)
-        term = joint_log_prob(model, values) - log_q
-        if not math.isfinite(term):
-            raise NonFiniteError(f"non-finite ELBO term {term!r} at sample {s}")
-        terms.append(term)
+    _, terms = sample_batch(surrogate, params, n_samples, rng, model)
+    bad = np.flatnonzero(~np.isfinite(terms))
+    if len(bad):
+        s = int(bad[0])
+        raise NonFiniteError(f"non-finite ELBO term {float(terms[s])!r} at sample {s}")
     return ElboEstimate(
-        value=float(np.mean(terms)), per_sample_terms=tuple(terms), n_samples=n_samples
+        value=float(np.mean(terms)), per_sample_terms=tuple(terms.tolist()), n_samples=n_samples
     )
 
 
@@ -314,15 +373,13 @@ def save_trajectory(trajectory, path):
 
 
 def surrogate_moments(surrogate, params, n_samples=4000, seed=0):
-    """Per-latent posterior mean/SD estimated by sampling the program."""
-    rng = np.random.default_rng(seed)
-    params = [float(p) for p in params]
-    draws = {name: np.empty(n_samples) for name in surrogate.latent_names}
-    for s in range(n_samples):
-        noise = surrogate.draw_noise(rng)
-        values, _, _ = surrogate.sample_and_log_prob(params, noise)
-        for name in draws:
-            draws[name][s] = value_of(values[name])
-    means = {name: float(v.mean()) for name, v in draws.items()}
-    sds = {name: float(v.std(ddof=1)) for name, v in draws.items()}
+    """Per-latent posterior mean/SD estimated by sampling the program:
+    the mean and SD (ddof 1) of each latent's `sample_batch` array, which
+    comes from one pass over arrays, or from the per-sample loop where the
+    surrogate draws uniform noise or one of its links reads a value.  A
+    sample is kept as drawn, even one outside its support (no density is
+    checked here)."""
+    values, _ = sample_batch(surrogate, params, n_samples, np.random.default_rng(seed))
+    means = {name: float(v.mean()) for name, v in values.items()}
+    sds = {name: float(v.std(ddof=1)) for name, v in values.items()}
     return means, sds

@@ -2,16 +2,17 @@
 
 Each node owns a distribution family, an ordered parent list, and a
 deterministic link function mapping parent values to the family's
-parameter tuple.  Link functions must be written with the scalar ops in
+parameter tuple.  Link functions must be written with the ops in
 :mod:`convexvi.autodiff` so that gradients can flow through them when a
-surrogate re-executes the link at posterior parent values.
+surrogate re-executes the link at posterior parent values, and so that
+a batch of samples can run through them as float arrays.
 
 Stochastic control flow is supported through links that branch on a
 *discrete* parent's value (discrete values are plain floats and never
 carry gradients), selecting among pre-declared parameter rules.  A link
 may also read a continuous parent's value (``value_of``); the ELBO graph
 then depends on the sampled values, and ``fit`` records it every step
-instead of replaying it.
+instead of replaying it, and a batch is evaluated one sample at a time.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .autodiff import value_for_check
+from .distributions import NEG_INF
 
 
 class ModelError(ValueError):
@@ -184,6 +186,7 @@ def sample_forward(model: JointModel, seed) -> Trace:
 
 def _accumulate(model, node_subset, values):
     total = None
+    live = None  # on arrays, once a sample's density is 0: the others' indices
     for node in node_subset:
         if node.name in model.observations:
             x = model.observations[node.name]
@@ -193,20 +196,39 @@ def _accumulate(model, node_subset, values):
             raise ModelError(f"missing assignment for node {node.name!r}")
         params = node.params(_parent_values(node, values, model.observations))
         lp = node.family.log_prob(params, x)
-        if value_for_check(lp) == float("-inf"):
-            # density is zero at an out-of-support point; children may
-            # see nonsense parameters there, so do not evaluate them
-            # (unnoted read: a -inf term makes a replayed sum non-finite)
-            return float("-inf")
+        # density is zero at an out-of-support point; children may
+        # see nonsense parameters there, so do not evaluate them
+        # (unnoted read: a -inf term makes a replayed sum non-finite)
+        zero = value_for_check(lp) == NEG_INF
+        if zero is True:
+            return NEG_INF
+        if zero is not False and zero.any():
+            # per sample on arrays: the others go on without those samples
+            keep = ~zero
+            if live is None:
+                size, live = len(keep), np.flatnonzero(keep)
+            else:
+                live = live[keep]
+            values = {k: v[keep] if isinstance(v, np.ndarray) else v for k, v in values.items()}
+            lp = lp[keep]
+            if isinstance(total, np.ndarray):
+                total = total[keep]
         total = lp if total is None else total + lp
-    return 0.0 if total is None else total
+    total = 0.0 if total is None else total
+    if live is None:
+        return total
+    out = np.full(size, NEG_INF)
+    out[live] = total
+    return out
 
 
 def joint_log_prob(model: JointModel, values: Mapping) -> float:
     """Sum of every node's conditional log-density, likelihood included.
 
     `values` must assign every unobserved node; observation bindings
-    supply the rest.  Works on floats or tape nodes.
+    supply the rest.  Works on floats, on tape nodes, or on float arrays
+    of samples (one log-density per sample; a sample whose density is 0
+    is -inf, and its later nodes are not evaluated).
     """
     return _accumulate(model, model.nodes, values)
 

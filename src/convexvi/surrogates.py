@@ -213,7 +213,8 @@ class ConvexUpdateProgram(SurrogateProgram):
         super().__init__(model, layout, noise_spec)
 
     def _node_params(self, node, entries, params, parent_values):
-        theta = node.params(parent_values)
+        # mean-field has no lam, so it never uses the prior link's output
+        theta = node.params(parent_values) if self.with_lam else [None] * len(entries)
         out = []
         for (kind, lam_idx, alpha_idx), theta_k in zip(entries, theta):
             if kind == "simplex":

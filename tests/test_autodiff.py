@@ -300,3 +300,35 @@ def test_float_and_node_paths_agree():
         assert ad.sigmoid(x).value == ad.sigmoid(v)
         assert ad.tanh(x).value == ad.tanh(v)
         assert ad.exp(x).value == ad.exp(v)
+
+
+def test_array_and_float_paths_agree_in_bytes():
+    # numpy's own exp, log and tanh differ from libm in the last bit on a
+    # share of these points; the helpers map the float functions instead
+    rng = np.random.default_rng(5)
+    edges = [0.0, -0.0, 1e-310, -1e-310, 800.0, -800.0, math.inf, -math.inf, math.nan]
+    wide = np.concatenate([rng.standard_normal(20000) * 30, edges])
+    positive = np.concatenate([rng.lognormal(0.0, 3.0, 20000), [1e-310, 1e300, math.inf]])
+    cases = [
+        (ad.exp, wide), (ad.tanh, wide), (ad.sigmoid, wide), (ad.softplus, wide),
+        (ad.log, positive), (ad.sqrt, positive), (ad.sqrt, np.abs(wide)),
+    ]
+    for helper, a in cases:
+        out = helper(a)
+        expected = np.array([helper(float(v)) for v in a])
+        assert out.dtype == np.float64 and out.tobytes() == expected.tobytes(), helper.__name__
+
+
+def test_array_domain_errors_name_the_first_bad_entry():
+    with pytest.raises(ad.DomainError, match=r"log of non-positive value 0\.0$"):
+        ad.log(np.array([1.0, 0.0, -2.0]))
+    with pytest.raises(ad.DomainError, match=r"sqrt of negative value -2\.0$"):
+        ad.sqrt(np.array([1.0, -2.0, -3.0]))
+    assert math.isnan(ad.log(np.array([math.nan]))[0])  # NaN passes, as on floats
+
+
+def test_value_of_an_array_needs_one_sample():
+    with pytest.raises(ad.PerSampleOnly):
+        ad.value_of(np.array([1.0, 2.0]))
+    a = np.array([1.0, 2.0])
+    assert ad.value_for_check(a) is a

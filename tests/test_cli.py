@@ -121,6 +121,17 @@ def test_run_benchmark_row_and_file_counts(tmp_path):
     trajs = [n for n in names if n.startswith("trajectory_")]
     assert len(trajs) == 4
     assert {"results.csv", "summary.csv", "summary.txt", "meta.json", "timings.csv"} <= set(names)
+    with open(results_path, newline="") as fh:
+        assert next(csv.reader(fh)) == list(RESULT_COLUMNS)
+    timings = read_rows(os.path.join(cfg.out_dir, "timings.csv"))
+    assert list(timings[0]) == [
+        "task", "surrogate", "seed", "wall_time_s", "fit_s", "final_elbo_s", "moments_s", "oracle_s"
+    ]
+    assert [(t["surrogate"], t["seed"]) for t in timings] == [
+        (r["surrogate"], r["seed"]) for r in rows
+    ]
+    for t in timings:
+        assert all(float(t[c]) >= 0.0 for c in cli_mod.TIMING_COLUMNS)
     for row in rows:
         assert row["failed"] == "false"
         assert row["mean_error"] != ""  # kalman oracle available for br
@@ -256,6 +267,18 @@ def test_run_single_flags_divergence_and_raises_bugs(tmp_path, monkeypatch):
     monkeypatch.setattr(cli_mod, "fit", raiser(ModelError("injected")))
     with pytest.raises(ModelError, match="injected"):
         run_single(cfg, "asvi", 1)
+
+
+def test_run_single_times_each_phase(tmp_path):
+    cfg = small_config(tmp_path, surrogates=("asvi",), seeds=(1,))
+    cache = {}
+    _, _, times = run_single(cfg, "asvi", 1, oracle_cache=cache)
+    assert tuple(times) == cli_mod.TIMING_COLUMNS
+    assert all(t > 0.0 for t in times.values())
+    # the fit's own clock starts after the surrogate is built
+    assert times["wall_time_s"] <= times["fit_s"]
+    _, _, times = run_single(cfg, "asvi", 1, oracle_cache=cache)
+    assert times["oracle_s"] == 0.0  # the cached oracle costs this cell nothing
 
 
 def test_oracle_seed_is_the_same_alone_and_in_a_sweep(tmp_path, monkeypatch):

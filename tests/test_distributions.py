@@ -202,3 +202,15 @@ def test_constrain_param_works_on_tape():
     assert y.value == pytest.approx(dist.constrain_param("positive", 0.3))
     # derivative of softplus + floor is sigmoid
     assert g[u.i] == pytest.approx(ad.sigmoid(0.3), rel=1e-12)
+
+
+def test_checks_act_per_sample_on_arrays():
+    for bad in (0.0, -1.0, math.nan):
+        scales = np.array([1.0, bad, 2.0])
+        with pytest.raises(dist.ParameterError, match=f"got {bad!r}$"):
+            dist.NORMAL.log_prob((0.0, scales), np.zeros(3))
+    values = np.array([1.5, 0.0, -1.0, 2.0, math.inf])
+    for family, params in ((dist.LOG_NORMAL, (0.3, 1.2)), (dist.HALF_NORMAL, (1.2,))):
+        out = family.log_prob(params, values)
+        expected = np.array([family.log_prob(params, float(v)) for v in values])
+        assert out.tobytes() == expected.tobytes(), family.name

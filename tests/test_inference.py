@@ -34,7 +34,7 @@ from convexvi.oracles import (
     kalman_filter_smoother,
 )
 from convexvi.distributions import BERNOULLI
-from convexvi.surrogates import SURROGATES, build_surrogate
+from convexvi.surrogates import SURROGATES, ConvexUpdateProgram, build_surrogate
 from convexvi.tasks import TASK_IDS, generate_data, get_task
 
 
@@ -201,6 +201,197 @@ def test_replay_is_bit_identical_to_recording(task_id, kind):
             est = elbo_estimate(model, surrogate, params, n_samples, seed=seed)
             assert value == pytest.approx(est.value)
             params = params + 0.01 * np.tanh(grad)
+
+
+# numpy's warnings for the SD of one sample, or of samples holding inf
+SD_WARNINGS = pytest.mark.filterwarnings(
+    "ignore:Degrees of freedom", "ignore:invalid value encountered"
+)
+
+
+def reference_samples(model, surrogate, params, n_samples, seed):
+    """The per-sample loop: `draw_noise`, `sample_and_log_prob` and, with
+    a model, `joint_log_prob` on floats, one sample at a time.  Returns
+    (values, terms), one float array per latent and the ELBO terms."""
+    rng = np.random.default_rng(seed)
+    params = [float(p) for p in params]
+    values = {name: np.empty(n_samples) for name in surrogate.latent_names}
+    terms = np.empty(n_samples)
+    for s in range(n_samples):
+        sample, log_q, _ = surrogate.sample_and_log_prob(params, surrogate.draw_noise(rng))
+        for name in values:
+            values[name][s] = value_of(sample[name])
+        if model is not None:
+            terms[s] = inference.joint_log_prob(model, sample) - log_q
+    return values, terms
+
+
+def assert_batch_is_the_loop(model, surrogate, params, n_samples, seed):
+    """`elbo_estimate` and `surrogate_moments` equal the per-sample loop
+    in bytes; a non-finite term raises `NonFiniteError` naming the first
+    such sample."""
+    values, terms = reference_samples(model, surrogate, params, n_samples, seed)
+    bad = np.flatnonzero(~np.isfinite(terms))
+    if len(bad):
+        with pytest.raises(NonFiniteError, match=f"at sample {bad[0]}$"):
+            elbo_estimate(model, surrogate, params, n_samples, seed=seed)
+    else:
+        est = elbo_estimate(model, surrogate, params, n_samples, seed=seed)
+        assert np.array(est.per_sample_terms).tobytes() == terms.tobytes()
+        assert all(type(t) is float for t in est.per_sample_terms)
+        assert est.value == float(np.mean(terms.tolist()))
+    means, sds = surrogate_moments(surrogate, params, n_samples, seed=seed)
+    assert list(means) == list(sds) == list(surrogate.latent_names)
+    for name, v in values.items():
+        assert np.float64(means[name]).tobytes() == v.mean().tobytes(), name
+        assert np.float64(sds[name]).tobytes() == v.std(ddof=1).tobytes(), name
+
+
+def count_loops(monkeypatch):
+    """A list that gets one entry per batch evaluated one sample at a time."""
+    calls = []
+    loop = inference._one_at_a_time
+
+    def counted(*args):
+        calls.append(1)
+        return loop(*args)
+
+    monkeypatch.setattr(inference, "_one_at_a_time", counted)
+    return calls
+
+
+@pytest.mark.parametrize("kind", ["asvi", "mean-field", "ar1", "mvn"])
+@pytest.mark.parametrize("task_id", TASK_IDS)
+@SD_WARNINGS
+def test_batch_is_bit_identical_to_the_per_sample_loop(task_id, kind, monkeypatch):
+    task = get_task(task_id)
+    model = task.model
+    if not task.is_pre_conditioned:
+        model = condition(model, generate_data(task, seed=1)[0])
+    result = fit(model, kind, TrainConfig(steps=50, seed=1, window=0))
+    assert not result.diverged
+    loops = count_loops(monkeypatch)
+    for n_samples, seed in ((1, 3), (2, 4), (257, 5)):
+        assert_batch_is_the_loop(model, result.surrogate, result.params, n_samples, seed)
+    assert not loops  # every pass ran on arrays
+
+
+@pytest.mark.parametrize("edge, seed", [("underflow", 104), ("overflow", 119)])
+@SD_WARNINGS
+def test_one_lognormal_sample_off_the_float_range(edge, seed, monkeypatch):
+    # the model of `test_elbo_nonfinite_raises_diagnostic`; at these seeds
+    # three draws hold one far below (104) or above (119) the other two,
+    # so s = exp(loc + scale * eps) can put that sample alone out of the
+    # float range, 0 (outside the support, and a zero scale for x) or
+    # inf, with the other two near 1
+    m = build_joint(
+        [
+            rv("s", LOG_NORMAL, params=(0.0, 1.0)),
+            rv("x", NORMAL, parents=("s",), link=lambda s: (0.0, s)),
+        ]
+    )
+    m = condition(m, {"x": 0.5})
+    mf = build_surrogate("mean-field", m)
+    rng = np.random.default_rng(seed)
+    eps = np.array([mf.draw_noise(rng)[0] for _ in range(3)])
+    k = int(np.argmin(eps) if edge == "underflow" else np.argmax(eps))
+    others = np.delete(eps, k)
+    assert k > 0 and np.ptp(others) < 0.005 * np.min(np.abs(others - eps[k]))
+    scale = 800.0 / np.min(np.abs(others - eps[k]))
+    params = mf.init_params.copy()
+    params[mf.param_index["s.scale.alpha"]] = unconstrain_param("positive", scale)
+    params[mf.param_index["s.loc.alpha"]] = -scale * others.mean()
+    loops = count_loops(monkeypatch)
+    values, terms = reference_samples(m, mf, params, 3, seed)
+    assert values["s"][k] == (0.0 if edge == "underflow" else math.inf)
+    assert np.flatnonzero(~np.isfinite(terms)).tolist() == [k]
+    with pytest.raises(NonFiniteError, match=f"non-finite ELBO term nan at sample {k}$"):
+        elbo_estimate(m, mf, params, 3, seed=seed)
+    # the moment pass checks no density: it keeps the sample as drawn
+    means, _ = surrogate_moments(mf, params, 3, seed=seed)
+    assert means["s"] == values["s"].mean()
+    assert_batch_is_the_loop(m, mf, params, 3, seed)
+    assert not loops
+
+
+def test_one_non_positive_link_scale_raises_from_the_array_pass(monkeypatch):
+    m = build_joint(
+        [
+            rv("s", NORMAL, params=(0.3, 0.3)),
+            rv("y", NORMAL, parents=("s",), link=lambda s: (0.0, s)),
+        ]
+    )
+    m = condition(m, {"y": 0.1})
+    mf = build_surrogate("mean-field", m)
+    n, seed = 16, 0
+    rng = np.random.default_rng(seed)
+    eps = np.array([mf.draw_noise(rng)[0] for _ in range(n)])
+    k = int(np.argmin(eps))
+    assert k > 0
+    params = mf.init_params.copy()
+    params[mf.param_index["s.scale.alpha"]] = unconstrain_param("positive", 1.0)
+    # s = loc + eps: only the smallest draw gives a negative scale for y
+    params[mf.param_index["s.loc.alpha"]] = -(eps[k] + np.sort(eps)[1]) / 2
+    with pytest.raises(ParameterError) as loop_error:
+        reference_samples(m, mf, params, n, seed)
+    loops = count_loops(monkeypatch)
+    with pytest.raises(ParameterError) as batch_error:
+        elbo_estimate(m, mf, params, n, seed=seed)
+    assert str(batch_error.value) == str(loop_error.value)
+    assert "Normal requires scale > 0, got -" in str(loop_error.value)
+    # q alone never reads y's scale
+    means, _ = surrogate_moments(mf, params, n, seed=seed)
+    assert means["s"] == reference_samples(None, mf, params, n, seed)[0]["s"].mean()
+    assert not loops
+
+
+@SD_WARNINGS
+@pytest.mark.parametrize(
+    "make_model, loops_expected",
+    # uniform noise: every pass; y's link reads x: the ELBOs only, as q
+    # never calls it
+    [("two_bernoulli_model", 6), ("branching_link_model", 3)],
+)
+def test_programs_that_cannot_run_on_arrays_go_one_sample_at_a_time(
+    make_model, loops_expected, monkeypatch
+):
+    model = globals()[make_model]()
+    surrogate = build_surrogate("asvi", model)
+    loops = count_loops(monkeypatch)
+    for n_samples in (1, 2, 257):
+        assert_batch_is_the_loop(model, surrogate, surrogate.init_params, n_samples, seed=n_samples)
+    assert len(loops) == loops_expected
+
+
+def mean_field_with_the_prior_link(model):
+    """Mean-field as it was built before it skipped the prior link: the
+    link runs for every latent and its output is dropped."""
+
+    class CallsPriorLink(ConvexUpdateProgram):
+        kind = "mean-field"
+
+        def _node_params(self, node, entries, params, parent_values):
+            node.params(parent_values)
+            return super()._node_params(node, entries, params, parent_values)
+
+    return CallsPriorLink(model, with_lam=False, init_seed=1)
+
+
+def test_mean_field_records_no_prior_link():
+    task = get_task("lz")
+    model = condition(task.model, generate_data(task, seed=1)[0])
+    mf = build_surrogate("mean-field", model, init_seed=1)
+    old = mean_field_with_the_prior_link(model)
+    assert mf.init_params.tobytes() == old.init_params.tobytes()
+    draws = draw(mf, 1, np.random.default_rng(1))
+    graph, old_graph = (CompiledElbo(model, q, mf.init_params, draws) for q in (mf, old))
+    assert (len(graph.tape), len(old_graph.tape)) == (3974, 5540)
+    assert graph.value == old_graph.value
+    assert graph.gradient().tobytes() == old_graph.gradient().tobytes()
+    cfg = TrainConfig(steps=120, seed=1, window=0, record_every=1)
+    new_fit, old_fit = fit(model, mf, cfg), fit(model, old, cfg)
+    assert new_fit.params.tobytes() == old_fit.params.tobytes()
+    assert [l for _, l, _ in new_fit.trajectory] == [l for _, l, _ in old_fit.trajectory]
 
 
 def branching_link_model():
