@@ -2,7 +2,7 @@
 
 A ``Tape`` records a computation over scalar nodes in topological
 (creation) order; ``backward`` runs one reverse sweep and returns the
-gradient with respect to every declared input.  ``forward`` re-evaluates
+gradient with respect to every input, by node id.  ``forward`` re-evaluates
 a recorded tape at new input values.  Its first call turns the tape into
 straight-line Python, one statement group per node, compiled in small
 functions; that code then runs every later ``forward`` and ``backward``
@@ -130,7 +130,7 @@ class Tape:
     topological order and one reverse sweep suffices for backward.
     """
 
-    __slots__ = ("ops", "p1", "p2", "d1", "d2", "aux", "vals", "input_ids", "value_read", "_replay")
+    __slots__ = ("ops", "p1", "p2", "d1", "d2", "aux", "vals", "value_read", "_replay")
 
     def __init__(self):
         self.ops = []
@@ -140,7 +140,6 @@ class Tape:
         self.d2 = []
         self.aux = []
         self.vals = []
-        self.input_ids = []
         self.value_read = False  # set by `Node.value` and `value_of`
         self._replay = None  # generated code, once `forward` has run
 
@@ -169,9 +168,7 @@ class Tape:
 
     def input(self, value):
         """Declare a differentiable input holding `value`."""
-        node = self._append(INPUT, -1, -1, 0.0, 0.0, 0.0, float(value))
-        self.input_ids.append(node.i)
-        return node
+        return self._append(INPUT, -1, -1, 0.0, 0.0, 0.0, float(value))
 
     def set_input(self, node, value):
         if self.ops[node.i] != INPUT:
@@ -179,11 +176,10 @@ class Tape:
         self.vals[node.i] = float(value)
 
     def forward(self):
-        """Recompute all values and local partials from current inputs.
-
-        The graph is fixed; only input values (via ``set_input``) are
-        expected to have changed since recording.  The first call turns
-        the tape into generated Python (`_Replay`); from then on both
+        """Recompute all values and local partials from the input
+        entries of `vals`, which the caller may have changed since
+        recording; the graph itself is fixed.  The first call turns the
+        tape into generated Python (`_Replay`); from then on both
         `forward` and `backward` run that code.
         """
         if self._replay is None or self._replay.size != len(self.ops):
@@ -195,11 +191,11 @@ class Tape:
     def backward(self, output):
         """Reverse accumulation from `output`.
 
-        Returns a dict mapping every declared input's node id to
-        d(output)/d(input), with explicit zeros for untouched inputs.
-        A tape that has been replayed with `forward` sweeps with generated
-        code; a freshly recorded tape, usually swept once, runs the loop
-        below instead of paying for code generation.
+        Returns the adjoints as a list indexed by node id: an input's
+        entry is d(output)/d(input), other entries are scratch.  A tape
+        that has been replayed with `forward` sweeps with generated code;
+        a freshly recorded tape, usually swept once, runs the loop below
+        instead of paying for code generation.
         """
         vals, d1, d2 = self.vals, self.d1, self.d2
         adj = [0.0] * len(vals)
@@ -207,7 +203,7 @@ class Tape:
         if self._replay is not None:
             for chunk in self._replay.backward(self, output.i):
                 chunk(adj, vals, d1, d2)
-            return {i: adj[i] for i in self.input_ids}
+            return adj
         p1, p2 = self.p1, self.p2
         for i in range(output.i, -1, -1):
             a = adj[i]
@@ -219,7 +215,7 @@ class Tape:
                 k = p2[i]
                 if k >= 0:
                     adj[k] += a * d2[i]
-        return {i: adj[i] for i in self.input_ids}
+        return adj
 
 
 class DomainError(ValueError):
@@ -586,9 +582,8 @@ def record(fn, point):
 
 def gradient(fn, point):
     """Gradient of `fn` (list-of-Nodes -> Node) at `point`."""
-    tape, inputs, out = record(fn, point)
-    adj = tape.backward(out)
-    return [adj[x.i] for x in inputs]
+    tape, _, out = record(fn, point)
+    return tape.backward(out)[: len(point)]  # `record` declares the inputs first
 
 
 def finite_difference_check(fn, point, step=1e-5):

@@ -109,6 +109,10 @@ class RunConfig:
                 raise UsageError(f"invalid surrogate {s!r}; choose from {kinds}")
         if not self.seeds:
             raise UsageError("need at least one seed")
+        for what, values in (("surrogate", self.surrogates), ("seed", self.seeds)):
+            for i, v in enumerate(values):
+                if v in values[:i]:
+                    raise UsageError(f"{what} {v!r} is given more than once")
         if self.steps < 0 or self.n_samples < 1 or self.workers < 1:
             raise UsageError("steps must be >= 0, samples and workers >= 1")
         if self.task_overrides and self.task not in SDE_DEFAULTS:

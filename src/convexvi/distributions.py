@@ -226,9 +226,9 @@ class HalfNormal:
         return math.log(2.0) - 0.5 * (z * z) - ad.log(scale) - HALF_LOG_2PI
 
     def sample_reparam(self, params, eps):
-        # scale * |eps|; tape nodes arrive pre-folded (see draw_noise)
+        # eps is |standard normal| already: `draw_noise` folds abs-normal noise
         (scale,) = params
-        return scale * (eps if isinstance(eps, ad.Node) else abs(eps))
+        return scale * eps
 
     def in_support(self, value):
         return value >= 0.0
@@ -348,6 +348,20 @@ class Categorical:
         (probs,) = params
         vals = [value_of(p) for p in probs]
         return float(vals.index(max(vals)))
+
+
+def draw_noise(kinds, n, rng):
+    """`n` rows of noise, one column per family `noise` kind in `kinds`:
+    an `(n, k)` float array holding `n * k` scalar draws in row-major
+    order (one `standard_normal` call when no kind is "uniform"), with
+    the "abs-normal" columns folded by `abs`."""
+    if "uniform" in kinds:
+        draw = [rng.uniform if kind == "uniform" else rng.standard_normal for kind in kinds]
+        eps = np.array([[f() for f in draw] for _ in range(n)]).reshape(n, len(kinds))
+    else:
+        eps = rng.standard_normal((n, len(kinds)))
+    np.abs(eps, out=eps, where=np.array([kind == "abs-normal" for kind in kinds], dtype=bool))
+    return eps
 
 
 NORMAL = Normal()

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .autodiff import DomainError, Node, PerSampleOnly, Tape, value_of
-from .distributions import ParameterError
+from .distributions import ParameterError, draw_noise
 from .model import joint_log_prob
 from .surrogates import SURROGATES, build_surrogate
 
@@ -56,29 +56,25 @@ def sample_batch(surrogate, params, n, rng, model=None):
     of its `n` sampled values, and `terms` holds each sample's ELBO term
     log p(x, y) - log q(x) under `model` (None without a model).
 
-    The noise is one `(n, k)` standard-normal draw, which in row-major
-    order is what `n` calls of `draw_noise` draw; `sample_and_log_prob`
-    and `joint_log_prob` then run once, with one array of `n` entries in
-    place of each float, and every entry has the bits that sample gets
-    on floats.  Two kinds of program cannot run on arrays and run one
-    sample at a time instead, on the same noise and into the same
-    arrays: one with uniform noise (discrete latents, whose values links
-    branch on), and one that reads a value (`value_of` of an array
-    raises `PerSampleOnly`).  An array operation that overflows or
-    divides by zero gives the IEEE inf or NaN silently; on floats, a
-    division by zero raises `ZeroDivisionError`.  Only a link that
-    divides by a sampled value can meet that: the families check their
-    scales before dividing by them.
+    The noise is one `draw_noise` array, row `s` for sample `s`, kept
+    transposed; `sample_and_log_prob` and `joint_log_prob` then run
+    once, with one array of `n` entries in place of each float, and
+    every entry has the bits that sample gets on floats.  Two kinds of
+    program cannot run on arrays and run one sample at a time instead,
+    on the same noise and into the same arrays: one with uniform noise
+    (discrete latents, whose values links branch on), and one that
+    reads a value (`value_of` of an array raises `PerSampleOnly`).  An
+    array operation that overflows or divides by zero gives the IEEE inf
+    or NaN silently; on floats, a division by zero raises
+    `ZeroDivisionError`.  Only a link that divides by a sampled value
+    can meet that: the families check their scales before dividing by
+    them.
     """
     params = [float(p) for p in params]
-    spec = surrogate.noise_spec
-    if "uniform" in spec:
-        return _one_at_a_time(surrogate, params, [surrogate.draw_noise(rng) for _ in range(n)], model)
     # row j holds noise entry j of every sample; only this copy is kept
-    eps = rng.standard_normal((n, len(spec))).T.copy()
-    for j, kind in enumerate(spec):
-        if kind == "abs-normal":
-            np.abs(eps[j], out=eps[j])
+    eps = draw_noise(surrogate.noise_spec, n, rng).T.copy()
+    if "uniform" in surrogate.noise_spec:
+        return _one_at_a_time(surrogate, params, eps.T.tolist(), model)
     try:
         with np.errstate(all="ignore"):
             values, log_q, _ = surrogate.sample_and_log_prob(params, list(eps))
@@ -124,15 +120,18 @@ def elbo_estimate(model, surrogate, params, n_samples=1, seed=0) -> ElboEstimate
 
 class CompiledElbo:
     """The ELBO graph, recorded at one step's parameters and noise draws
-    (`draws` holds one list of draws per sample).
+    (`draws`: one row per sample, as `draw_noise` returns them).
 
-    Parameters and non-uniform noise are tape inputs; uniform noise,
-    which picks the values of discrete latents, is folded in as a float.
-    Discrete latents add a score-function term weighted by the sample's
-    ELBO term less a leave-one-out baseline (none at one sample).
-    `value` is the ELBO estimate at the recorded inputs, the mean of the
-    samples' terms.  An objective that no parameter reaches (every term
-    a float, such as NaN from -inf - -inf) raises `NonFiniteError`.
+    The tape's inputs come first: the `P` parameters are entries
+    `[0, P)`, then the non-uniform noise, sample by sample, so `replay`
+    assigns two slices and the gradient is the first `P` adjoints.
+    Uniform noise, which picks the values of discrete latents, is folded
+    in as a float.  Discrete latents add a score-function term weighted
+    by the sample's ELBO term less a leave-one-out baseline (none at one
+    sample).  `value` is the ELBO estimate at the recorded inputs, the
+    mean of the samples' terms.  An objective that no parameter reaches
+    (every term a float, such as NaN from -inf - -inf) raises
+    `NonFiniteError`.
 
     `replayable`: `replay` gives what a fresh recording at new inputs
     would, since recording read no node's value (`Tape.value_read`) and
@@ -141,19 +140,18 @@ class CompiledElbo:
 
     def __init__(self, model, surrogate, params, draws):
         self.tape = tape = Tape()
-        self.param_nodes = [tape.input(v) for v in params]
-        self.noise_nodes = []
+        self.n_params = len(params)
+        param_nodes = [tape.input(v) for v in params]
+        rows = [
+            [d if k == "uniform" else tape.input(d) for k, d in zip(surrogate.noise_spec, row)]
+            for row in np.asarray(draws, dtype=float).tolist()
+        ]
+        self.n_inputs = len(tape)
         samples = []
-        for sample_draws in draws:
-            noise = []
-            for kind, d in zip(surrogate.noise_spec, sample_draws):
-                if kind != "uniform":
-                    d = tape.input(d)
-                    self.noise_nodes.append(d)
-                noise.append(d)
-            values, log_q, disc_log_q = surrogate.sample_and_log_prob(self.param_nodes, noise)
+        for noise in rows:
+            values, log_q, disc_log_q = surrogate.sample_and_log_prob(param_nodes, noise)
             samples.append((joint_log_prob(model, values) - log_q, disc_log_q))
-        n = len(draws)
+        n = len(rows)
         # taken before the reads of the terms' values just below
         self.replayable = not tape.value_read and "uniform" not in surrogate.noise_spec
         w_vals = [value_of(w) for w, _ in samples]
@@ -170,20 +168,17 @@ class CompiledElbo:
 
     def gradient(self):
         """Gradient of the recorded objective with respect to the params."""
-        adj = self.tape.backward(self.objective)
-        return np.array([adj[p.i] for p in self.param_nodes])
+        return np.array(self.tape.backward(self.objective)[: self.n_params])
 
     def replay(self, params, draws):
         """(value, gradient) of the recorded graph at new `params` and
-        `draws`, run as generated code (`Tape.forward`)."""
+        `draws` (no uniform noise), run as generated code
+        (`Tape.forward`)."""
         vals = self.tape.vals
-        for node, v in zip(self.param_nodes, params):
-            vals[node.i] = float(v)
-        noise = (d for sample_draws in draws for d in sample_draws)
-        for node, d in zip(self.noise_nodes, noise):
-            vals[node.i] = d
+        vals[: self.n_params] = np.asarray(params, dtype=float).tolist()
+        vals[self.n_params : self.n_inputs] = np.ravel(draws).tolist()
         self.tape.forward()
-        return self.objective.value, self.gradient()
+        return vals[self.objective.i], self.gradient()
 
 
 def elbo_gradient(model, surrogate, params, n_samples=1, seed=0):
@@ -195,8 +190,7 @@ def elbo_gradient(model, surrogate, params, n_samples=1, seed=0):
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    rng = np.random.default_rng(seed)
-    draws = [surrogate.draw_noise(rng) for _ in range(n_samples)]
+    draws = draw_noise(surrogate.noise_spec, n_samples, np.random.default_rng(seed))
     graph = CompiledElbo(model, surrogate, params, draws)
     grad = graph.gradient()
     bad = [i for i, g in enumerate(grad) if not math.isfinite(g)]
@@ -253,6 +247,11 @@ class TrainConfig:
     window: int = 1000  # early stopping: trailing-window mean loss
     tol: float = 1e-4  # relative improvement threshold
     patience: int = 5  # consecutive stale windows before stopping
+
+    def __post_init__(self):
+        for name, low in (("steps", 0), ("n_samples", 1), ("record_every", 1)):
+            if getattr(self, name) < low:
+                raise ValueError(f"TrainConfig.{name} must be >= {low}, got {getattr(self, name)!r}")
 
 
 @dataclass
@@ -312,7 +311,7 @@ def fit(model, surrogate, config: TrainConfig = TrainConfig(), init_params=None)
         trajectory.append((0, -est.value, time.perf_counter() - start))
 
     for step in range(config.steps):
-        draws = [surrogate.draw_noise(rng) for _ in range(config.n_samples)]
+        draws = draw_noise(surrogate.noise_spec, config.n_samples, rng)
         try:
             if graph is None or not graph.replayable:
                 graph = CompiledElbo(model, surrogate, params, draws)

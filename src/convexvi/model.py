@@ -23,7 +23,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .autodiff import value_for_check
-from .distributions import NEG_INF
+from .distributions import NEG_INF, draw_noise
 
 
 class ModelError(ValueError):
@@ -80,10 +80,9 @@ class JointModel:
 
 @dataclass
 class Trace:
-    """Named assignment of values with per-node log-density contributions."""
+    """Named assignment of values and their joint log-density."""
 
     values: dict
-    log_densities: dict
     total: float
 
 
@@ -163,25 +162,24 @@ def _parent_values(node, values, observations):
 def sample_forward(model: JointModel, seed) -> Trace:
     """Ancestral sampling; observed nodes keep their bound values.
 
-    Deterministic given the seed.
+    Deterministic given the seed: one `draw_noise` row holds the latents'
+    noise, in node order.
     """
-    rng = np.random.default_rng(seed)
+    kinds = [n.family.noise for n in model.latent_nodes]
+    noise = iter(draw_noise(kinds, 1, np.random.default_rng(seed))[0].tolist())
     values = {}
-    log_densities = {}
     total = 0.0
     for node in model.nodes:
         params = node.params(_parent_values(node, values, model.observations))
         if node.name in model.observations:
             x = model.observations[node.name]
         elif node.family.is_discrete:
-            x = node.family.sample_score(params, rng.uniform())
+            x = node.family.sample_score(params, next(noise))
         else:
-            x = node.family.sample_reparam(params, rng.standard_normal())
+            x = node.family.sample_reparam(params, next(noise))
         values[node.name] = x
-        lp = node.family.log_prob(params, x)
-        log_densities[node.name] = lp
-        total += lp
-    return Trace(values=values, log_densities=log_densities, total=total)
+        total += node.family.log_prob(params, x)
+    return Trace(values=values, total=total)
 
 
 def _accumulate(model, node_subset, values):

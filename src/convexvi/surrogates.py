@@ -141,17 +141,6 @@ class SurrogateProgram:
     def num_params(self):
         return len(self.param_names)
 
-    def draw_noise(self, rng):
-        out = []
-        for kind in self.noise_spec:
-            if kind == "normal":
-                out.append(rng.standard_normal())
-            elif kind == "abs-normal":
-                out.append(abs(rng.standard_normal()))
-            else:  # uniform
-                out.append(rng.uniform())
-        return out
-
 
 class ConvexUpdateProgram(SurrogateProgram):
     """ASVI program; also serves as mean-field when lam is frozen at 0.

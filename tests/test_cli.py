@@ -73,6 +73,12 @@ def test_run_config_validation():
         RunConfig(task="br", n_samples=0)
     with pytest.raises(UsageError, match="SDE tasks only"):
         RunConfig(task="es", task_overrides={"steps": 6})
+    # a repeated cell would run again and overwrite its own rows
+    with pytest.raises(UsageError, match="surrogate 'asvi' is given more than once"):
+        RunConfig(task="br", surrogates=("asvi", "mvn", "asvi"))
+    with pytest.raises(UsageError, match="seed 1 is given more than once"):
+        RunConfig(task="br", seeds=(1, 2, 1))
+    assert main(["--task", "br", "--surrogate", "asvi,asvi", "--seeds", "1,1"]) == 2
 
 
 def test_task_overrides_are_checked_from_either_file(tmp_path, capsys):

@@ -62,7 +62,36 @@ def test_reparam_examples():
     assert dist.NORMAL.sample_reparam((2.0, 3.0), 0.0) == 2.0
     assert dist.NORMAL.sample_reparam((0.0, 1.0), 1.5) == 1.5
     assert dist.LOG_NORMAL.sample_reparam((0.0, 1.0), 0.0) == 1.0
-    assert dist.HALF_NORMAL.sample_reparam((2.0,), -1.0) == 2.0
+    # HalfNormal noise arrives folded (`draw_noise` takes abs of it)
+    assert dist.HALF_NORMAL.sample_reparam((2.0,), 1.0) == 2.0
+    assert dist.HALF_NORMAL.sample_reparam((2.0,), 0.25) == 0.5
+
+
+def scalar_draws(kinds, n, rng):
+    """Reference for `draw_noise`: one scalar `rng` call per entry, row
+    by row, as `(n, len(kinds))` floats."""
+    draw = {
+        "normal": rng.standard_normal,
+        "abs-normal": lambda: abs(rng.standard_normal()),
+        "uniform": rng.uniform,
+    }
+    return np.array([[draw[kind]() for kind in kinds] for _ in range(n)]).reshape(n, len(kinds))
+
+
+MIXED_NOISE = ("normal", "uniform", "abs-normal", "abs-normal", "uniform", "normal")
+
+
+@pytest.mark.parametrize(
+    "kinds, n",
+    [(MIXED_NOISE, 1), (MIXED_NOISE, 3), (("normal", "abs-normal", "normal", "normal"), 257)],
+    ids=["mixed-1", "mixed-3", "normal-257"],
+)
+def test_draw_noise_equals_scalar_draws_one_at_a_time(kinds, n):
+    rng, ref_rng = np.random.default_rng(11), np.random.default_rng(11)
+    eps = dist.draw_noise(kinds, n, rng)
+    assert eps.shape == (n, len(kinds)) and eps.dtype == np.float64
+    assert eps.tobytes() == scalar_draws(kinds, n, ref_rng).tobytes()
+    assert rng.standard_normal() == ref_rng.standard_normal()  # same stream position
 
 
 def test_score_sampling_edge_probs():

@@ -10,6 +10,7 @@ from convexvi.distributions import (
     LOG_NORMAL,
     NORMAL,
     ParameterError,
+    draw_noise,
     unconstrain_param,
 )
 from convexvi.inference import (
@@ -36,6 +37,7 @@ from convexvi.oracles import (
 from convexvi.distributions import BERNOULLI
 from convexvi.surrogates import SURROGATES, ConvexUpdateProgram, build_surrogate
 from convexvi.tasks import TASK_IDS, generate_data, get_task
+from test_distributions import scalar_draws
 
 
 def conjugate_pair(y=2.0):
@@ -169,7 +171,7 @@ def test_gradient_zero_for_unused_direction():
 
 
 def draw(surrogate, n_samples, rng):
-    return [surrogate.draw_noise(rng) for _ in range(n_samples)]
+    return draw_noise(surrogate.noise_spec, n_samples, rng)
 
 
 @pytest.mark.parametrize("kind", ["asvi", "mean-field", "ar1", "mvn"])
@@ -210,15 +212,16 @@ SD_WARNINGS = pytest.mark.filterwarnings(
 
 
 def reference_samples(model, surrogate, params, n_samples, seed):
-    """The per-sample loop: `draw_noise`, `sample_and_log_prob` and, with
-    a model, `joint_log_prob` on floats, one sample at a time.  Returns
-    (values, terms), one float array per latent and the ELBO terms."""
-    rng = np.random.default_rng(seed)
+    """The per-sample loop: scalar noise draws (`scalar_draws`),
+    `sample_and_log_prob` and, with a model, `joint_log_prob` on floats,
+    one sample at a time.  Returns (values, terms), one float array per
+    latent and the ELBO terms."""
+    noise = scalar_draws(surrogate.noise_spec, n_samples, np.random.default_rng(seed)).tolist()
     params = [float(p) for p in params]
     values = {name: np.empty(n_samples) for name in surrogate.latent_names}
     terms = np.empty(n_samples)
     for s in range(n_samples):
-        sample, log_q, _ = surrogate.sample_and_log_prob(params, surrogate.draw_noise(rng))
+        sample, log_q, _ = surrogate.sample_and_log_prob(params, noise[s])
         for name in values:
             values[name][s] = value_of(sample[name])
         if model is not None:
@@ -292,8 +295,7 @@ def test_one_lognormal_sample_off_the_float_range(edge, seed, monkeypatch):
     )
     m = condition(m, {"x": 0.5})
     mf = build_surrogate("mean-field", m)
-    rng = np.random.default_rng(seed)
-    eps = np.array([mf.draw_noise(rng)[0] for _ in range(3)])
+    eps = scalar_draws(mf.noise_spec, 3, np.random.default_rng(seed))[:, 0]
     k = int(np.argmin(eps) if edge == "underflow" else np.argmax(eps))
     others = np.delete(eps, k)
     assert k > 0 and np.ptp(others) < 0.005 * np.min(np.abs(others - eps[k]))
@@ -324,8 +326,7 @@ def test_one_non_positive_link_scale_raises_from_the_array_pass(monkeypatch):
     m = condition(m, {"y": 0.1})
     mf = build_surrogate("mean-field", m)
     n, seed = 16, 0
-    rng = np.random.default_rng(seed)
-    eps = np.array([mf.draw_noise(rng)[0] for _ in range(n)])
+    eps = scalar_draws(mf.noise_spec, n, np.random.default_rng(seed))[:, 0]
     k = int(np.argmin(eps))
     assert k > 0
     params = mf.init_params.copy()
@@ -691,6 +692,14 @@ def test_fit_zero_steps_returns_initial():
     result = fit(model, "asvi", TrainConfig(steps=0, seed=0))
     assert np.array_equal(result.params, asvi.init_params)
     assert len(result.trajectory) == 1
+
+
+@pytest.mark.parametrize("field, value", [("steps", -3), ("n_samples", 0), ("record_every", 0)])
+def test_train_config_rejects_values_that_break_fit(field, value):
+    # unchecked, `fit` gave an empty trajectory (steps < 0), a "divergence"
+    # after 0 steps (n_samples 0) and a ZeroDivisionError (record_every 0)
+    with pytest.raises(ValueError, match=f"TrainConfig.{field} must be >= "):
+        TrainConfig(**{field: value})
 
 
 def test_fit_reproducible():

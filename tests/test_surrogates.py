@@ -12,6 +12,7 @@ from convexvi.distributions import (
     SCALE_FLOOR,
     SIGMOID,
     SOFTPLUS,
+    draw_noise,
 )
 from convexvi.model import build_joint, condition, latent_log_prob, rv, sample_forward
 from convexvi.inference import TrainConfig, fit
@@ -20,6 +21,11 @@ from convexvi.surrogates import SURROGATES, build_surrogate, convex_update
 from convexvi.tasks import TASK_IDS, generate_data, get_task
 
 LOG_2PI = math.log(2.0 * math.pi)
+
+
+def one_draw(surrogate, rng):
+    """One sample's noise for `surrogate`, as a list of floats."""
+    return draw_noise(surrogate.noise_spec, 1, rng)[0].tolist()
 
 
 def brownian_chain(T=30, step_scale=0.01, obs_scale=0.15, observed=None, rng_seed=0):
@@ -141,7 +147,7 @@ def test_asvi_lam_one_matches_prior_sampling_path():
     asvi = build_surrogate("asvi", m, init_seed=0)
     params = list(set_by_suffix(asvi, asvi.init_params.copy(), ".lam_logit", 40.0))
     rng = np.random.default_rng(42)
-    noise = asvi.draw_noise(rng)
+    noise = one_draw(asvi, rng)
     values, log_q, disc = asvi.sample_and_log_prob(params, noise)
     assert disc is None
     # replaying the same noise through the prior's own links must agree
@@ -210,7 +216,7 @@ def test_asvi_discrete_bernoulli_update():
 def test_asvi_sampling_deterministic_given_noise():
     m = mixed_model()
     asvi = build_surrogate("asvi", m)
-    noise = asvi.draw_noise(np.random.default_rng(0))
+    noise = one_draw(asvi, np.random.default_rng(0))
     v1, lq1, _ = asvi.sample_and_log_prob(list(asvi.init_params), noise)
     v2, lq2, _ = asvi.sample_and_log_prob(list(asvi.init_params), noise)
     assert v1 == v2 and lq1 == lq2
@@ -239,7 +245,7 @@ def test_ar1_zero_coef_is_gaussian_mean_field():
     m = brownian_chain(T=4)
     ar1 = build_surrogate("ar1", m)
     params = list(ar1.init_params)
-    noise = ar1.draw_noise(np.random.default_rng(1))
+    noise = one_draw(ar1, np.random.default_rng(1))
     values, log_q, _ = ar1.sample_and_log_prob(params, noise)
     # with all coefficients zero, the log density factorizes per node
     total = 0.0
@@ -286,7 +292,7 @@ def test_mvn_sample_log_prob_consistent():
     params = list(mvn.init_params)
     rng = np.random.default_rng(3)
     for _ in range(10):
-        noise = mvn.draw_noise(rng)
+        noise = one_draw(mvn, rng)
         values, log_q, _ = mvn.sample_and_log_prob(params, noise)
         assert log_q == pytest.approx(mvn.log_prob(params, values), rel=1e-9)
 
@@ -297,7 +303,7 @@ def test_ar1_sample_log_prob_consistent():
     params = list(ar1.init_params)
     rng = np.random.default_rng(4)
     for _ in range(10):
-        noise = ar1.draw_noise(rng)
+        noise = one_draw(ar1, rng)
         values, log_q, _ = ar1.sample_and_log_prob(params, noise)
         assert log_q == pytest.approx(ar1.log_prob(params, values), rel=1e-9)
 
@@ -365,7 +371,7 @@ def test_asvi_categorical_sampling_and_gradient():
 
     m = categorical_model()
     asvi = build_surrogate("asvi", m, init_seed=2)
-    noise = asvi.draw_noise(np.random.default_rng(0))
+    noise = one_draw(asvi, np.random.default_rng(0))
     values, log_q, disc = asvi.sample_and_log_prob(list(asvi.init_params), noise)
     assert values["c"] in (0.0, 1.0, 2.0)
     assert disc is not None
