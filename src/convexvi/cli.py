@@ -1,13 +1,19 @@
 """Benchmark harness: task x surrogate x seed sweeps with oracle checks.
 
+A sweep runs each dataset's oracle once, before any cell: es and radon
+have one dataset for every seed, the simulated tasks one per seed.  A
+cell is then a pure function of (config, kind, seed, oracle), so serial
+and pooled sweeps map the same `run_single` over the same arguments.
+
 Outputs per run directory:
   results.csv     one row per (task, surrogate, seed); deterministic,
                   so identical configs reproduce it bit-exactly
-  timings.csv     wall times (kept out of results.csv on purpose): the
-                  fit's own wall_time_s, then where the cell's time went,
-                  fit_s (surrogate build included), final_elbo_s,
-                  moments_s and oracle_s (0 where a cached oracle was
-                  used, such as the one fixed-data chain of es and radon)
+  timings.csv     wall times (kept out of results.csv on purpose): one
+                  row per oracle run (surrogate "oracle", the data seed,
+                  empty for es and radon, and its time in oracle_s), then
+                  one per cell: the fit's own wall_time_s, then where the
+                  cell's time went, fit_s (surrogate build included),
+                  final_elbo_s and moments_s
   summary.csv     per-(task, surrogate) aggregates, best-of-task marked
   summary.txt     the same aggregates as the printed table
   trajectory_<task>_<surrogate>_<seed>.csv
@@ -109,6 +115,10 @@ class RunConfig:
                 raise UsageError(f"invalid surrogate {s!r}; choose from {kinds}")
         if not self.seeds:
             raise UsageError("need at least one seed")
+        if any(seed < 0 for seed in self.seeds):
+            raise UsageError(f"seeds must be >= 0, got {self.seeds}")
+        if self.lr is not None and not (math.isfinite(self.lr) and self.lr > 0):
+            raise UsageError(f"lr must be positive and finite, got {self.lr!r}")
         for what, values in (("surrogate", self.surrogates), ("seed", self.seeds)):
             for i, v in enumerate(values):
                 if v in values[:i]:
@@ -117,6 +127,18 @@ class RunConfig:
             raise UsageError("steps must be >= 0, samples and workers >= 1")
         if self.task_overrides and self.task not in SDE_DEFAULTS:
             raise UsageError(f"task overrides apply to the SDE tasks only, not {self.task!r}")
+        try:
+            self.sde_config()
+        except (TypeError, ValueError) as exc:
+            raise UsageError(f"bad task overrides {self.task_overrides}: {exc}")
+
+    def sde_config(self):
+        """The SDE task's configuration with the overrides applied, or
+        None (the task's default) without overrides."""
+        if not self.task_overrides:
+            return None
+        # the default mask follows `steps`, so an override of steps alone stays valid
+        return replace(SDE_DEFAULTS[self.task], **{"mask": None, **self.task_overrides})
 
 
 _FLAG_KEYS = {
@@ -174,18 +196,18 @@ def parse_flags(argv) -> RunConfig:
                     raise UsageError(f"unknown config key {key!r}")
                 try:
                     settings[_CONFIG_KEYS[key]] = _coerce(_CONFIG_KEYS[key], v)
-                except ValueError as exc:
+                except (TypeError, ValueError) as exc:
                     raise UsageError(f"bad value for config key {key!r}: {exc}")
         elif name == "task-config":
             try:
                 settings["task_overrides"] = load_task_config(value)
-            except (OSError, ValueError) as exc:
+            except (OSError, TypeError, ValueError) as exc:
                 raise UsageError(f"cannot use task config {value!r}: {exc}")
         elif name in _FLAG_KEYS:
             key = _FLAG_KEYS[name]
             try:
                 settings[key] = _coerce(key, value)
-            except ValueError as exc:
+            except (TypeError, ValueError) as exc:
                 raise UsageError(f"bad value for {flag}: {exc}")
         else:
             raise UsageError(f"unknown flag {flag}\n{USAGE}")
@@ -199,11 +221,7 @@ def parse_flags(argv) -> RunConfig:
 
 
 def _build_task(config: RunConfig):
-    if config.task_overrides:
-        # the default mask follows `steps`, so an override of steps alone stays valid
-        sde_config = replace(SDE_DEFAULTS[config.task], **{"mask": None, **config.task_overrides})
-        return get_task(config.task, sde_config=sde_config)
-    return get_task(config.task)
+    return get_task(config.task, sde_config=config.sde_config())
 
 
 def _conditioned_model(task, seed):
@@ -215,9 +233,10 @@ def _conditioned_model(task, seed):
 
 
 def _oracle_stats(task, model, seed):
-    """Ground-truth latent means/SDs where an oracle exists.  Metropolis
-    runs at seed 0 on a fixed-data task, so all its cells share one
-    chain, and at the cell's `seed + 300_000` otherwise."""
+    """Ground-truth latent means/SDs of one dataset, `model` conditioned
+    on it, where the task has an oracle.  Metropolis runs at seed 0 on
+    a fixed-data task, whose one chain serves every seed, and otherwise
+    at `seed + 300_000`, `seed` being the data seed."""
     if task.oracle == "kalman":
         spec = brownian_chain_spec(task.config)
         obs = {int(k.split("_")[1]): v for k, v in model.observations.items()}
@@ -261,13 +280,14 @@ def _timed(times, key, fn, *args, **kwargs):
         times[key] = time.perf_counter() - start
 
 
-def run_single(config: RunConfig, surrogate_kind, seed, oracle_cache=None):
+def run_single(config: RunConfig, surrogate_kind, seed, oracle):
     """One (task, surrogate, seed) cell: (row, trajectory, times), with
-    `times` keyed by `TIMING_COLUMNS`.  A divergence, in `fit` or in the
-    evaluation after it, becomes a flagged row; any other error
-    raises."""
-    task = _build_task(config)
-    model, _ = _conditioned_model(task, seed)
+    `times` keyed by `TIMING_COLUMNS`.  The moment errors are taken
+    against `oracle` (`_oracle_stats` of this seed's data), none where it
+    is None.  A divergence, in `fit` or in the evaluation after it,
+    becomes a flagged row; any other error raises.  The cell builds its
+    own model, since models do not pickle to a pool worker."""
+    model, _ = _conditioned_model(_build_task(config), seed)
     row = {
         "task": config.task,
         "surrogate": surrogate_kind,
@@ -302,12 +322,6 @@ def run_single(config: RunConfig, surrogate_kind, seed, oracle_cache=None):
             n_samples=FINAL_ELBO_SAMPLES, seed=seed + 100_000,
         )
         row["final_neg_elbo"] = -est.value
-        if oracle_cache is not None and "stats" in oracle_cache:
-            oracle = oracle_cache["stats"]
-        else:
-            oracle = _timed(times, "oracle_s", _oracle_stats, task, model, seed)
-            if oracle_cache is not None:
-                oracle_cache["stats"] = oracle
         m_err, s_err = _timed(
             times, "moments_s", _normalized_errors, result.surrogate, result.params, oracle,
             seed + 200_000,
@@ -321,62 +335,49 @@ def run_single(config: RunConfig, surrogate_kind, seed, oracle_cache=None):
     return row, trajectory, times
 
 
-def _pool_job(args):
-    config, surrogate_kind, seed, oracle_stats = args
-    cache = {"stats": oracle_stats} if oracle_stats is not None else None
-    return run_single(config, surrogate_kind, seed, oracle_cache=cache)
-
-
 def run_benchmark(config: RunConfig):
     """Full sweep; writes the result files and the summary into
     config.out_dir and returns the path of results.csv."""
     os.makedirs(config.out_dir, exist_ok=True)
     task = _build_task(config)
+    fixed = task.is_pre_conditioned
+    oracles = {}  # data seed, None for fixed data -> oracle stats
+    timings = []  # (surrogate, seed, times): the oracle runs, then the cells
+    if task.oracle != "none":
+        for data_seed in (None,) if fixed else config.seeds:
+            times = dict.fromkeys(TIMING_COLUMNS, 0.0)
+            model, _ = _conditioned_model(task, data_seed)
+            oracles[data_seed] = _timed(times, "oracle_s", _oracle_stats, task, model, data_seed)
+            timings.append(("oracle", "" if fixed else data_seed, times))
 
-    shared_oracle = None
-    if task.is_pre_conditioned and task.oracle == "metropolis":
-        # fixed-data tasks share one oracle run across all seeds
-        shared_oracle = _oracle_stats(task, task.model, config.seeds[0])
-
-    jobs = [(surrogate, seed) for surrogate in config.surrogates for seed in config.seeds]
-    outcomes = {}
+    cells = sorted((s, seed) for s in config.surrogates for seed in config.seeds)
+    kinds, seeds = zip(*cells)
+    args = ([config] * len(cells), kinds, seeds, [oracles.get(None if fixed else s) for s in seeds])
     if config.workers > 1:
-        worker_config = replace(config, workers=1)
-        args = [(worker_config, s, seed, shared_oracle) for s, seed in jobs]
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            for (s, seed), outcome in zip(jobs, pool.map(_pool_job, args)):
-                outcomes[(s, seed)] = outcome
+            outcomes = list(pool.map(run_single, *args))
     else:
-        # surrogates at the same seed share data, so they share the oracle too
-        per_seed_cache = {}
-        for s, seed in jobs:
-            if shared_oracle is not None:
-                cache = {"stats": shared_oracle}
-            else:
-                cache = per_seed_cache.setdefault(seed, {})
-            outcomes[(s, seed)] = run_single(config, s, seed, oracle_cache=cache)
+        outcomes = list(map(run_single, *args))
 
-    rows, timings = [], []
-    for surrogate, seed in sorted(outcomes):
-        row, trajectory, times = outcomes[(surrogate, seed)]
-        rows.append(row)
-        timings.append([row["task"], surrogate, seed] + [f"{times[c]:.3f}" for c in TIMING_COLUMNS])
-        traj_path = os.path.join(
-            config.out_dir, f"trajectory_{row['task']}_{surrogate}_{seed}.csv"
-        )
+    for (surrogate, seed), (_, trajectory, times) in zip(cells, outcomes):
+        timings.append((surrogate, seed, times))
+        traj_path = os.path.join(config.out_dir, f"trajectory_{config.task}_{surrogate}_{seed}.csv")
         save_trajectory(trajectory, traj_path)
 
     results_path = os.path.join(config.out_dir, "results.csv")
     with open(results_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(RESULT_COLUMNS)
-        for row in rows:
+        for row, _, _ in outcomes:
             writer.writerow([_format_cell(row[c]) for c in RESULT_COLUMNS])
 
     with open(os.path.join(config.out_dir, "timings.csv"), "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["task", "surrogate", "seed", *TIMING_COLUMNS])
-        writer.writerows(timings)
+        writer.writerows(
+            [config.task, surrogate, seed] + [f"{times[c]:.3f}" for c in TIMING_COLUMNS]
+            for surrogate, seed, times in timings
+        )
 
     meta = {
         "version": __version__,

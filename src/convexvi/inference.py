@@ -173,10 +173,17 @@ class CompiledElbo:
     def replay(self, params, draws):
         """(value, gradient) of the recorded graph at new `params` and
         `draws` (no uniform noise), run as generated code
-        (`Tape.forward`)."""
+        (`Tape.forward`).  Inputs of another length than the recording's
+        raise `ValueError` and leave the graph as it was."""
+        noise = np.ravel(draws)
+        if len(params) != self.n_params or noise.size != self.n_inputs - self.n_params:
+            raise ValueError(
+                f"replay needs {self.n_params} params and {self.n_inputs - self.n_params} "
+                f"noise entries, got {len(params)} and {noise.size}"
+            )
         vals = self.tape.vals
         vals[: self.n_params] = np.asarray(params, dtype=float).tolist()
-        vals[self.n_params : self.n_inputs] = np.ravel(draws).tolist()
+        vals[self.n_params : self.n_inputs] = noise.tolist()
         self.tape.forward()
         return vals[self.objective.i], self.gradient()
 
@@ -252,6 +259,8 @@ class TrainConfig:
         for name, low in (("steps", 0), ("n_samples", 1), ("record_every", 1)):
             if getattr(self, name) < low:
                 raise ValueError(f"TrainConfig.{name} must be >= {low}, got {getattr(self, name)!r}")
+        if self.lr is not None and not (math.isfinite(self.lr) and self.lr > 0):
+            raise ValueError(f"TrainConfig.lr must be positive and finite, got {self.lr!r}")
 
 
 @dataclass

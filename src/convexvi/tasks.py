@@ -63,11 +63,12 @@ def _euler_maruyama(config, locs=None, scale_prior=None, scale_name="sigma"):
     """Euler-Maruyama chain from the origin, observed at masked-in steps.
 
     With `locs` None the state is the scalar walk x_t (no drift).  With
-    `locs(x0, x1, x2)`, the means of the next state, it is the 3-D state
-    x_t_i, and only x_t_0 is observed.  A `scale_prior` (LogNormal
-    parameters) turns the innovation and observation scales into the
-    latents `scale_name` and `sigma_obs`.  Every sample calls every
-    link, so each link takes its parents as plain positional arguments.
+    three functions `locs[i](x0, x1, x2)`, the mean of component i of
+    the next state, it is the 3-D state x_t_i, and only x_t_0 is
+    observed.  A `scale_prior` (LogNormal parameters) turns the
+    innovation and observation scales into the latents `scale_name` and
+    `sigma_obs`.  Every sample calls every link, so each link takes its
+    parents as plain positional arguments.
     """
     sqdt = math.sqrt(config.dt)
     dims = ("",) if locs is None else ("_0", "_1", "_2")
@@ -76,13 +77,13 @@ def _euler_maruyama(config, locs=None, scale_prior=None, scale_name="sigma"):
         globals_, scales, obs_scales = (), (), ()
         start = {"params": (0.0, scale)}
         walk = lambda p: (p, scale)
-        drift = [lambda a, b, c, i=i: (locs(a, b, c)[i], scale) for i in range(3)]
+        drift = [lambda a, b, c, loc=loc: (loc(a, b, c), scale) for loc in locs or ()]
         observe = lambda x: (x, obs_scale)
     else:
         globals_, scales, obs_scales = (scale_name, "sigma_obs"), (scale_name,), ("sigma_obs",)
         start = {"link": lambda s: (0.0, s * sqdt)}
         walk = lambda p, s: (p, s * sqdt)
-        drift = [lambda a, b, c, s, i=i: (locs(a, b, c)[i], s * sqdt) for i in range(3)]
+        drift = [lambda a, b, c, s, loc=loc: (loc(a, b, c), s * sqdt) for loc in locs or ()]
         observe = lambda x, s: (x, s)
     nodes = [rv(name, LOG_NORMAL, params=scale_prior) for name in globals_]
     for t in range(config.steps):
@@ -123,13 +124,18 @@ def brownian_chain_spec(config: SdeTaskConfig = BR_CONFIG) -> LinearGaussianChai
     )
 
 
+# the three components of the Lorenz drift, one function each, so that a
+# link computes only the component it needs
+LORENZ_DRIFT = (
+    lambda x0, x1, x2: 10.0 * (x1 - x0),
+    lambda x0, x1, x2: x0 * (28.0 - x2) - x1,
+    lambda x0, x1, x2: x0 * x1 - (8.0 / 3.0) * x2,
+)
+
+
 def lorenz_drift(x0, x1, x2):
     """Deterministic part of the stochastic Lorenz system."""
-    return (
-        10.0 * (x1 - x0),
-        x0 * (28.0 - x2) - x1,
-        x0 * x1 - (8.0 / 3.0) * x2,
-    )
+    return tuple(d(x0, x1, x2) for d in LORENZ_DRIFT)
 
 
 def make_lorenz(config: SdeTaskConfig = LZ_CONFIG, with_globals=False) -> JointModel:
@@ -140,11 +146,7 @@ def make_lorenz(config: SdeTaskConfig = LZ_CONFIG, with_globals=False) -> JointM
     become LogNormal(-1, 1) latents `sigma` and `sigma_obs`.
     """
     dt = config.dt
-
-    def locs(x0, x1, x2):
-        d0, d1, d2 = lorenz_drift(x0, x1, x2)
-        return (x0 + d0 * dt, x1 + d1 * dt, x2 + d2 * dt)
-
+    locs = [lambda *x, i=i: x[i] + LORENZ_DRIFT[i](*x) * dt for i in range(3)]
     return _euler_maruyama(config, locs, scale_prior=(-1.0, 1.0) if with_globals else None)
 
 

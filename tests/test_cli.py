@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import os
 from dataclasses import replace
 from types import SimpleNamespace
@@ -66,7 +67,7 @@ def test_config_file_then_flag_last_wins(tmp_path):
     assert cfg.steps == 500
 
 
-def test_run_config_validation():
+def test_run_config_validation(tmp_path, capsys):
     with pytest.raises(UsageError):
         RunConfig(task="br", seeds=())
     with pytest.raises(UsageError):
@@ -79,13 +80,32 @@ def test_run_config_validation():
     with pytest.raises(UsageError, match="seed 1 is given more than once"):
         RunConfig(task="br", seeds=(1, 2, 1))
     assert main(["--task", "br", "--surrogate", "asvi,asvi", "--seeds", "1,1"]) == 2
+    # a negative seed raised ValueError from the generator; a negative rate
+    # ran to the end and descended the ELBO
+    with pytest.raises(UsageError, match="seeds must be >= 0"):
+        RunConfig(task="br", seeds=(1, -1))
+    for lr in (0.0, -0.05, math.inf, math.nan):
+        with pytest.raises(UsageError, match="lr must be positive and finite"):
+            RunConfig(task="br", lr=lr)
+    assert main(["--task", "br", "--seeds", "-1"]) == 2
+    assert main(["--task", "br", "--lr", "-0.05"]) == 2
+    # values of the wrong type raised TypeError (exit 1, as if every run failed)
+    run_file = tmp_path / "run.json"
+    for key, value in (("seeds", 3), ("steps", [1]), ("surrogate", 5), ("lr", [1])):
+        run_file.write_text(json.dumps({"task": "br", key: value}))
+        with pytest.raises(UsageError, match=f"bad value for config key '{key}'"):
+            parse_flags(["--config", str(run_file)])
+        capsys.readouterr()
+        assert main(["--config", str(run_file)]) == 2
+        assert key in capsys.readouterr().err
 
 
 def test_task_overrides_are_checked_from_either_file(tmp_path, capsys):
     run_file = tmp_path / "run.json"
     task_file = tmp_path / "task.json"
-    run_file.write_text(json.dumps({"task": "br", "task_overrides": {"mask": [1, 0, 1]}}))
-    assert parse_flags(["--config", str(run_file)]).task_overrides == {"mask": (True, False, True)}
+    run_file.write_text(json.dumps({"task": "br", "task_overrides": {"steps": 3, "mask": [1, 0, 1]}}))
+    overrides = parse_flags(["--config", str(run_file)]).task_overrides
+    assert overrides == {"steps": 3, "mask": (True, False, True)}
     run_file.write_text(json.dumps({"task": "br", "task_overrides": {"stepz": 6}}))
     task_file.write_text(json.dumps({"stepz": 6}))
     for argv in (["--config", str(run_file)], ["--task", "br", "--task-config", str(task_file)]):
@@ -93,6 +113,23 @@ def test_task_overrides_are_checked_from_either_file(tmp_path, capsys):
             parse_flags(argv)
         assert main(argv) == 2
         assert "stepz" in capsys.readouterr().err
+    # values SdeTaskConfig rejects fail at parse time, not inside the sweep
+    for overrides, key in (
+        (5, "task_overrides"),
+        ({"dt": -1}, "dt"),
+        ({"mask": [True]}, "mask"),
+        ({"steps": "x"}, "steps"),
+    ):
+        run_file.write_text(json.dumps({"task": "br", "task_overrides": overrides}))
+        with pytest.raises(UsageError, match=key):
+            parse_flags(["--config", str(run_file)])
+        assert main(["--config", str(run_file)]) == 2
+        assert key in capsys.readouterr().err
+    task_file.write_text(json.dumps({"dt": 0}))
+    argv = ["--task", "br", "--task-config", str(task_file)]
+    with pytest.raises(UsageError, match="bad task overrides .*'dt': 0.*must be positive"):
+        parse_flags(argv)
+    assert main(argv) == 2
 
 
 def test_task_overrides_replace_the_task_defaults():
@@ -133,11 +170,16 @@ def test_run_benchmark_row_and_file_counts(tmp_path):
     assert list(timings[0]) == [
         "task", "surrogate", "seed", "wall_time_s", "fit_s", "final_elbo_s", "moments_s", "oracle_s"
     ]
-    assert [(t["surrogate"], t["seed"]) for t in timings] == [
+    # one row per oracle run (br: a Kalman smoother per data seed), then one per cell
+    assert [(t["surrogate"], t["seed"]) for t in timings] == [("oracle", "1"), ("oracle", "2")] + [
         (r["surrogate"], r["seed"]) for r in rows
     ]
     for t in timings:
         assert all(float(t[c]) >= 0.0 for c in cli_mod.TIMING_COLUMNS)
+    for t in timings[:2]:
+        assert [t[c] for c in cli_mod.TIMING_COLUMNS[:-1]] == ["0.000"] * 4
+    for t in timings[2:]:
+        assert t["oracle_s"] == "0.000"
     for row in rows:
         assert row["failed"] == "false"
         assert row["mean_error"] != ""  # kalman oracle available for br
@@ -259,7 +301,7 @@ def raiser(exc):
 def test_run_single_failure_flagged(tmp_path, monkeypatch):
     cfg = small_config(tmp_path, surrogates=("asvi",), seeds=(1,))
     monkeypatch.setattr(cli_mod, "fit", raiser(NonFiniteError("injected")))
-    row, trajectory, wall = run_single(cfg, "asvi", 1)
+    row, trajectory, wall = run_single(cfg, "asvi", 1, None)
     assert row["failed"] is True
     assert trajectory == []
 
@@ -267,47 +309,57 @@ def test_run_single_failure_flagged(tmp_path, monkeypatch):
 def test_run_single_flags_divergence_and_raises_bugs(tmp_path, monkeypatch):
     cfg = small_config(tmp_path, surrogates=("asvi",), seeds=(1,))
     monkeypatch.setattr(cli_mod, "elbo_estimate", raiser(NonFiniteError("injected")))
-    row, trajectory, _ = run_single(cfg, "asvi", 1)
+    row, trajectory, _ = run_single(cfg, "asvi", 1, None)
     assert row["failed"] is True and row["final_neg_elbo"] == ""
     assert row["iterations"] == cfg.steps and trajectory
     monkeypatch.setattr(cli_mod, "fit", raiser(ModelError("injected")))
     with pytest.raises(ModelError, match="injected"):
-        run_single(cfg, "asvi", 1)
+        run_single(cfg, "asvi", 1, None)
 
 
 def test_run_single_times_each_phase(tmp_path):
     cfg = small_config(tmp_path, surrogates=("asvi",), seeds=(1,))
-    cache = {}
-    _, _, times = run_single(cfg, "asvi", 1, oracle_cache=cache)
+    task = _build_task(cfg)
+    oracle = cli_mod._oracle_stats(task, cli_mod._conditioned_model(task, 1)[0], 1)
+    row, _, times = run_single(cfg, "asvi", 1, oracle)
     assert tuple(times) == cli_mod.TIMING_COLUMNS
-    assert all(t > 0.0 for t in times.values())
+    assert times["oracle_s"] == 0.0  # the sweep runs the oracle, not the cell
+    assert all(times[c] > 0.0 for c in cli_mod.TIMING_COLUMNS[:-1])
     # the fit's own clock starts after the surrogate is built
     assert times["wall_time_s"] <= times["fit_s"]
-    _, _, times = run_single(cfg, "asvi", 1, oracle_cache=cache)
-    assert times["oracle_s"] == 0.0  # the cached oracle costs this cell nothing
+    assert row["mean_error"] != ""
+    row, _, _ = run_single(cfg, "asvi", 1, None)
+    assert row["mean_error"] == row["sd_error"] == row["oracle_reliable"] == ""
 
 
-def test_oracle_seed_is_the_same_alone_and_in_a_sweep(tmp_path, monkeypatch):
-    seeds = []
+def test_one_oracle_per_dataset_at_any_worker_count(tmp_path, monkeypatch):
+    # the fake appends to a file, so chains run in pool workers count too
+    log = tmp_path / "chains.txt"
 
     def fake_metropolis(model, config):
-        seeds.append(config.seed)
+        with open(log, "a") as fh:
+            fh.write(f"{config.seed}\n")
         names = [n.name for n in model.latent_nodes]
         return SimpleNamespace(means=dict.fromkeys(names, 0.0), sds=dict.fromkeys(names, 1.0),
                                reliable=True)
 
     monkeypatch.setattr(cli_mod, "metropolis_sample", fake_metropolis)
-    # fixed data: one chain at seed 0, whichever cell or sweep runs it
-    cfg = RunConfig(task="es", steps=2, seeds=(3,), out_dir=str(tmp_path / "es"))
-    run_single(cfg, "asvi", 3)
-    run_benchmark(cfg)
-    assert seeds == [0, 0]
-    # simulated data: one chain per data seed
-    seeds.clear()
-    cfg = small_config(tmp_path, task="brg", surrogates=("asvi",), steps=2, seeds=(3,))
-    run_single(cfg, "asvi", 3)
-    run_benchmark(cfg)
-    assert seeds == [300_003, 300_003]
+
+    def chain_seeds(cfg):
+        log.write_text("")
+        rows = read_rows(run_benchmark(cfg))
+        assert all(r["mean_error"] != "" for r in rows)
+        return sorted(int(seed) for seed in log.read_text().split())
+
+    # fixed data: one chain at seed 0 serves every seed
+    cfg = RunConfig(task="es", steps=2, seeds=(3, 4), out_dir=str(tmp_path / "es"))
+    assert chain_seeds(cfg) == [0]
+    timings = read_rows(os.path.join(cfg.out_dir, "timings.csv"))
+    assert [t["seed"] for t in timings if t["surrogate"] == "oracle"] == [""]
+    # simulated data: one chain per data seed, shared by that seed's cells
+    for workers in (1, 2):
+        cfg = small_config(tmp_path, task="brg", steps=2, seeds=(3, 4), workers=workers)
+        assert chain_seeds(cfg) == [300_003, 300_004]
 
 
 def test_workers_match_sequential(tmp_path):

@@ -5,8 +5,11 @@ Per task x surrogate kind at seed 1 the digests cover the surrogate's
 `init_params`, 30-step fits at 1 and 2 samples (final params and every
 loss), `elbo_gradient` at 2 samples, 200 final-ELBO terms and the
 400-sample moments, the last three at the 1-sample fit's params; per SDE
-task they cover `generate_data`.  A refactor must leave every digest
-unchanged.
+task they cover `generate_data`.  For CLI sweeps of br and lz (every kind
+at seed 1, 60 steps) they cover the bytes of `results.csv` and
+`summary.txt` and the step and loss columns of each trajectory, which a
+pooled sweep (`workers=2`) must reproduce.  A refactor must leave every
+digest unchanged.
 
 Regenerate `golden.json` (`python tests/test_golden.py`) only in a
 change that declares a numerics change and says in CHANGES.md which
@@ -15,13 +18,16 @@ results change and why; never to make this test pass.
 
 from __future__ import annotations
 
+import csv
 import hashlib
 import json
 import pathlib
+import tempfile
 
 import numpy as np
 import pytest
 
+from convexvi.cli import RunConfig, run_benchmark
 from convexvi.inference import (
     TrainConfig,
     elbo_estimate,
@@ -36,6 +42,8 @@ from convexvi.tasks import SDE_DEFAULTS, TASK_IDS, generate_data, get_task
 GOLDEN = pathlib.Path(__file__).with_name("golden.json")
 SEED = 1
 STEPS = 30
+SWEEP_TASKS = ("br", "lz")
+SWEEP_STEPS = 60
 
 
 def digest(*arrays):
@@ -72,9 +80,29 @@ def data_digest(task_id):
     return digest(list(observations.values()), list(truth.values.values()), [truth.total])
 
 
+def sweep_digests(task_id, out_dir, workers=1):
+    config = RunConfig(
+        task=task_id,
+        surrogates=tuple(SURROGATES),
+        steps=SWEEP_STEPS,
+        seeds=(SEED,),
+        out_dir=str(out_dir),
+        workers=workers,
+    )
+    out = {"results": hashlib.sha256(pathlib.Path(run_benchmark(config)).read_bytes()).hexdigest()}
+    out["summary"] = hashlib.sha256((out_dir / "summary.txt").read_bytes()).hexdigest()
+    for kind in SURROGATES:
+        with open(out_dir / f"trajectory_{task_id}_{kind}_{SEED}.csv", newline="") as fh:
+            columns = "".join(f"{r['step']},{r['negative_elbo']}\n" for r in csv.DictReader(fh))
+        out[f"trajectory/{kind}"] = hashlib.sha256(columns.encode()).hexdigest()
+    return out
+
+
 def compute():
     golden = {f"{t}/{k}": fit_digests(t, k) for t in TASK_IDS for k in SURROGATES}
     golden.update({f"{t}/data": data_digest(t) for t in SDE_DEFAULTS})
+    with tempfile.TemporaryDirectory() as tmp:
+        golden.update({f"sweep/{t}": sweep_digests(t, pathlib.Path(tmp) / t) for t in SWEEP_TASKS})
     return golden
 
 
@@ -92,6 +120,12 @@ def test_fits_match_golden_digests(task_id, kind, golden):
 @pytest.mark.parametrize("task_id", list(SDE_DEFAULTS))
 def test_generated_data_matches_golden_digest(task_id, golden):
     assert data_digest(task_id) == golden[f"{task_id}/data"]
+
+
+@pytest.mark.parametrize("task_id", SWEEP_TASKS)
+def test_sweeps_match_golden_digests_serial_and_pooled(task_id, golden, tmp_path):
+    assert sweep_digests(task_id, tmp_path / "serial") == golden[f"sweep/{task_id}"]
+    assert sweep_digests(task_id, tmp_path / "pooled", workers=2) == golden[f"sweep/{task_id}"]
 
 
 if __name__ == "__main__":

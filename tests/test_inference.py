@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from convexvi import inference
-from convexvi.autodiff import DomainError, value_of
+from convexvi.autodiff import INPUT, DomainError, value_of
 from convexvi.distributions import (
     HALF_NORMAL,
     LOG_NORMAL,
@@ -205,6 +205,50 @@ def test_replay_is_bit_identical_to_recording(task_id, kind):
             params = params + 0.01 * np.tanh(grad)
 
 
+def test_replay_rejects_inputs_of_another_length():
+    task = get_task("br")
+    model = condition(task.model, generate_data(task, seed=1)[0])
+    surrogate = build_surrogate("asvi", model, init_seed=1)
+    params = surrogate.init_params
+    graph = CompiledElbo(model, surrogate, params, draw(surrogate, 2, np.random.default_rng(1)))
+    size = len(graph.tape.vals)
+    # unchecked, one sample's draws shrank the tape and replay raised IndexError
+    with pytest.raises(ValueError, match="noise entries"):
+        graph.replay(params, draw(surrogate, 1, np.random.default_rng(2)))
+    with pytest.raises(ValueError, match="params"):
+        graph.replay(params[:-1], draw(surrogate, 2, np.random.default_rng(2)))
+    assert len(graph.tape.vals) == size
+    draws = draw(surrogate, 2, np.random.default_rng(3))
+    value, grad = graph.replay(params, draws)
+    fresh = CompiledElbo(model, surrogate, params, draws)
+    assert value == fresh.value
+    assert grad.tobytes() == fresh.gradient().tobytes()
+
+
+@pytest.mark.parametrize("kind", ["asvi", "mean-field", "ar1", "mvn"])
+@pytest.mark.parametrize("task_id", TASK_IDS)
+def test_every_recorded_node_reaches_the_objective(task_id, kind):
+    # a dead node costs every replayed forward and backward sweep, and
+    # replay keeps it, since dropping it would drop its domain checks
+    task = get_task(task_id)
+    model = task.model
+    if not task.is_pre_conditioned:
+        model = condition(model, generate_data(task, seed=1)[0])
+    surrogate = build_surrogate(kind, model, init_seed=1)
+    draws = draw(surrogate, 1, np.random.default_rng(1))
+    graph = CompiledElbo(model, surrogate, surrogate.init_params, draws)
+    tape = graph.tape
+    live = [False] * len(tape)
+    live[graph.objective.i] = True
+    for i in reversed(range(len(tape))):
+        if live[i]:
+            for p in (tape.p1[i], tape.p2[i]):
+                if p >= 0:
+                    live[p] = True
+    dead = [i for i, op in enumerate(tape.ops) if op != INPUT and not live[i]]
+    assert dead == []
+
+
 # numpy's warnings for the SD of one sample, or of samples holding inf
 SD_WARNINGS = pytest.mark.filterwarnings(
     "ignore:Degrees of freedom", "ignore:invalid value encountered"
@@ -386,7 +430,7 @@ def test_mean_field_records_no_prior_link():
     assert mf.init_params.tobytes() == old.init_params.tobytes()
     draws = draw(mf, 1, np.random.default_rng(1))
     graph, old_graph = (CompiledElbo(model, q, mf.init_params, draws) for q in (mf, old))
-    assert (len(graph.tape), len(old_graph.tape)) == (3974, 5540)
+    assert (len(graph.tape), len(old_graph.tape)) == (2930, 3452)
     assert graph.value == old_graph.value
     assert graph.gradient().tobytes() == old_graph.gradient().tobytes()
     cfg = TrainConfig(steps=120, seed=1, window=0, record_every=1)
@@ -700,6 +744,13 @@ def test_train_config_rejects_values_that_break_fit(field, value):
     # after 0 steps (n_samples 0) and a ZeroDivisionError (record_every 0)
     with pytest.raises(ValueError, match=f"TrainConfig.{field} must be >= "):
         TrainConfig(**{field: value})
+
+
+@pytest.mark.parametrize("lr", [0.0, -0.05, math.inf, math.nan])
+def test_train_config_rejects_a_learning_rate_that_is_not_positive(lr):
+    # a negative rate ran to the end and descended the ELBO instead
+    with pytest.raises(ValueError, match="TrainConfig.lr must be positive and finite"):
+        TrainConfig(lr=lr)
 
 
 def test_fit_reproducible():
