@@ -1,9 +1,13 @@
 """Benchmark harness: task x surrogate x seed sweeps with oracle checks.
 
 A sweep runs each dataset's oracle once, before any cell: es and radon
-have one dataset for every seed, the simulated tasks one per seed.  A
-cell is then a pure function of (config, kind, seed, oracle), so serial
-and pooled sweeps map the same `run_single` over the same arguments.
+have one dataset for every seed, the simulated tasks one per seed.  The
+oracles are exact, with no sampler on the path: the Kalman smoother for
+br, and for es, radon and brg the collapsed oracle, a numpy grid over
+the log scales that mixes the Gaussian block's closed-form conditional
+moments.  A cell is then a pure function of (config, kind, seed,
+oracle), so serial and pooled sweeps map the same `run_single` over the
+same arguments.
 
 Outputs per run directory:
   results.csv     one row per (task, surrogate, seed); deterministic,
@@ -17,7 +21,8 @@ Outputs per run directory:
   summary.csv     per-(task, surrogate) aggregates, best-of-task marked
   summary.txt     the same aggregates as the printed table
   trajectory_<task>_<surrogate>_<seed>.csv
-  meta.json       config echo and oracle provenance
+  meta.json       config echo and oracle provenance (for a collapsed
+                  oracle, each dataset's grid shape and edge mass)
 """
 
 from __future__ import annotations
@@ -43,20 +48,26 @@ from .inference import (
     surrogate_moments,
 )
 from .model import condition
-from .oracles import ChainConfig, kalman_filter_smoother, metropolis_sample
+from .oracles import collapsed_posterior, kalman_filter_smoother
+# unused here: perfbench/tracing.py's program_targets wraps vars(cli)["metropolis_sample"]
+from .oracles import metropolis_sample  # noqa: F401
 from .surrogates import SURROGATES
 from .tasks import (
     SDE_DEFAULTS,
     TASK_IDS,
     brownian_chain_spec,
     check_task_overrides,
+    collapsed_spec,
     generate_data,
     get_task,
     load_task_config,
+    observed_steps,
 )
 
 FINAL_ELBO_SAMPLES = 1000
 MOMENT_SAMPLES = 4000
+# most posterior mass a collapsed oracle's grid may hold on its edge
+MAX_EDGE_MASS = 1e-6
 
 TIMING_COLUMNS = ("wall_time_s", "fit_s", "final_elbo_s", "moments_s", "oracle_s")
 
@@ -154,6 +165,14 @@ _FLAG_KEYS = {
 _CONFIG_KEYS = {**_FLAG_KEYS, "task_overrides": "task_overrides"}
 
 
+def _integer(value):
+    """An int from a flag's string or a config file's number, which must
+    be integral: `int` alone would truncate 2.7 to 2."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"{value!r} is not an integer")
+    return int(value)
+
+
 def _coerce(key, value):
     if key == "surrogates":
         if isinstance(value, str):
@@ -162,9 +181,9 @@ def _coerce(key, value):
     if key == "seeds":
         if isinstance(value, str):
             value = [v for v in value.split(",") if v]
-        return tuple(int(v) for v in value)
+        return tuple(_integer(v) for v in value)
     if key in ("steps", "n_samples", "workers"):
-        return int(value)
+        return _integer(value)
     if key == "lr":
         return None if value is None else float(value)
     if key == "task_overrides":
@@ -232,28 +251,29 @@ def _conditioned_model(task, seed):
     return condition(task.model, observations), truth
 
 
-def _oracle_stats(task, model, seed):
+def _oracle_stats(task, model):
     """Ground-truth latent means/SDs of one dataset, `model` conditioned
-    on it, where the task has an oracle.  Metropolis runs at seed 0 on
-    a fixed-data task, whose one chain serves every seed, and otherwise
-    at `seed + 300_000`, `seed` being the data seed."""
+    on it, or None where the task has no oracle (lz, lzg).  br takes the
+    Kalman smoother; es, radon and brg the collapsed oracle, whose grid
+    shape and edge mass ride along.  A grid whose edge holds more than
+    MAX_EDGE_MASS of the posterior raises ValueError, since the
+    posterior it returns would be cut off."""
     if task.oracle == "kalman":
         spec = brownian_chain_spec(task.config)
-        obs = {int(k.split("_")[1]): v for k, v in model.observations.items()}
-        res = kalman_filter_smoother(spec, obs)
+        res = kalman_filter_smoother(spec, observed_steps(model.observations))
         names = [f"x_{t}" for t in range(task.config.steps)]
         means = {n: float(res.smoothed_means[t]) for t, n in enumerate(names)}
         sds = {n: float(math.sqrt(res.smoothed_vars[t])) for t, n in enumerate(names)}
-        return {"means": means, "sds": sds, "source": "kalman"}
-    if task.oracle == "metropolis":
-        chain_seed = 0 if task.is_pre_conditioned else seed + 300_000
-        res = metropolis_sample(model, ChainConfig(steps=20000, burn_in=6000, seed=chain_seed))
-        return {
-            "means": res.means,
-            "sds": res.sds,
-            "source": "metropolis",
-            "reliable": res.reliable,
-        }
+        return {"means": means, "sds": sds}
+    if task.oracle == "collapsed":
+        res = collapsed_posterior(collapsed_spec(task, model))
+        if not res.edge_mass <= MAX_EDGE_MASS:
+            raise ValueError(
+                f"{task.task_id} oracle: {res.edge_mass:.3g} of the posterior lies on the "
+                f"edge of its {res.grid_shape} grid (at most {MAX_EDGE_MASS:g} allowed)"
+            )
+        grid = {"grid_shape": list(res.grid_shape), "edge_mass": res.edge_mass}
+        return {"means": res.means, "sds": res.sds, "grid": grid}
     return None
 
 
@@ -329,7 +349,7 @@ def run_single(config: RunConfig, surrogate_kind, seed, oracle):
         if m_err is not None:
             row["mean_error"] = m_err
             row["sd_error"] = s_err
-            row["oracle_reliable"] = oracle.get("reliable", True)
+            row["oracle_reliable"] = True
     except _DIVERGENCE:
         row["failed"] = True
     return row, trajectory, times
@@ -347,7 +367,7 @@ def run_benchmark(config: RunConfig):
         for data_seed in (None,) if fixed else config.seeds:
             times = dict.fromkeys(TIMING_COLUMNS, 0.0)
             model, _ = _conditioned_model(task, data_seed)
-            oracles[data_seed] = _timed(times, "oracle_s", _oracle_stats, task, model, data_seed)
+            oracles[data_seed] = _timed(times, "oracle_s", _oracle_stats, task, model)
             timings.append(("oracle", "" if fixed else data_seed, times))
 
     cells = sorted((s, seed) for s in config.surrogates for seed in config.seeds)
@@ -387,6 +407,8 @@ def run_benchmark(config: RunConfig):
         "oracle": task.oracle,
         "final_elbo_samples": FINAL_ELBO_SAMPLES,
     }
+    if task.oracle == "collapsed":
+        meta["oracle_grids"] = [{"seed": seed, **o["grid"]} for seed, o in oracles.items()]
     with open(os.path.join(config.out_dir, "meta.json"), "w") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)
 

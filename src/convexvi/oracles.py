@@ -2,8 +2,11 @@
 
 These are the independent checks the rest of the package is validated
 against: a scalar Kalman filter with RTS smoothing (exact posterior for
-linear-Gaussian chains), conjugate Normal updates, closed-form Gaussian
-KL, exhaustive enumeration for small discrete models, and an adaptive
+linear-Gaussian chains, also run on arrays over a grid of variances),
+batched dense Gaussian conditioning, the collapsed oracle (a model that
+is Gaussian once its scales are fixed, mixed exactly over a grid of its
+log scales), conjugate Normal updates, closed-form Gaussian KL,
+exhaustive enumeration for small discrete models, and an adaptive
 random-walk Metropolis sampler for small nonconjugate models.
 """
 
@@ -11,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -30,7 +33,8 @@ class LinearGaussianChainSpec:
     """x_t ~ N(a_t x_{t-1}, q_t), y_t ~ N(x_t, r_t) where mask[t] is set.
 
     `transition` and `innovation_var` describe steps 1..T-1; the state at
-    t=0 is N(init_mean, init_var).
+    t=0 is N(init_mean, init_var).  The variances may instead be arrays
+    over a grid (shapes that broadcast together), one chain per point.
     """
 
     init_mean: float
@@ -46,14 +50,16 @@ class LinearGaussianChainSpec:
             raise ValueError("transition/innovation_var must have length T-1")
         if len(self.obs_var) != T:
             raise ValueError("obs_var must have length T")
-        if self.init_var <= 0 or any(q <= 0 for q in self.innovation_var) or any(
-            r <= 0 for r in self.obs_var
-        ):
+        if not all(np.all(v > 0) for v in self.variances):
             raise ValueError("variances must be positive")
 
     @property
     def num_steps(self):
         return len(self.mask)
+
+    @property
+    def variances(self):
+        return (self.init_var, *self.innovation_var, *self.obs_var)
 
 
 @dataclass(frozen=True)
@@ -71,18 +77,20 @@ def kalman_filter_smoother(spec: LinearGaussianChainSpec, observations: Mapping[
 
     `observations` maps step index -> y_t and must cover exactly the
     masked steps.  The log evidence is the sum of one-step predictive
-    log-densities.
+    log-densities.  On a spec over a grid every result gains the grid's
+    axes after the step axis, and the log evidence is an array.
     """
     T = spec.num_steps
     expected = {t for t in range(T) if spec.mask[t]}
     if set(observations) != expected:
         raise ValueError(f"observations must cover exactly steps {sorted(expected)}")
 
-    mf = np.zeros(T)  # filtered means
-    vf = np.zeros(T)
-    mp = np.zeros(T)  # one-step predictive means
-    vp = np.zeros(T)
-    gains = np.zeros(T)
+    shape = (T,) + np.broadcast_shapes(*map(np.shape, spec.variances))
+    mf = np.zeros(shape)  # filtered means
+    vf = np.zeros(shape)
+    mp = np.zeros(shape)  # one-step predictive means
+    vp = np.zeros(shape)
+    gains = np.zeros(shape)
     log_ev = 0.0
     for t in range(T):
         if t == 0:
@@ -98,7 +106,7 @@ def kalman_filter_smoother(spec: LinearGaussianChainSpec, observations: Mapping[
             gains[t] = k
             mf[t] = mp[t] + k * (y - mp[t])
             vf[t] = (1.0 - k) * vp[t]
-            log_ev += -0.5 * ((y - mp[t]) ** 2 / s + math.log(s) + LOG_2PI)
+            log_ev += -0.5 * ((y - mp[t]) ** 2 / s + np.log(s) + LOG_2PI)
         else:
             mf[t], vf[t] = mp[t], vp[t]
 
@@ -116,6 +124,113 @@ def kalman_filter_smoother(spec: LinearGaussianChainSpec, observations: Mapping[
         smoothed_vars=vs,
         gains=gains,
         log_evidence=log_ev,
+    )
+
+
+# ---------------------------------------------------------------------------
+# collapsed grids: a Gaussian block mixed over a grid of log scales
+
+
+def gaussian_condition(prior_mean, prior_cov, design, noise_cov, y):
+    """Exact conditioning of z ~ N(prior_mean, prior_cov) on
+    y = design @ z + e, e ~ N(0, noise_cov), batched over leading axes.
+
+    `design` is (n, k) and `y` (n,); the other arguments broadcast over
+    the batch.  Returns (log p(y), posterior means, posterior
+    covariances).
+    """
+    resid = y - prior_mean @ design.T  # (..., n)
+    cross = prior_cov @ design.T  # prior_cov A^T, (..., k, n)
+    s = design @ cross + noise_cov  # (..., n, n)
+    resid = np.broadcast_to(resid, s.shape[:-1])
+    alpha = np.linalg.solve(s, resid[..., None])[..., 0]  # S^-1 resid
+    mean = prior_mean + (cross @ alpha[..., None])[..., 0]
+    cov = prior_cov - cross @ np.linalg.solve(s, np.swapaxes(cross, -1, -2))
+    _, logdet = np.linalg.slogdet(s)
+    log_ev = -0.5 * (np.sum(resid * alpha, axis=-1) + logdet + len(y) * LOG_2PI)
+    return log_ev, mean, cov
+
+
+@dataclass(frozen=True)
+class CollapsedSpec:
+    """A model that is Gaussian in its `block` latents once its positive
+    `scales` are fixed, conditioned on one dataset.
+
+    `scales` holds the scale latents' nodes, a priori independent with
+    fixed parameters; `axes[i]` is a uniform grid over log(scales[i]).
+    `conditional(*values)`, given the scale values on the grid (arrays
+    that broadcast to the grid's shape), returns (log_evidence, means,
+    vars): log p(data | scales) over the grid, and the block's
+    conditional means and variances with a trailing axis in `block`
+    order.
+    """
+
+    scales: tuple
+    axes: tuple
+    block: tuple
+    conditional: Callable
+
+
+@dataclass(frozen=True)
+class CollapsedResult:
+    means: dict
+    sds: dict
+    grid_shape: tuple
+    edge_mass: float  # posterior mass on the grid's outermost points
+
+
+# grid points per call of the conditional, which bounds the memory it takes
+CHUNK_POINTS = 4096
+
+
+def collapsed_posterior(spec: CollapsedSpec) -> CollapsedResult:
+    """Exact posterior means and SDs of the scales and the block.
+
+    Each grid point u (the log scales) weighs p(u) p(data | scales) times
+    the grid's uniform cell volume, p(u) being the scales' prior with
+    the Jacobian of exp.  The weights mix the conditional moments:
+    E[z] = sum w m and Var[z] = sum w (v + m^2) - E[z]^2, and likewise
+    for the scales.  The conditional runs on slabs of CHUNK_POINTS points
+    along the first axis, each slab's sums taken relative to its largest
+    log weight.  A posterior that reaches past the grid shows as mass on
+    its edge.
+    """
+    d = len(spec.axes)
+    logs = np.meshgrid(*spec.axes, indexing="ij", sparse=True)
+    values = [np.exp(u) for u in logs]
+    log_prior = sum(
+        (node.family.log_prob(node.params(()), v.ravel()) + u.ravel()).reshape(u.shape)
+        for node, u, v in zip(spec.scales, logs, values)
+    )
+    shape = log_prior.shape
+    edge = np.ones(shape, bool)
+    edge[(slice(1, -1),) * d] = False
+    rows = max(1, CHUNK_POINTS * shape[0] // log_prior.size)
+    tops, sums = [], []
+    for start in range(0, shape[0], rows):
+        slab = slice(start, start + rows)
+        log_ev, means, variances = spec.conditional(values[0][slab], *values[1:])
+        log_w = log_ev + log_prior[slab]
+        if not np.isfinite(log_w).all():
+            raise ValueError("collapsed oracle: a log weight on the grid is not finite")
+        tops.append(log_w.max())
+        w = np.exp(log_w - tops[-1])
+        scales = [np.broadcast_to(v, shape)[slab] for v in values]
+        sums.append(np.concatenate([
+            [w.sum(), w[edge[slab]].sum()],
+            [np.sum(w * v) for v in scales],
+            np.tensordot(w, means, axes=d),
+            [np.sum(w * v * v) for v in scales],
+            np.tensordot(w, variances + means * means, axes=d),
+        ]))
+    total = np.exp(np.array(tops) - max(tops)) @ np.array(sums)
+    first, second = np.split(total[2:] / total[0], 2)
+    names = [node.name for node in spec.scales] + list(spec.block)
+    return CollapsedResult(
+        means=dict(zip(names, first.tolist())),
+        sds={n: math.sqrt(v) for n, v in zip(names, (second - first * first).tolist())},
+        grid_shape=shape,
+        edge_mass=float(total[1] / total[0]),
     )
 
 

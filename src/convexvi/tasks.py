@@ -9,6 +9,9 @@ scales LogNormal priors.  They declare observation nodes only at
 masked-in steps, so the latent set is exactly the state chain; data for
 them is produced by forward simulation (``generate_data``) and bound
 with ``condition``.
+
+es, radon and brg are Gaussian once their scale latents are fixed; each
+supplies that Gaussian block to the collapsed oracle (``collapsed_spec``).
 """
 
 from __future__ import annotations
@@ -23,7 +26,12 @@ import numpy as np
 
 from .distributions import HALF_NORMAL, LOG_NORMAL, NORMAL
 from .model import JointModel, build_joint, condition, rv, sample_forward
-from .oracles import LinearGaussianChainSpec
+from .oracles import (
+    CollapsedSpec,
+    LinearGaussianChainSpec,
+    gaussian_condition,
+    kalman_filter_smoother,
+)
 
 
 def default_mask(steps):
@@ -41,10 +49,11 @@ class SdeTaskConfig:
     mask: tuple = None
 
     def __post_init__(self):
-        if self.steps <= 0 or self.dt <= 0:
-            raise ValueError("steps and dt must be positive")
-        if self.innovation_scale <= 0 or self.obs_scale <= 0:
-            raise ValueError("scales must be positive")
+        if self.steps <= 0 or not (math.isfinite(self.dt) and self.dt > 0):
+            raise ValueError("steps and dt must be positive, dt finite")
+        scales = (self.innovation_scale, self.obs_scale)
+        if not all(math.isfinite(s) and s > 0 for s in scales):
+            raise ValueError("scales must be positive and finite")
         if self.mask is None:
             object.__setattr__(self, "mask", default_mask(self.steps))
         elif len(self.mask) != self.steps:
@@ -111,17 +120,25 @@ def make_brownian(config: SdeTaskConfig = BR_CONFIG, with_globals=False) -> Join
     return _euler_maruyama(config, scale_prior=prior, scale_name="sigma_x")
 
 
-def brownian_chain_spec(config: SdeTaskConfig = BR_CONFIG) -> LinearGaussianChainSpec:
-    """The fixed-scale Brownian task as a linear-Gaussian chain."""
-    var = (config.innovation_scale**2) * config.dt
+def brownian_chain_spec(config: SdeTaskConfig = BR_CONFIG, scales=None) -> LinearGaussianChainSpec:
+    """The Brownian task as a linear-Gaussian chain, at the config's
+    scales or at `scales` = (innovation, observation), which may be
+    arrays over a grid."""
+    innovation, obs = scales or (config.innovation_scale, config.obs_scale)
+    var = (innovation**2) * config.dt
     return LinearGaussianChainSpec(
         init_mean=0.0,
         init_var=var,
         transition=[1.0] * (config.steps - 1),
         innovation_var=[var] * (config.steps - 1),
-        obs_var=[config.obs_scale**2] * config.steps,
+        obs_var=[obs**2] * config.steps,
         mask=list(config.mask),
     )
+
+
+def observed_steps(observations):
+    """{t: y_t} of an SDE dataset, from its observations {"y_t": y_t}."""
+    return {int(name.split("_")[1]): y for name, y in observations.items()}
 
 
 # the three components of the Lorenz drift, one function each, so that a
@@ -314,18 +331,21 @@ def save_radon_csv(records, path):
 
 @dataclass(frozen=True)
 class Task:
-    """A benchmark bundle: model, observation names, oracle hint.
+    """A benchmark bundle: model, observation names, oracle kind.
 
-    `data_model` is the generative process data is simulated from; for
-    the global-scale variants (brg/lzg) it is the fixed-scale twin, so
-    datasets come from the same law as br/lz and only the inference
-    model treats the scales as unknown.
+    `oracle` names the exact ground truth of a dataset: "kalman" (br,
+    the smoother of `brownian_chain_spec`), "collapsed" (es, radon, brg:
+    `oracles.collapsed_posterior` of `collapsed_spec`) or "none" (lz,
+    lzg).  `data_model` is the generative process data is simulated
+    from; for the global-scale variants (brg/lzg) it is the fixed-scale
+    twin, so datasets come from the same law as br/lz and only the
+    inference model treats the scales as unknown.
     """
 
     task_id: str
     model: JointModel
     observed_names: tuple
-    oracle: str  # "kalman" | "metropolis" | "none"
+    oracle: str  # "kalman" | "collapsed" | "none"
     config: object = None
     data_model: JointModel = None
 
@@ -355,18 +375,114 @@ def get_task(task_id, sde_config=None) -> Task:
         model = make(cfg, with_globals=with_globals)
         data_model = make(cfg) if with_globals else None
         observed = tuple(f"y_{t}" for t in range(cfg.steps) if cfg.mask[t])
-        oracle = {"br": "kalman", "brg": "metropolis"}.get(task_id, "none")
+        oracle = {"br": "kalman", "brg": "collapsed"}.get(task_id, "none")
         return Task(task_id, model, observed, oracle, cfg, data_model)
     if task_id == "es":
         data = SchoolsData()
         model = make_eight_schools(data)
-        return Task(task_id, model, tuple(f"y_{i}" for i in range(8)), "metropolis", data)
+        return Task(task_id, model, tuple(f"y_{i}" for i in range(8)), "collapsed", data)
     if task_id == "radon":
         records = synthetic_radon_records()
         model = make_radon(records)
         observed = tuple(f"y_{j}" for j in range(len(records)))
-        return Task(task_id, model, observed, "metropolis", tuple(records))
+        return Task(task_id, model, observed, "collapsed", tuple(records))
     raise ValueError(f"unknown task {task_id!r}; choose from {TASK_IDS}")
+
+
+# ---------------------------------------------------------------------------
+# collapsed oracles: es, radon and brg are Gaussian once their scales are fixed
+
+
+# the grids over the log scales, wide and fine enough that refining them
+# moves no moment by 1e-6 of its SD (tests/test_tasks.py)
+ES_TAU_AXIS = np.linspace(-12.0, 14.0, 601)
+RADON_AXES = (np.linspace(-16.0, 3.0, 127), np.linspace(-8.0, 3.0, 74))
+BRG_AXES = (np.linspace(-14.0, 14.0, 201),) * 2
+
+
+def collapsed_spec(task: Task, model: JointModel) -> CollapsedSpec:
+    """The collapsed oracle's view of an es, radon or brg dataset, `model`
+    conditioned on it: a grid over the log scales and the Gaussian block
+    given the scales."""
+    builders = {"es": _eight_schools_spec, "radon": _radon_spec, "brg": _brownian_spec}
+    return builders[task.task_id](task, model)
+
+
+def _observed(model, n):
+    return np.array([model.observations[f"y_{j}"] for j in range(n)])
+
+
+def _group_prior(model, n_groups, fixed=()):
+    """Prior mean and covariance of (mu, theta_0.., *fixed) where
+    theta_c ~ N(mu, tau) and the `fixed` latents are independent
+    normals: the mean, and `base` and `groups` of the covariance
+    base + tau**2 * groups."""
+    mu_loc, mu_scale = model.node("mu").params(())
+    fixed_params = [model.node(name).params(()) for name in fixed]
+    head = 1 + n_groups
+    mean = np.array([mu_loc] * head + [loc for loc, _ in fixed_params])
+    base = np.zeros((len(mean), len(mean)))
+    base[:head, :head] = mu_scale**2
+    base[head:, head:] = np.diag([scale**2 for _, scale in fixed_params])
+    groups = np.diag([0.0] + [1.0] * n_groups + [0.0] * len(fixed))
+    return mean, base, groups
+
+
+def _eight_schools_spec(task, model):
+    """(mu, theta) given tau: y_i = theta_i + N(0, se_i**2)."""
+    block = ("mu",) + tuple(f"theta_{i}" for i in range(8))
+    mean, base, groups = _group_prior(model, 8)
+    design = np.eye(8, 9, k=1)
+    noise = np.diag(np.square(task.config.standard_errors))
+    y = _observed(model, 8)
+
+    def conditional(tau):
+        cov = base + tau[..., None, None] ** 2 * groups
+        log_ev, means, covs = gaussian_condition(mean, cov, design, noise, y)
+        return log_ev, means, np.diagonal(covs, axis1=-2, axis2=-1)
+
+    return CollapsedSpec((model.node("tau"),), (ES_TAU_AXIS,), block, conditional)
+
+
+def _radon_spec(task, model):
+    """(mu, theta, beta) given (tau, sigma): y_j = the record's design row
+    times the block + N(0, sigma**2)."""
+    records = task.config
+    n_counties = 1 + max(r.county for r in records)
+    fixed = ("beta_1", "beta_2", "beta_3")
+    block = ("mu",) + tuple(f"theta_{c}" for c in range(n_counties)) + fixed
+    mean, base, groups = _group_prior(model, n_counties, fixed)
+    design = np.zeros((len(records), len(block)))
+    for j, r in enumerate(records):
+        design[j, 1 + r.county] = 1.0
+        design[j, 1 + n_counties :] = (r.log_uranium, float(r.floor), r.county_mean_floor)
+    eye = np.eye(len(records))
+    y = _observed(model, len(records))
+
+    def conditional(tau, sigma):
+        cov = base + tau[..., None, None] ** 2 * groups
+        noise = sigma[..., None, None] ** 2 * eye
+        log_ev, means, covs = gaussian_condition(mean, cov, design, noise, y)
+        return log_ev, means, np.diagonal(covs, axis1=-2, axis2=-1)
+
+    scales = (model.node("tau"), model.node("sigma"))
+    return CollapsedSpec(scales, RADON_AXES, block, conditional)
+
+
+def _brownian_spec(task, model):
+    """The walk given (sigma_x, sigma_obs): a Kalman smoother per grid point."""
+    config = task.config
+    observations = observed_steps(model.observations)
+
+    def conditional(sigma_x, sigma_obs):
+        chain = brownian_chain_spec(config, (sigma_x, sigma_obs))
+        res = kalman_filter_smoother(chain, observations)
+        move = lambda a: np.moveaxis(a, 0, -1)  # noqa: E731 - step axis last
+        return res.log_evidence, move(res.smoothed_means), move(res.smoothed_vars)
+
+    scales = (model.node("sigma_x"), model.node("sigma_obs"))
+    block = tuple(f"x_{t}" for t in range(config.steps))
+    return CollapsedSpec(scales, BRG_AXES, block, conditional)
 
 
 def check_task_overrides(data):

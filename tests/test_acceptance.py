@@ -17,6 +17,7 @@ from convexvi.distributions import BERNOULLI, NORMAL
 from convexvi.oracles import (
     ChainConfig,
     ConjugateSpec,
+    collapsed_posterior,
     conjugate_normal_posterior,
     enumerate_discrete_posterior,
     exact_discrete_elbo_gradient,
@@ -28,6 +29,7 @@ from convexvi.tasks import (
     BR_CONFIG,
     TASK_IDS,
     brownian_chain_spec,
+    collapsed_spec,
     generate_data,
     get_task,
 )
@@ -323,9 +325,16 @@ def test_criterion_8_score_function_unbiasedness():
     )
 
 
-def test_criterion_9_eight_schools_sanity():
+@pytest.fixture(scope="module")
+def es_chain():
+    """Criterion 9's Metropolis chain on eight schools."""
     model = get_task("es").model
-    oracle = metropolis_sample(model, ChainConfig(steps=30000, burn_in=8000, n_chains=4, seed=0))
+    return metropolis_sample(model, ChainConfig(steps=30000, burn_in=8000, n_chains=4, seed=0))
+
+
+def test_criterion_9_eight_schools_sanity(es_chain):
+    model = get_task("es").model
+    oracle = es_chain
     max_rhat = max(oracle.rhat.values())
     assert oracle.reliable, f"Metropolis oracle unreliable: max split-Rhat {max_rhat:.3f}"
 
@@ -348,6 +357,18 @@ def test_criterion_9_eight_schools_sanity():
         f"ES vs Metropolis (max split-Rhat {max_rhat:.3f} <= 1.05): "
         f"max |mean err| = {worst:.3f} true-SD units (tol 0.5)",
     )
+
+
+def test_exact_eight_schools_moments_within_metropolis_se(es_chain):
+    # the collapsed oracle the sweep uses against criterion 9's chain; an
+    # SD's Monte-Carlo SE is taken as its mean's over sqrt(2), as for a
+    # normal marginal
+    task = get_task("es")
+    exact = collapsed_posterior(collapsed_spec(task, task.model))
+    assert set(exact.means) == set(es_chain.means)
+    for name, se in es_chain.mean_ses.items():
+        assert abs(exact.means[name] - es_chain.means[name]) <= 4 * se, name
+        assert abs(exact.sds[name] - es_chain.sds[name]) <= 4 * se / math.sqrt(2.0), name
 
 
 def test_criterion_10_benchmark_determinism(tmp_path):

@@ -3,11 +3,11 @@ import json
 import math
 import os
 from dataclasses import replace
-from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
-from convexvi.tasks import LZ_CONFIG, TASK_IDS, default_mask
+from convexvi.tasks import LZ_CONFIG, TASK_IDS, default_mask, get_task
 
 import convexvi.cli as cli_mod
 from convexvi.cli import (
@@ -89,15 +89,25 @@ def test_run_config_validation(tmp_path, capsys):
             RunConfig(task="br", lr=lr)
     assert main(["--task", "br", "--seeds", "-1"]) == 2
     assert main(["--task", "br", "--lr", "-0.05"]) == 2
-    # values of the wrong type raised TypeError (exit 1, as if every run failed)
+    # values of the wrong type raised TypeError (exit 1, as if every run
+    # failed); non-integral numbers were truncated ({"seeds": [1.5]} ran seed 1)
     run_file = tmp_path / "run.json"
-    for key, value in (("seeds", 3), ("steps", [1]), ("surrogate", 5), ("lr", [1])):
+    for key, value in (
+        ("seeds", 3), ("steps", [1]), ("surrogate", 5), ("lr", [1]),
+        ("seeds", [1.5]), ("steps", 2.7), ("samples", 1.5), ("workers", 1.5),
+        ("steps", True), ("steps", "2.7"),
+    ):
         run_file.write_text(json.dumps({"task": "br", key: value}))
         with pytest.raises(UsageError, match=f"bad value for config key '{key}'"):
             parse_flags(["--config", str(run_file)])
         capsys.readouterr()
         assert main(["--config", str(run_file)]) == 2
         assert key in capsys.readouterr().err
+    # integral numbers stay welcome
+    run_file.write_text(json.dumps({"task": "br", "seeds": [2.0, 3], "steps": 7.0, "workers": 2.0}))
+    cfg = parse_flags(["--config", str(run_file)])
+    assert (cfg.seeds, cfg.steps, cfg.workers) == ((2, 3), 7, 2)
+    assert main(["--task", "br", "--steps", "2.7"]) == 2
 
 
 def test_task_overrides_are_checked_from_either_file(tmp_path, capsys):
@@ -117,6 +127,10 @@ def test_task_overrides_are_checked_from_either_file(tmp_path, capsys):
     for overrides, key in (
         (5, "task_overrides"),
         ({"dt": -1}, "dt"),
+        ({"dt": math.nan}, "dt"),
+        ({"dt": math.inf}, "dt"),
+        ({"innovation_scale": math.nan}, "innovation_scale"),
+        ({"obs_scale": math.inf}, "obs_scale"),
         ({"mask": [True]}, "mask"),
         ({"steps": "x"}, "steps"),
     ):
@@ -320,7 +334,7 @@ def test_run_single_flags_divergence_and_raises_bugs(tmp_path, monkeypatch):
 def test_run_single_times_each_phase(tmp_path):
     cfg = small_config(tmp_path, surrogates=("asvi",), seeds=(1,))
     task = _build_task(cfg)
-    oracle = cli_mod._oracle_stats(task, cli_mod._conditioned_model(task, 1)[0], 1)
+    oracle = cli_mod._oracle_stats(task, cli_mod._conditioned_model(task, 1)[0])
     row, _, times = run_single(cfg, "asvi", 1, oracle)
     assert tuple(times) == cli_mod.TIMING_COLUMNS
     assert times["oracle_s"] == 0.0  # the sweep runs the oracle, not the cell
@@ -333,33 +347,65 @@ def test_run_single_times_each_phase(tmp_path):
 
 
 def test_one_oracle_per_dataset_at_any_worker_count(tmp_path, monkeypatch):
-    # the fake appends to a file, so chains run in pool workers count too
-    log = tmp_path / "chains.txt"
+    # the wrapper appends to a file, so oracles run in pool workers count too
+    log = tmp_path / "oracles.txt"
+    real = cli_mod.collapsed_posterior
 
-    def fake_metropolis(model, config):
+    def counted(spec):
         with open(log, "a") as fh:
-            fh.write(f"{config.seed}\n")
-        names = [n.name for n in model.latent_nodes]
-        return SimpleNamespace(means=dict.fromkeys(names, 0.0), sds=dict.fromkeys(names, 1.0),
-                               reliable=True)
+            fh.write("oracle\n")
+        return real(spec)
 
-    monkeypatch.setattr(cli_mod, "metropolis_sample", fake_metropolis)
+    monkeypatch.setattr(cli_mod, "collapsed_posterior", counted)
 
-    def chain_seeds(cfg):
+    def oracle_runs(cfg):
         log.write_text("")
         rows = read_rows(run_benchmark(cfg))
-        assert all(r["mean_error"] != "" for r in rows)
-        return sorted(int(seed) for seed in log.read_text().split())
+        assert all(r["mean_error"] != "" and r["oracle_reliable"] == "true" for r in rows)
+        return len(log.read_text().split())
 
-    # fixed data: one chain at seed 0 serves every seed
+    # fixed data: one oracle serves every seed
     cfg = RunConfig(task="es", steps=2, seeds=(3, 4), out_dir=str(tmp_path / "es"))
-    assert chain_seeds(cfg) == [0]
+    assert oracle_runs(cfg) == 1
     timings = read_rows(os.path.join(cfg.out_dir, "timings.csv"))
     assert [t["seed"] for t in timings if t["surrogate"] == "oracle"] == [""]
-    # simulated data: one chain per data seed, shared by that seed's cells
+    # simulated data: one oracle per data seed, shared by that seed's cells
     for workers in (1, 2):
         cfg = small_config(tmp_path, task="brg", steps=2, seeds=(3, 4), workers=workers)
-        assert chain_seeds(cfg) == [300_003, 300_004]
+        assert oracle_runs(cfg) == 2
+
+
+def test_no_sampler_on_the_cli_path(tmp_path, monkeypatch):
+    from convexvi import oracles
+
+    def no_sampler(*args, **kwargs):
+        raise AssertionError("a sweep ran the Metropolis sampler")
+
+    monkeypatch.setattr(oracles, "metropolis_sample", no_sampler)
+    monkeypatch.setattr(cli_mod, "metropolis_sample", no_sampler)
+    for task in ("es", "radon", "brg"):
+        cfg = RunConfig(task=task, steps=2, seeds=(1, 2), out_dir=str(tmp_path / task))
+        rows = read_rows(run_benchmark(cfg))
+        assert len(rows) == 2 and all(r["oracle_reliable"] == "true" for r in rows)
+        with open(os.path.join(cfg.out_dir, "meta.json")) as fh:
+            meta = json.load(fh)
+        assert meta["oracle"] == "collapsed"
+        seeds = [None] if task != "brg" else [1, 2]
+        assert [g["seed"] for g in meta["oracle_grids"]] == seeds
+        for grid in meta["oracle_grids"]:
+            assert grid["edge_mass"] <= cli_mod.MAX_EDGE_MASS and len(grid["grid_shape"]) >= 1
+
+
+def test_a_grid_that_cuts_off_the_posterior_raises(tmp_path, monkeypatch):
+    import convexvi.tasks as tasks_mod
+
+    # log tau in [0, 2] holds the middle of its posterior only
+    monkeypatch.setattr(tasks_mod, "ES_TAU_AXIS", np.linspace(0.0, 2.0, 101))
+    task = get_task("es")
+    with pytest.raises(ValueError, match="edge of its \\(101,\\) grid"):
+        cli_mod._oracle_stats(task, task.model)
+    with pytest.raises(ValueError, match="edge"):
+        run_benchmark(RunConfig(task="es", steps=2, out_dir=str(tmp_path / "es")))
 
 
 def test_workers_match_sequential(tmp_path):

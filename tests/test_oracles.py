@@ -3,14 +3,18 @@ import math
 import numpy as np
 import pytest
 
-from convexvi.distributions import BERNOULLI, NORMAL
+from convexvi import oracles
+from convexvi.distributions import BERNOULLI, LOG_NORMAL, NORMAL
 from convexvi.model import ModelError, build_joint, condition, rv
 from convexvi.oracles import (
     ChainConfig,
+    CollapsedSpec,
     ConjugateSpec,
     LinearGaussianChainSpec,
+    collapsed_posterior,
     conjugate_normal_posterior,
     enumerate_discrete_posterior,
+    gaussian_condition,
     gaussian_kl,
     kalman_filter_smoother,
     metropolis_sample,
@@ -112,6 +116,72 @@ def test_kalman_log_evidence_dense_for_random_chains():
         res = kalman_filter_smoother(spec, obs)
         _, _, log_ev = dense_chain_posterior(spec, obs)
         assert res.log_evidence == pytest.approx(log_ev, abs=1e-8)
+
+
+def test_kalman_on_a_grid_runs_each_point_alone():
+    rng = np.random.default_rng(3)
+    obs = {t: float(rng.normal() * 0.1) for t in range(30) if br_like_spec().mask[t]}
+    qs, rs = np.array([[1e-4], [4e-4]]), np.array([[0.01, 0.0225, 0.04]])
+    res = kalman_filter_smoother(br_like_spec(q=qs, r=rs), obs)
+    assert res.smoothed_means.shape == res.gains.shape == (30, 2, 3)
+    for i, q in enumerate(qs[:, 0]):
+        for j, r in enumerate(rs[0]):
+            alone = kalman_filter_smoother(br_like_spec(q=q, r=r), obs)
+            for field in ("filtered_means", "filtered_vars", "smoothed_means", "smoothed_vars"):
+                assert np.array_equal(getattr(res, field)[:, i, j], getattr(alone, field))
+            assert np.array_equal(res.gains[:, i, j], alone.gains)
+            assert res.log_evidence[i, j] == pytest.approx(alone.log_evidence, abs=1e-12)
+    with pytest.raises(ValueError, match="positive"):
+        br_like_spec(q=np.array([1e-4, 0.0]))
+
+
+def test_gaussian_condition_is_the_kalman_posterior_at_each_batch_entry():
+    rng = np.random.default_rng(2)
+    T = 30
+    obs = {t: float(rng.normal() * 0.1) for t in range(T) if br_like_spec().mask[t]}
+    steps = sorted(obs)
+    qs, rs = np.array([1e-4, 4e-4]), np.array([0.01, 0.0225, 0.04])
+    # x_0 ~ N(0, q) and unit-transition steps: cov(x_s, x_t) = q (min(s, t) + 1)
+    walk = np.minimum.outer(np.arange(T), np.arange(T)) + 1.0
+    prior_cov = qs[:, None, None, None] * walk
+    noise = rs[:, None, None] * np.eye(len(steps))
+    y = np.array([obs[t] for t in steps])
+    log_ev, mean, cov = gaussian_condition(np.zeros(T), prior_cov, np.eye(T)[steps], noise, y)
+    assert log_ev.shape == (2, 3) and mean.shape == (2, 3, T) and cov.shape == (2, 3, T, T)
+    for i, q in enumerate(qs):
+        for j, r in enumerate(rs):
+            res = kalman_filter_smoother(br_like_spec(q=q, r=r), obs)
+            assert np.allclose(mean[i, j], res.smoothed_means, rtol=0, atol=1e-12)
+            assert np.allclose(np.diag(cov[i, j]), res.smoothed_vars, rtol=0, atol=1e-12)
+            assert log_ev[i, j] == pytest.approx(res.log_evidence, abs=1e-9)
+
+
+def prior_only_spec(axis):
+    """sigma ~ LogNormal(0, 0.5) and z | sigma ~ N(sigma, 1), no data."""
+    sigma = rv("sigma", LOG_NORMAL, params=(0.0, 0.5))
+
+    def conditional(s):
+        return np.zeros(s.shape), s[..., None], np.ones(s.shape + (1,))
+
+    return CollapsedSpec((sigma,), (axis,), ("z",), conditional)
+
+
+def test_collapsed_posterior_mixes_the_conditionals_exactly(monkeypatch):
+    res = collapsed_posterior(prior_only_spec(np.linspace(-6.0, 6.0, 801)))
+    mean, var = math.exp(0.125), (math.exp(0.25) - 1.0) * math.exp(0.25)
+    assert res.means["sigma"] == pytest.approx(mean, rel=1e-12)
+    assert res.sds["sigma"] == pytest.approx(math.sqrt(var), rel=1e-10)
+    assert res.means["z"] == pytest.approx(mean, rel=1e-12)
+    assert res.sds["z"] == pytest.approx(math.sqrt(1.0 + var), rel=1e-10)
+    assert res.grid_shape == (801,) and res.edge_mass < 1e-20
+    # slabs of a few points give the same sums
+    monkeypatch.setattr(oracles, "CHUNK_POINTS", 7)
+    sliced = collapsed_posterior(prior_only_spec(np.linspace(-6.0, 6.0, 801)))
+    for name in res.means:
+        assert sliced.means[name] == pytest.approx(res.means[name], rel=1e-12)
+        assert sliced.sds[name] == pytest.approx(res.sds[name], rel=1e-12)
+    # a grid that cuts the prior off holds mass on its edge
+    assert collapsed_posterior(prior_only_spec(np.linspace(-0.5, 0.5, 101))).edge_mass > 1e-3
 
 
 def test_kalman_gains_bounded():

@@ -1,10 +1,11 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from convexvi.model import condition, joint_log_prob, sample_forward
-from convexvi.oracles import kalman_filter_smoother
+from convexvi.oracles import collapsed_posterior, kalman_filter_smoother
 from convexvi.tasks import (
     BR_CONFIG,
     LZ_CONFIG,
@@ -13,6 +14,7 @@ from convexvi.tasks import (
     SdeTaskConfig,
     Task,
     brownian_chain_spec,
+    collapsed_spec,
     default_mask,
     generate_data,
     get_task,
@@ -254,6 +256,13 @@ def test_task_config_rejects_bad_values():
         SdeTaskConfig(steps=0)
     with pytest.raises(ValueError):
         SdeTaskConfig(dt=-1.0)
+    # a NaN passed `dt <= 0`, and inf too
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            SdeTaskConfig(dt=bad)
+        for scale in ("innovation_scale", "obs_scale"):
+            with pytest.raises(ValueError, match="finite"):
+                SdeTaskConfig(**{scale: bad})
     with pytest.raises(ValueError):
         SdeTaskConfig(steps=5, mask=(True,) * 4)
 
@@ -299,3 +308,95 @@ def test_global_variant_data_comes_from_fixed_scale_law():
     obs_lzg, _ = generate_data(get_task("lzg"), seed=11)
     obs_lz, _ = generate_data(get_task("lz"), seed=11)
     assert obs_lzg == obs_lz
+
+
+# ---------------------------------------------------------------------------
+# the collapsed oracle's conditionals
+
+COLLAPSED = ("es", "radon", "brg")
+# three points in the bulk of each posterior, as log scales
+BULK = {
+    "es": [(1.5,), (2.5,), (3.5,)],
+    "radon": [(-1.5, -1.2), (-0.5, -1.0), (0.2, -0.7)],
+    "brg": [(-3.0, -2.0), (-2.3, -1.9), (-1.0, -1.7)],
+}
+# SD of each scale's log under its prior: LogNormal(., 1), log|N(0, 1)|, LogNormal(., 2)
+PRIOR_LOG_SD = {"es": 1.0, "radon": math.pi / math.sqrt(8.0), "brg": 2.0}
+
+
+def collapsed_dataset(task_id, seed=1):
+    task = get_task(task_id)
+    model = task.model
+    if not task.is_pre_conditioned:
+        model = condition(model, generate_data(task, seed=seed)[0])
+    return model, collapsed_spec(task, model)
+
+
+def block_log_density(model, spec, scales):
+    """z -> log p(z, data | scales) from the model's own joint density, for
+    rows z of block values."""
+    prior = sum(node.family.log_prob(node.params(()), scales[node.name]) for node in spec.scales)
+
+    def f(z):
+        return joint_log_prob(model, {**scales, **dict(zip(spec.block, z.T))}) - prior
+
+    return f
+
+
+def hessian(f, z):
+    """Central second differences at unit steps: exact, up to rounding,
+    for a quadratic f."""
+    k = len(z)
+    signs = [(1, 1), (1, -1), (-1, 1), (-1, -1)]
+    eye = np.eye(k)
+    points = [z + a * eye[i] + b * eye[j] for i in range(k) for j in range(k) for a, b in signs]
+    v = f(np.array(points)).reshape(k, k, 4)
+    return (v[..., 0] - v[..., 1] - v[..., 2] + v[..., 3]) / 4.0
+
+
+@pytest.mark.parametrize("task_id", COLLAPSED)
+def test_collapsed_conditional_factors_the_model_density(task_id):
+    # log p(z, data | scales) = log p(data | scales) + log N(z | mean, cov)
+    model, spec = collapsed_dataset(task_id)
+    rng = np.random.default_rng(0)
+    for point in BULK[task_id]:
+        u = [axis[np.argmin(abs(axis - p))] for axis, p in zip(spec.axes, point)]
+        scales = {node.name: math.exp(v) for node, v in zip(spec.scales, u)}
+        log_ev, means, variances = spec.conditional(*(np.array([s]) for s in scales.values()))
+        log_ev, mean, var = float(log_ev[0]), means[0], variances[0]
+        f = block_log_density(model, spec, scales)
+        precision = -hessian(f, mean)
+        cov = np.linalg.inv(precision)
+        assert np.allclose(var, np.diag(cov), rtol=1e-9, atol=0)
+        _, logdet = np.linalg.slogdet(precision)
+        z = mean + rng.standard_normal((3, len(mean))) @ np.linalg.cholesky(cov).T
+        r = z - mean
+        quad = np.einsum("ni,ij,nj->n", r, precision, r)
+        log_normal = -0.5 * (quad - logdet + len(mean) * math.log(2 * math.pi))
+        assert np.allclose(f(z), log_ev + log_normal, rtol=0, atol=1e-9)
+
+
+@pytest.mark.parametrize("task_id", COLLAPSED)
+def test_collapsed_grid_is_wide_and_fine_enough(task_id):
+    # twice the points on axes 2 prior SDs wider each way move no moment
+    # by 1e-6 of its SD
+    _, spec = collapsed_dataset(task_id)
+    sd = PRIOR_LOG_SD[task_id]
+    wider = tuple(np.linspace(a[0] - 2 * sd, a[-1] + 2 * sd, 2 * len(a)) for a in spec.axes)
+    base = collapsed_posterior(spec)
+    fine = collapsed_posterior(dataclasses.replace(spec, axes=wider))
+    assert list(base.means) == [n.name for n in spec.scales] + list(spec.block)
+    for name, true_sd in fine.sds.items():
+        assert abs(base.means[name] - fine.means[name]) < 1e-6 * true_sd, name
+        assert abs(base.sds[name] - true_sd) < 1e-6 * true_sd, name
+    assert base.edge_mass < 1e-6 and base.grid_shape == tuple(map(len, spec.axes))
+
+
+def test_brownian_conditional_at_the_br_scales_is_the_br_smoother():
+    model, spec = collapsed_dataset("brg", seed=4)
+    log_ev, means, variances = spec.conditional(np.array([0.1]), np.array([0.15]))
+    observations = {int(k.split("_")[1]): v for k, v in model.observations.items()}
+    res = kalman_filter_smoother(brownian_chain_spec(), observations)
+    assert np.allclose(means[0], res.smoothed_means, rtol=0, atol=1e-12)
+    assert np.allclose(variances[0], res.smoothed_vars, rtol=0, atol=1e-12)
+    assert abs(log_ev[0] - res.log_evidence) < 1e-12
