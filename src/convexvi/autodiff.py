@@ -6,12 +6,14 @@ gradient with respect to every input, by node id.  ``forward`` re-evaluates
 a recorded tape at new input values.  Its first call turns the tape into
 straight-line Python, one statement group per node, compiled in small
 functions; that code then runs every later ``forward`` and ``backward``
-(reverse mode by source transformation).  A tape swept only once, just
-after recording, is swept by a loop over the nodes instead.  A replay
-equals a fresh recording only if recording decided nothing on a node's
-value: reads through ``Node.value`` or ``value_of`` set
-``Tape.value_read``, while the ops, and checks that a replay repeats by
-itself (``value_for_check``), read values without setting it.
+(reverse mode by source transformation).  Functions are shared by
+identical source text within a sweep: ``clear_code_cache`` empties the
+cache when each CLI sweep starts.  A tape swept only once, just after
+recording, is swept by a loop over the nodes instead.  A replay equals a
+fresh recording only if recording decided nothing on a node's value:
+reads through ``Node.value`` or ``value_of`` set ``Tape.value_read``,
+while the ops, and checks that a replay repeats by itself
+(``value_for_check``), read values without setting it.
 
 Everything is double precision.  The math helpers at the bottom
 (``exp``, ``log``, ``sigmoid``, ...) accept a ``Node``, a float, or a
@@ -284,7 +286,10 @@ class _Replay:
     becomes the statements that recording ran for it, with the same
     floating-point expressions, domain checks and overflow rule, so a
     replay gives the bits a fresh recording would.  The reverse sweep is
-    generated per output node on first use (`_backward_source`).
+    generated per output node on first use (`_backward_source`).  A
+    chunk whose source text was compiled before reuses that function
+    (`_CODE`, emptied when a sweep starts), so a graph recorded again at
+    another seed compiles only the chunks whose constants differ.
     """
 
     __slots__ = ("size", "forward", "_backward")
@@ -317,14 +322,29 @@ def _chunks(nodes):
     return (nodes[start : start + REPLAY_CHUNK] for start in range(0, len(nodes), REPLAY_CHUNK))
 
 
+# Compiled chunks by their full source text.  A chunk's function takes
+# the tape's lists as arguments and closes over no tape, so tapes with
+# the same graph (one task x kind at another seed) share its code.
+# `cli.run_benchmark` empties the cache when a sweep starts.
+_CODE = {}
+
+
+def clear_code_cache():
+    """Drop every compiled chunk, so the next replay generates its own."""
+    _CODE.clear()
+
+
 def _generate(bodies, args):
-    """Compile one function of `args` per list of lines in `bodies`."""
-    namespace = dict(_REPLAY_GLOBALS)
+    """One function of `args` per list of lines in `bodies`, compiled
+    unless a chunk of the same source text is in the cache."""
     chunks = []
     for lines in bodies:
         text = f"def chunk({args}):\n    " + "\n    ".join(lines or ["pass"]) + "\n"
-        exec(compile(text, "<tape replay>", "exec"), namespace)
-        chunks.append(namespace.pop("chunk"))
+        chunk = _CODE.get(text)
+        if chunk is None:
+            exec(compile(text, "<tape replay>", "exec"), _REPLAY_GLOBALS)
+            chunk = _CODE[text] = _REPLAY_GLOBALS.pop("chunk")
+        chunks.append(chunk)
     return chunks
 
 
@@ -402,25 +422,26 @@ def _backward_source(tape, nodes, output, last_child):
     order, as the loop does.  A node inside `nodes` keeps its adjoint in
     a local, starting from the list entry `g[i]` only where a child
     outside `nodes` added to it; inputs always sum in `g`, which starts
-    at +0.0 and so never holds -0.0.  The loop skips a node whose
-    adjoint is zero; that matters only where a partial can be infinite
-    or NaN (0 * inf is NaN), so only those nodes test it.  Elsewhere the
-    term is a signed zero, which changes neither a sum that is not -0.0
-    nor whether an inner node's adjoint is zero.
+    at +0.0 and so never holds -0.0.  An ADD node's local is dead once
+    its terms are emitted, so the first of its parents whose adjoint
+    would start as a copy of it takes the local over instead.  The loop
+    skips a node whose adjoint is zero; that matters only where a
+    partial can be infinite or NaN (0 * inf is NaN), so only those nodes
+    test it.  Elsewhere the term is a signed zero, which changes neither
+    a sum that is not -0.0 nor whether an inner node's adjoint is zero.
     """
     ops, p1, p2 = tape.ops, tape.p1, tape.p2
     hi = nodes[0]
     inside = set(nodes)
-    local = set()  # nodes whose adjoint local is defined by now
+    local = {}  # node -> the local holding its adjoint, once defined
     lines = []
     for i in nodes:
-        if i in local:
+        a = local.get(i)
+        if a is None:
+            if i != output and last_child[i] <= hi:
+                continue  # no child reached this node: its adjoint is zero
             a = f"g{hi - i}"
-        elif i == output or last_child[i] > hi:
-            a = "a"
-            lines.append(f"a = g[{i}]")
-        else:
-            continue  # no child reached this node: its adjoint is zero
+            lines.append(f"{a} = g[{i}]")
         op, j, k = ops[i], p1[i], p2[i]
         if op == ADD:
             terms = [(j, "+", a), (k, "+", a)]
@@ -435,6 +456,7 @@ def _backward_source(tape, nodes, output, last_child):
         else:
             terms = [(j, "+", f"{a} * d1[{i}]"), (k, "+", f"{a} * d2[{i}]")]
         guarded = not (op in (ADD, NEG) or (op == MUL and k < 0 and math.isfinite(tape.aux[i])))
+        handed = op != ADD  # whether this node's local is no longer free
         updates = []
         for parent, sign, term in terms:
             if parent < 0:
@@ -442,17 +464,21 @@ def _backward_source(tape, nodes, output, last_child):
             if parent not in inside:
                 updates.append(f"g[{parent}] {sign}= {term}")
             elif parent in local:
-                updates.append(f"g{hi - parent} {sign}= {term}")
+                updates.append(f"{local[parent]} {sign}= {term}")
             else:
-                local.add(parent)
                 base = f"g[{parent}]" if last_child[parent] > hi else None
+                if not (base or handed):
+                    local[parent] = a  # `g{parent} = a` would only copy
+                    handed = True
+                    continue
+                g = local[parent] = f"g{hi - parent}"
                 if guarded:
-                    lines.append(f"g{hi - parent} = {base or '0.0'}")
-                    updates.append(f"g{hi - parent} {sign}= {term}")
+                    lines.append(f"{g} = {base or '0.0'}")
+                    updates.append(f"{g} {sign}= {term}")
                 elif base:
-                    updates.append(f"g{hi - parent} = {base} {sign} {term}")
+                    updates.append(f"{g} = {base} {sign} {term}")
                 else:
-                    updates.append(f"g{hi - parent} = {'-' if sign == '-' else ''}{term}")
+                    updates.append(f"{g} = {'-' if sign == '-' else ''}{term}")
         if guarded and updates:
             lines.append(f"if {a} != 0.0: " + "; ".join(updates))
         else:

@@ -39,6 +39,7 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from . import __version__
+from .autodiff import clear_code_cache
 from .inference import (
     _DIVERGENCE,
     TrainConfig,
@@ -357,7 +358,10 @@ def run_single(config: RunConfig, surrogate_kind, seed, oracle):
 
 def run_benchmark(config: RunConfig):
     """Full sweep; writes the result files and the summary into
-    config.out_dir and returns the path of results.csv."""
+    config.out_dir and returns the path of results.csv.  The sweep
+    starts with an empty cache of generated replay code, so it pays for
+    its own code generation; pool workers fork after that, empty too."""
+    clear_code_cache()
     os.makedirs(config.out_dir, exist_ok=True)
     task = _build_task(config)
     fixed = task.is_pre_conditioned

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -209,15 +210,17 @@ def test_replay_follows_recorded_edge_cases():
     assert [g[x.i] for x in xs] == ad.gradient(build, point) == [math.inf, 800.0]
 
 
-def test_replay_matches_fresh_record_on_random_graphs():
-    # every op, repeated operands, folded and infinite constants, and
-    # inputs at 0, -0, huge, infinite and NaN values; repr() tells -0.0
-    # from 0.0 and treats every NaN alike
+def test_replay_matches_fresh_record_on_random_graphs(monkeypatch):
+    # every op, repeated operands (x + x among them), folded and infinite
+    # constants, and inputs at 0, -0, huge, infinite and NaN values;
+    # repr() tells -0.0 from 0.0 and treats every NaN alike.  Graphs of 40
+    # and 120 ops, cut into functions at the default size and at 5 nodes,
+    # hand adjoint locals down ADD chains and across function boundaries.
     unary = [
         lambda a: a + 1.5, lambda a: a * -2.5, lambda a: a * math.inf, lambda a: -a,
         lambda a: a * a, ad.exp, ad.log, ad.tanh, ad.sigmoid, ad.softplus, ad.sqrt,
         lambda a: a**2.0, lambda a: a**0.5, lambda a: 2.0 / a, lambda a: 0.0 / a,
-        lambda a: a + -0.75,
+        lambda a: a + -0.75, lambda a: a + a,
     ]
     binary = [lambda a, b: a + b, lambda a, b: a * b, lambda a, b: a / b]
     special = [0.0, -0.0, 1e-300, 800.0, -800.0, math.inf, -math.inf, math.nan]
@@ -225,7 +228,7 @@ def test_replay_matches_fresh_record_on_random_graphs():
     def build(seed, xs):
         rng = np.random.default_rng(seed)
         nodes = list(xs)
-        for _ in range(40):
+        for _ in range(120 if seed % 2 else 40):
             a = nodes[-1 - int(rng.integers(min(len(nodes), 6)))]
             b = nodes[int(rng.integers(len(nodes)))]
             try:
@@ -237,27 +240,53 @@ def test_replay_matches_fresh_record_on_random_graphs():
                 pass  # recording rejected the op here; the graph skips it
         return sum(nodes[-3:], nodes[0])
 
-    rng = np.random.default_rng(5)
-    compared = 0
-    for seed in range(150):
-        tape = ad.Tape()
-        xs = [tape.input(v) for v in rng.uniform(0.5, 2.0, 3)]
-        out = build(seed, xs)
-        for _ in range(4):
-            point = [float(rng.choice(special)) if rng.random() < 0.3 else rng.normal() for _ in xs]
-            for x, v in zip(xs, point):
-                tape.set_input(x, v)
-            fresh = ad.Tape()
-            fxs = [fresh.input(v) for v in point]
-            fout = build(seed, fxs)
-            if (fresh.ops, fresh.p1, fresh.p2, fresh.aux) != (tape.ops, tape.p1, tape.p2, tape.aux):
-                continue  # recording took another path at this point
-            tape.forward()
-            g, fg = tape.backward(out), fresh.backward(fout)
-            assert list(map(repr, tape.vals)) == list(map(repr, fresh.vals))
-            assert [repr(g[x.i]) for x in xs] == [repr(fg[x.i]) for x in fxs]
-            compared += 1
-    assert compared > 150  # 216 of the 600 points record the same graph
+    for chunk in (ad.REPLAY_CHUNK, 5):
+        monkeypatch.setattr(ad, "REPLAY_CHUNK", chunk)
+        rng = np.random.default_rng(5)
+        compared = longer = 0
+        for seed in range(150):
+            tape = ad.Tape()
+            xs = [tape.input(v) for v in rng.uniform(0.5, 2.0, 3)]
+            out = build(seed, xs)
+            for _ in range(4):
+                point = [float(rng.choice(special)) if rng.random() < 0.3 else rng.normal() for _ in xs]
+                for x, v in zip(xs, point):
+                    tape.set_input(x, v)
+                fresh = ad.Tape()
+                fxs = [fresh.input(v) for v in point]
+                fout = build(seed, fxs)
+                if (fresh.ops, fresh.p1, fresh.p2, fresh.aux) != (tape.ops, tape.p1, tape.p2, tape.aux):
+                    continue  # recording took another path at this point
+                tape.forward()
+                g, fg = tape.backward(out), fresh.backward(fout)
+                assert list(map(repr, tape.vals)) == list(map(repr, fresh.vals))
+                assert [repr(g[x.i]) for x in xs] == [repr(fg[x.i]) for x in fxs]
+                compared += 1
+                longer += len(tape) - len(xs) > 64
+        assert compared > 150 and longer > 40, (compared, longer)
+
+
+def test_backward_source_copies_no_adjoint(monkeypatch):
+    # an ADD hands its adjoint local to the first parent that would start
+    # as a copy of it, so a sum emits no `gX = gY` line
+    generate, bodies = ad._generate, []
+
+    def keep_source(sources, args):
+        sources = list(sources)
+        bodies.extend(sources)
+        return generate(sources, args)
+
+    monkeypatch.setattr(ad, "_generate", keep_source)
+    tape = ad.Tape()
+    xs = [tape.input(v) for v in np.linspace(-1.0, 1.0, 100)]
+    out = sum([x * x for x in xs])
+    tape.forward()
+    bodies.clear()  # the forward sweep's
+    g = tape.backward(out)
+    lines = [line for body in bodies for line in body]
+    assert len(bodies) == 4 and len(lines) > 200
+    assert not [line for line in lines if re.fullmatch(r"\w+ = \w+", line)]
+    assert g[:100] == ad.gradient(lambda xs: sum([x * x for x in xs]), tape.vals[:100])
 
 
 def test_value_read_notes_reads_of_node_values_only():

@@ -10,6 +10,7 @@ import pytest
 from convexvi.tasks import LZ_CONFIG, TASK_IDS, default_mask, get_task
 
 import convexvi.cli as cli_mod
+from convexvi import autodiff
 from convexvi.cli import (
     RESULT_COLUMNS,
     USAGE,
@@ -205,6 +206,28 @@ def test_results_are_bit_reproducible(tmp_path):
     p1 = run_benchmark(cfg1)
     p2 = run_benchmark(cfg2)
     assert open(p1, "rb").read() == open(p2, "rb").read()
+
+
+def test_every_sweep_starts_with_no_compiled_code(tmp_path, monkeypatch):
+    # the second seed reuses most of the first seed's chunks within a
+    # sweep, and a sweep run again compiles them all again
+    generate, compiled, used = autodiff._generate, [], []
+
+    def counted(bodies, args):
+        chunks = generate(bodies, args)
+        used.extend(chunks)
+        return chunks
+
+    monkeypatch.setattr(autodiff, "_generate", counted)
+    monkeypatch.setattr(autodiff, "compile", lambda *a: compiled.append(a) or compile(*a), raising=False)
+    counts = []
+    for run in ("a", "b"):
+        compiled.clear()
+        used.clear()
+        run_benchmark(small_config(tmp_path, steps=20, out_dir=str(tmp_path / run)))
+        counts.append((len(compiled), len(used)))
+    assert counts[0] == counts[1]
+    assert 0 < counts[0][0] < counts[0][1]
 
 
 def test_summarize_single_row_se_zero(tmp_path):

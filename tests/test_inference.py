@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from convexvi import inference
+from convexvi import autodiff, inference
 from convexvi.autodiff import INPUT, DomainError, value_of
 from convexvi.distributions import (
     HALF_NORMAL,
@@ -760,6 +760,36 @@ def test_fit_reproducible():
     r2 = fit(model, "asvi", cfg)
     assert np.array_equal(r1.params, r2.params)
     assert [(s, l) for s, l, _ in r1.trajectory] == [(s, l) for s, l, _ in r2.trajectory]
+
+
+def test_code_cache_shares_chunks_and_keeps_the_bits(monkeypatch):
+    # es has fixed data, so a fit at another seed records the same graph
+    # and reuses the compiled functions of the fit before it
+    model = get_task("es").model
+    generate, made, compiled = autodiff._generate, [], []
+
+    def keep_chunks(bodies, args):
+        made.append(generate(bodies, args))
+        return made[-1]
+
+    monkeypatch.setattr(autodiff, "_generate", keep_chunks)
+    monkeypatch.setattr(autodiff, "compile", lambda *a: compiled.append(a) or compile(*a), raising=False)
+
+    def run(seed):
+        result = fit(model, "asvi", TrainConfig(steps=30, seed=seed, record_every=1))
+        return result.params.tobytes(), np.array([loss for _, loss, _ in result.trajectory]).tobytes()
+
+    autodiff.clear_code_cache()
+    run(1)
+    first, cold_compiles = made[:], len(compiled)
+    made.clear()
+    warm = run(2)
+    assert cold_compiles > 0 and len(compiled) == cold_compiles
+    assert [len(chunks) for chunks in made] == [len(chunks) for chunks in first]
+    assert all(new is old for now, then in zip(made, first) for new, old in zip(now, then))
+    autodiff.clear_code_cache()
+    assert run(2) == warm
+    assert len(compiled) == 2 * cold_compiles
 
 
 def test_fit_reports_divergence():
