@@ -15,15 +15,16 @@ reads through ``Node.value`` or ``value_of`` set ``Tape.value_read``,
 while the ops, and checks that a replay repeats by itself
 (``value_for_check``), read values without setting it.
 
-Everything is double precision.  The math helpers at the bottom
-(``exp``, ``log``, ``sigmoid``, ...) accept a ``Node``, a float, or a
-float array, so the same formula can be evaluated on the tape, on one
-sample, or on a batch of samples at once (one array entry per sample).
-On an array, a transcendental maps the float function over the entries
-(numpy's own ``exp``/``log``/``tanh`` differ from libm in the last bit
-on some inputs), so every entry has the bits the float path gives;
-``+ - * /``, ``abs`` and ``sqrt`` are exact either way.  A batch cannot
-branch on a value: ``value_of`` of an array raises ``PerSampleOnly``.
+Everything is double precision.  The unary ops (``exp``, ``log``,
+``tanh``, ``sigmoid``, ``softplus``, ``sqrt``) are declared once, in the
+table ``_UNARY``, whose source text serves recording, floats, arrays and
+generated replay alike.  Each accepts a ``Node``, a float, or a float
+array: the tape, one sample, or a batch (one array entry per sample).
+On an array an op maps its float function over the entries (numpy's own
+``exp``/``log`` differ from libm in the last bit on some inputs), so
+each entry has the float path's bits; ``+ - * /`` and ``abs`` are exact
+either way.  A batch cannot branch on a value: ``value_of`` of an array
+raises ``PerSampleOnly``.
 """
 
 from __future__ import annotations
@@ -70,7 +71,7 @@ class Node:
             if other.tape is not t:
                 raise ValueError("cannot combine nodes from different tapes")
             return t._binary(ADD, self.i, other.i, t.vals[self.i] + t.vals[other.i], 1.0, 1.0)
-        return t._unary_aux(ADD, self.i, t.vals[self.i] + other, 1.0, other)
+        return t._unary(ADD, self.i, t.vals[self.i] + other, 1.0, other)
 
     __radd__ = __add__
 
@@ -91,7 +92,7 @@ class Node:
                 raise ValueError("cannot combine nodes from different tapes")
             a, b = t.vals[self.i], t.vals[other.i]
             return t._binary(MUL, self.i, other.i, a * b, b, a)
-        return t._unary_aux(MUL, self.i, t.vals[self.i] * other, other, other)
+        return t._unary(MUL, self.i, t.vals[self.i] * other, other, other)
 
     __rmul__ = __mul__
 
@@ -104,13 +105,13 @@ class Node:
             inv = 1.0 / b
             return t._binary(DIV, self.i, other.i, a * inv, inv, -a * inv * inv)
         inv = 1.0 / other
-        return t._unary_aux(MUL, self.i, t.vals[self.i] * inv, inv, inv)
+        return t._unary(MUL, self.i, t.vals[self.i] * inv, inv, inv)
 
     def __rtruediv__(self, other):
         # other / self
         t = self.tape
         a = t.vals[self.i]
-        return t._unary_aux(RDIV, self.i, other / a, -other / (a * a), other)
+        return t._unary(RDIV, self.i, other / a, -other / (a * a), other)
 
     def __pow__(self, p):
         if isinstance(p, Node):
@@ -119,7 +120,7 @@ class Node:
         a = t.vals[self.i]
         if a < 0.0 and p != round(p):
             raise DomainError(f"fractional power of negative value {a!r}")
-        return t._unary_aux(POW, self.i, a ** p, p * a ** (p - 1.0), p)
+        return t._unary(POW, self.i, a ** p, p * a ** (p - 1.0), p)
 
     def __repr__(self):
         return f"Node({self.tape.vals[self.i]!r})"
@@ -162,10 +163,7 @@ class Tape:
     def _binary(self, op, i, j, val, d1, d2):
         return self._append(op, i, j, d1, d2, 0.0, val)
 
-    def _unary(self, op, i, val, d1):
-        return self._append(op, i, -1, d1, 0.0, 0.0, val)
-
-    def _unary_aux(self, op, i, val, d1, aux):
+    def _unary(self, op, i, val, d1, aux=0.0):
         return self._append(op, i, -1, d1, 0.0, aux, val)
 
     def input(self, value):
@@ -279,6 +277,31 @@ _REPLAY_GLOBALS = {
 }
 
 
+class _Unary:
+    """One unary op as source text, read by recording, the float and
+    array paths and replay alike: its float function's `name` in
+    `_REPLAY_GLOBALS`, its `partial` in the argument `a` and value `y`,
+    and a domain `check` on `a` that raises `DomainError(message)`."""
+
+    def __init__(self, name, partial, check=None, message=None):
+        self.name, self.partial, self.check, self.message = name, partial, check, message
+        self.f = _REPLAY_GLOBALS[name]
+        self.d = eval(f"lambda a, y: {partial}", _REPLAY_GLOBALS)
+        self.bad = check and eval(f"lambda a: {check}")
+        reads = compile(partial, "<partial>", "eval").co_names
+        self.binds_a, self.binds_y = bool(check) or "a" in reads, "y" in reads
+
+
+_UNARY = {
+    EXP: _Unary("_exp", "y"),
+    LOG: _Unary("log", "1.0 / a", "a <= 0.0", "log of non-positive value"),
+    TANH: _Unary("tanh", "1.0 - y * y"),
+    SIGMOID: _Unary("_sigmoid", "y * (1.0 - y)"),
+    SOFTPLUS: _Unary("_softplus", "_sigmoid(a)"),
+    SQRT: _Unary("sqrt", "0.5 / y if y > 0.0 else inf", "a < 0.0", "sqrt of negative value"),
+}
+
+
 class _Replay:
     """A recorded tape as straight-line Python, generated once.
 
@@ -325,8 +348,11 @@ def _chunks(nodes):
 # Compiled chunks by their full source text.  A chunk's function takes
 # the tape's lists as arguments and closes over no tape, so tapes with
 # the same graph (one task x kind at another seed) share its code.
-# `cli.run_benchmark` empties the cache when a sweep starts.
+# `cli.run_benchmark` empties the cache when a sweep starts (a sweep
+# compiles a few hundred chunks); for other callers it is emptied when
+# it holds CODE_CACHE_CAP chunks, about 20 MB at 8-9 KB a chunk.
 _CODE = {}
+CODE_CACHE_CAP = 2048
 
 
 def clear_code_cache():
@@ -342,6 +368,8 @@ def _generate(bodies, args):
         text = f"def chunk({args}):\n    " + "\n    ".join(lines or ["pass"]) + "\n"
         chunk = _CODE.get(text)
         if chunk is None:
+            if len(_CODE) >= CODE_CACHE_CAP:
+                _CODE.clear()
             exec(compile(text, "<tape replay>", "exec"), _REPLAY_GLOBALS)
             chunk = _CODE[text] = _REPLAY_GLOBALS.pop("chunk")
         chunks.append(chunk)
@@ -371,28 +399,19 @@ def _forward_source(tape, nodes):
         elif op == NEG:
             lines.append(f"{out} = -{a}")
         elif op == EXP:
-            lines.append(f"{out} = _exp({a})")
-        elif op == LOG:
-            lines += [
-                f"a = {a}",
-                "if a <= 0.0: _domain_error('log of non-positive value', a)",
-                f"{out} = log(a)",
-                f"d1[{i}] = 1.0 / a",
-            ]
-        elif op == TANH:
-            lines += [f"y = tanh({a})", f"{out} = y", f"d1[{i}] = 1.0 - y * y"]
-        elif op == SIGMOID:
-            lines += [f"y = _sigmoid({a})", f"{out} = y", f"d1[{i}] = y * (1.0 - y)"]
-        elif op == SOFTPLUS:
-            lines += [f"a = {a}", f"{out} = _softplus(a)", f"d1[{i}] = _sigmoid(a)"]
-        elif op == SQRT:
-            lines += [
-                f"a = {a}",
-                "if a < 0.0: _domain_error('sqrt of negative value', a)",
-                "y = sqrt(a)",
-                f"{out} = y",
-                f"d1[{i}] = 0.5 / y if y > 0.0 else inf",
-            ]
+            lines.append(f"{out} = _exp({a})")  # the reverse sweep reads the value
+        elif op in _UNARY:
+            u = _UNARY[op]
+            if u.binds_a:
+                lines.append(f"a = {a}")
+                a = "a"
+            if u.check:
+                lines.append(f"if {u.check}: _domain_error({u.message!r}, a)")
+            if u.binds_y:
+                lines += [f"y = {u.name}({a})", f"{out} = y"]
+            else:
+                lines.append(f"{out} = {u.name}({a})")
+            lines.append(f"d1[{i}] = {u.partial}")
         elif op == POW:
             lines.append(f"a = {a}")
             if not c.is_integer():
@@ -486,89 +505,40 @@ def _backward_source(tape, nodes, output, last_child):
     return lines
 
 
-def _map(f, a):
-    """`f` over the entries of the float array `a`, as floats."""
-    return np.fromiter(map(f, a.tolist()), float, len(a))
+def _unary_helper(name, op):
+    """The helper `name` of the table's `op`.  It tests for a float
+    first, so the float path that samplers run pays one type test; a
+    Node goes on the tape, an array of samples is mapped entry by entry,
+    and any other number takes the float path."""
+    u = _UNARY[op]
+    f, d, bad, message = u.f, u.d, u.bad, u.message
+
+    def helper(x):
+        if type(x) is not float:
+            if isinstance(x, Node):
+                a = x.tape.vals[x.i]
+                if bad and bad(a):
+                    raise DomainError(f"{message} {a!r}")
+                y = f(a)
+                return x.tape._unary(op, x.i, y, d(a, y))
+            if isinstance(x, np.ndarray):
+                if bad and bad(x).any():
+                    raise DomainError(f"{message} {float(x[bad(x)][0])!r}")
+                return np.fromiter(map(f, x.tolist()), float, len(x))
+        if bad and bad(x):
+            raise DomainError(f"{message} {x!r}")
+        return f(x)
+
+    helper.__name__ = helper.__qualname__ = name
+    return helper
 
 
-# Each helper tests for a float first, so the float path that samplers
-# run pays one type test; a Node goes on the tape, an array of samples
-# is mapped, and any other number takes the float path.
-
-
-def exp(x):
-    if type(x) is not float:
-        if isinstance(x, Node):
-            v = _exp_float(x.tape.vals[x.i])
-            return x.tape._unary(EXP, x.i, v, v)
-        if isinstance(x, np.ndarray):
-            return _map(_exp_float, x)
-    return _exp_float(x)
-
-
-def log(x):
-    if type(x) is not float:
-        if isinstance(x, Node):
-            a = x.tape.vals[x.i]
-            if a <= 0.0:
-                raise DomainError(f"log of non-positive value {a!r}")
-            return x.tape._unary(LOG, x.i, math.log(a), 1.0 / a)
-        if isinstance(x, np.ndarray):
-            bad = x <= 0.0
-            if bad.any():
-                raise DomainError(f"log of non-positive value {float(x[bad][0])!r}")
-            return _map(math.log, x)
-    if x <= 0.0:
-        raise DomainError(f"log of non-positive value {x!r}")
-    return math.log(x)
-
-
-def tanh(x):
-    if type(x) is not float:
-        if isinstance(x, Node):
-            v = math.tanh(x.tape.vals[x.i])
-            return x.tape._unary(TANH, x.i, v, 1.0 - v * v)
-        if isinstance(x, np.ndarray):
-            return _map(math.tanh, x)
-    return math.tanh(x)
-
-
-def sigmoid(x):
-    if type(x) is not float:
-        if isinstance(x, Node):
-            v = _sigmoid_float(x.tape.vals[x.i])
-            return x.tape._unary(SIGMOID, x.i, v, v * (1.0 - v))
-        if isinstance(x, np.ndarray):
-            return _map(_sigmoid_float, x)
-    return _sigmoid_float(x)
-
-
-def softplus(x):
-    if type(x) is not float:
-        if isinstance(x, Node):
-            a = x.tape.vals[x.i]
-            return x.tape._unary_aux(SOFTPLUS, x.i, _softplus_float(a), _sigmoid_float(a), 0.0)
-        if isinstance(x, np.ndarray):
-            return _map(_softplus_float, x)
-    return _softplus_float(x)
-
-
-def sqrt(x):
-    if type(x) is not float:
-        if isinstance(x, Node):
-            a = x.tape.vals[x.i]
-            if a < 0.0:
-                raise DomainError(f"sqrt of negative value {a!r}")
-            v = math.sqrt(a)
-            return x.tape._unary(SQRT, x.i, v, 0.5 / v if v > 0.0 else math.inf)
-        if isinstance(x, np.ndarray):
-            bad = x < 0.0
-            if bad.any():
-                raise DomainError(f"sqrt of negative value {float(x[bad][0])!r}")
-            return np.sqrt(x)  # correctly rounded, as math.sqrt
-    if x < 0.0:
-        raise DomainError(f"sqrt of negative value {x!r}")
-    return math.sqrt(x)
+exp = _unary_helper("exp", EXP)
+log = _unary_helper("log", LOG)
+tanh = _unary_helper("tanh", TANH)
+sigmoid = _unary_helper("sigmoid", SIGMOID)
+softplus = _unary_helper("softplus", SOFTPLUS)
+sqrt = _unary_helper("sqrt", SQRT)
 
 
 def value_of(x):

@@ -22,7 +22,8 @@ Outputs per run directory:
   summary.txt     the same aggregates as the printed table
   trajectory_<task>_<surrogate>_<seed>.csv
   meta.json       config echo and oracle provenance (for a collapsed
-                  oracle, each dataset's grid shape and edge mass)
+                  oracle, each dataset's grid shape, edge mass and
+                  subgrid shift)
 """
 
 from __future__ import annotations
@@ -69,6 +70,9 @@ FINAL_ELBO_SAMPLES = 1000
 MOMENT_SAMPLES = 4000
 # most posterior mass a collapsed oracle's grid may hold on its edge
 MAX_EDGE_MASS = 1e-6
+# largest shift of any mean or SD, in the grid's SDs, that dropping every
+# other point of a collapsed oracle's grid may cause
+MAX_SUBGRID_SHIFT = 0.1
 
 TIMING_COLUMNS = ("wall_time_s", "fit_s", "final_elbo_s", "moments_s", "oracle_s")
 
@@ -129,20 +133,27 @@ class RunConfig:
             raise UsageError("need at least one seed")
         if any(seed < 0 for seed in self.seeds):
             raise UsageError(f"seeds must be >= 0, got {self.seeds}")
-        if self.lr is not None and not (math.isfinite(self.lr) and self.lr > 0):
-            raise UsageError(f"lr must be positive and finite, got {self.lr!r}")
         for what, values in (("surrogate", self.surrogates), ("seed", self.seeds)):
             for i, v in enumerate(values):
                 if v in values[:i]:
                     raise UsageError(f"{what} {v!r} is given more than once")
-        if self.steps < 0 or self.n_samples < 1 or self.workers < 1:
-            raise UsageError("steps must be >= 0, samples and workers >= 1")
+        if self.workers < 1:
+            raise UsageError(f"workers must be >= 1, got {self.workers!r}")
+        try:
+            self.train_config(seed=0)
+        except ValueError as exc:
+            raise UsageError(str(exc))
         if self.task_overrides and self.task not in SDE_DEFAULTS:
             raise UsageError(f"task overrides apply to the SDE tasks only, not {self.task!r}")
         try:
             self.sde_config()
         except (TypeError, ValueError) as exc:
             raise UsageError(f"bad task overrides {self.task_overrides}: {exc}")
+
+    def train_config(self, seed):
+        """The fit settings of this run's cell at `seed`; TrainConfig
+        checks steps, samples and lr, at parse time too."""
+        return TrainConfig(steps=self.steps, lr=self.lr, n_samples=self.n_samples, seed=seed)
 
     def sde_config(self):
         """The SDE task's configuration with the overrides applied, or
@@ -256,9 +267,11 @@ def _oracle_stats(task, model):
     """Ground-truth latent means/SDs of one dataset, `model` conditioned
     on it, or None where the task has no oracle (lz, lzg).  br takes the
     Kalman smoother; es, radon and brg the collapsed oracle, whose grid
-    shape and edge mass ride along.  A grid whose edge holds more than
-    MAX_EDGE_MASS of the posterior raises ValueError, since the
-    posterior it returns would be cut off."""
+    shape, edge mass and subgrid shift ride along.  A grid whose edge
+    holds more than MAX_EDGE_MASS of the posterior raises ValueError,
+    since the posterior it returns would be cut off; so does a grid too
+    coarse for the posterior, where the every-other-point subgrid moves
+    a mean or SD by more than MAX_SUBGRID_SHIFT SDs."""
     if task.oracle == "kalman":
         spec = brownian_chain_spec(task.config)
         res = kalman_filter_smoother(spec, observed_steps(model.observations))
@@ -267,13 +280,24 @@ def _oracle_stats(task, model):
         sds = {n: float(math.sqrt(res.smoothed_vars[t])) for t, n in enumerate(names)}
         return {"means": means, "sds": sds}
     if task.oracle == "collapsed":
-        res = collapsed_posterior(collapsed_spec(task, model))
+        spec = collapsed_spec(task, model)
+        res = collapsed_posterior(spec)
         if not res.edge_mass <= MAX_EDGE_MASS:
             raise ValueError(
                 f"{task.task_id} oracle: {res.edge_mass:.3g} of the posterior lies on the "
                 f"edge of its {res.grid_shape} grid (at most {MAX_EDGE_MASS:g} allowed)"
             )
-        grid = {"grid_shape": list(res.grid_shape), "edge_mass": res.edge_mass}
+        sub = collapsed_posterior(replace(spec, axes=tuple(a[::2] for a in spec.axes)))
+        shift = max(
+            max(abs(sub.means[n] - res.means[n]), abs(sub.sds[n] - res.sds[n])) / res.sds[n]
+            for n in res.means
+        )
+        if not shift <= MAX_SUBGRID_SHIFT:
+            raise ValueError(
+                f"{task.task_id} oracle: its {res.grid_shape} grid is too coarse; every other "
+                f"point moves a moment by {shift:.3g} SDs (at most {MAX_SUBGRID_SHIFT:g} allowed)"
+            )
+        grid = {"grid_shape": list(res.grid_shape), "edge_mass": res.edge_mass, "subgrid_shift": shift}
         return {"means": res.means, "sds": res.sds, "grid": grid}
     return None
 
@@ -324,13 +348,7 @@ def run_single(config: RunConfig, surrogate_kind, seed, oracle):
     trajectory = []
     times = dict.fromkeys(TIMING_COLUMNS, 0.0)
     try:
-        train = TrainConfig(
-            steps=config.steps,
-            lr=config.lr,
-            n_samples=config.n_samples,
-            seed=seed,
-        )
-        result = _timed(times, "fit_s", fit, model, surrogate_kind, train)
+        result = _timed(times, "fit_s", fit, model, surrogate_kind, config.train_config(seed))
         trajectory = result.trajectory
         times["wall_time_s"] = result.wall_time
         row["iterations"] = result.steps_run

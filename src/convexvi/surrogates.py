@@ -58,11 +58,19 @@ def _std_normal_log_pdf(z):
     return -0.5 * (z * z) - HALF_LOG_2PI
 
 
+# what a link may raise at a prior center: DomainError, ParameterError and
+# ModelError are ValueErrors, OverflowError and ZeroDivisionError
+# ArithmeticErrors
+_NUMERICAL = (ValueError, ArithmeticError)
+
+
 def _prior_centers(model):
     """Per-node central values, propagated through the links.
 
-    Used only to initialize alpha at the prior's parameter values; any
-    failure falls back to a neutral center.
+    Used only to initialize alpha at the prior's parameter values; a
+    numerical failure (a domain, parameter or model error, an overflow
+    or a zero division) falls back to a neutral center, and any other
+    error, a bug in a link, raises.
     """
     centers = {}
     for node in model.nodes:
@@ -72,7 +80,7 @@ def _prior_centers(model):
         try:
             params = node.params([centers[p] for p in node.parents])
             centers[node.name] = node.family.mean_proxy(params)
-        except Exception:
+        except _NUMERICAL:
             centers[node.name] = 0.0
     return centers
 
@@ -161,7 +169,7 @@ class ConvexUpdateProgram(SurrogateProgram):
         for node in model.latent_nodes:
             try:
                 theta_center = _theta_at_centers(node, centers)
-            except Exception:
+            except _NUMERICAL:
                 theta_center = None
             entries = []
             for k, (pname, kind) in enumerate(node.family.param_schema):

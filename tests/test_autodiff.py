@@ -357,6 +357,82 @@ def test_array_domain_errors_name_the_first_bad_entry():
     assert math.isnan(ad.log(np.array([math.nan]))[0])  # NaN passes, as on floats
 
 
+def _exp_reference(a):
+    try:
+        return math.exp(a)
+    except OverflowError:
+        return math.inf
+
+
+def _sigmoid_reference(a):
+    if a >= 0.0:
+        return 1.0 / (1.0 + math.exp(-a))
+    return math.exp(a) / (1.0 + math.exp(a))
+
+
+def _softplus_reference(a):
+    return a + math.log1p(math.exp(-a)) if a > 0.0 else math.log1p(math.exp(a))
+
+
+# Each unary op's value, its partial in the argument a and value y, and
+# its domain test with the message, written here with `math` rather than
+# read from the table that recording and replay share.
+UNARY_REFERENCE = {
+    "exp": (_exp_reference, lambda a, y: y, None),
+    "log": (math.log, lambda a, y: 1.0 / a, (lambda a: a <= 0.0, "log of non-positive value")),
+    "tanh": (math.tanh, lambda a, y: 1.0 - y * y, None),
+    "sigmoid": (_sigmoid_reference, lambda a, y: y * (1.0 - y), None),
+    "softplus": (_softplus_reference, lambda a, y: _sigmoid_reference(a), None),
+    "sqrt": (
+        math.sqrt,
+        lambda a, y: 0.5 / y if y > 0.0 else math.inf,
+        (lambda a: a < 0.0, "sqrt of negative value"),
+    ),
+}
+EDGE_POINTS = [0.0, -0.0, 5e-324, 1e308, -1e308, math.inf, -math.inf, math.nan]
+
+
+def _bits(*values):
+    return np.array(values, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("name", list(UNARY_REFERENCE))
+def test_unary_ops_match_an_independent_reference_in_bytes(name):
+    # recorded and replayed value, partial and gradient, the float result
+    # and the array result, at each edge point; outside the domain, the
+    # same DomainError message from a Node, a float, an array and replay
+    op = getattr(ad, name)
+    value, partial, domain = UNARY_REFERENCE[name]
+    replayed = ad.Tape()
+    rx = replayed.input(0.5)
+    rout = op(rx)
+    replayed.forward()  # generates the replay code
+    inside = []
+    for a in EDGE_POINTS:
+        replayed.set_input(rx, a)
+        if domain and domain[0](a):
+            node, array = lambda: op(ad.Tape().input(a)), lambda: op(np.array([1.0, a]))
+            for call in (node, lambda: op(a), array, replayed.forward):
+                with pytest.raises(ad.DomainError) as err:
+                    call()
+                assert str(err.value) == f"{domain[1]} {a!r}"
+            continue
+        inside.append(a)
+        y = value(a)
+        d = partial(a, y)
+        want = _bits(y, d, 0.0 + 1.0 * d)  # a reverse sweep adds the partial to +0.0
+        tape = ad.Tape()
+        x = tape.input(a)
+        out = op(x)
+        assert _bits(tape.vals[out.i], tape.d1[out.i], tape.backward(out)[x.i]) == want, a
+        replayed.forward()
+        # replayed EXP stores no partial: its reverse sweep reads the value
+        d1 = replayed.vals[rout.i] if name == "exp" else replayed.d1[rout.i]
+        assert _bits(replayed.vals[rout.i], d1, replayed.backward(rout)[rx.i]) == want, a
+        assert _bits(op(a)) == _bits(y), a
+    assert op(np.array(inside)).tobytes() == _bits(*map(value, inside))
+
+
 def test_value_of_an_array_needs_one_sample():
     with pytest.raises(ad.PerSampleOnly):
         ad.value_of(np.array([1.0, 2.0]))

@@ -387,15 +387,16 @@ def test_one_oracle_per_dataset_at_any_worker_count(tmp_path, monkeypatch):
         assert all(r["mean_error"] != "" and r["oracle_reliable"] == "true" for r in rows)
         return len(log.read_text().split())
 
+    # an oracle runs the grid and its every-other-point subgrid: two calls
     # fixed data: one oracle serves every seed
     cfg = RunConfig(task="es", steps=2, seeds=(3, 4), out_dir=str(tmp_path / "es"))
-    assert oracle_runs(cfg) == 1
+    assert oracle_runs(cfg) == 2
     timings = read_rows(os.path.join(cfg.out_dir, "timings.csv"))
     assert [t["seed"] for t in timings if t["surrogate"] == "oracle"] == [""]
     # simulated data: one oracle per data seed, shared by that seed's cells
     for workers in (1, 2):
         cfg = small_config(tmp_path, task="brg", steps=2, seeds=(3, 4), workers=workers)
-        assert oracle_runs(cfg) == 2
+        assert oracle_runs(cfg) == 4
 
 
 def test_no_sampler_on_the_cli_path(tmp_path, monkeypatch):
@@ -417,6 +418,7 @@ def test_no_sampler_on_the_cli_path(tmp_path, monkeypatch):
         assert [g["seed"] for g in meta["oracle_grids"]] == seeds
         for grid in meta["oracle_grids"]:
             assert grid["edge_mass"] <= cli_mod.MAX_EDGE_MASS and len(grid["grid_shape"]) >= 1
+            assert 0.0 <= grid["subgrid_shift"] <= cli_mod.MAX_SUBGRID_SHIFT
 
 
 def test_a_grid_that_cuts_off_the_posterior_raises(tmp_path, monkeypatch):
@@ -429,6 +431,18 @@ def test_a_grid_that_cuts_off_the_posterior_raises(tmp_path, monkeypatch):
         cli_mod._oracle_stats(task, task.model)
     with pytest.raises(ValueError, match="edge"):
         run_benchmark(RunConfig(task="es", steps=2, out_dir=str(tmp_path / "es")))
+
+
+def test_a_grid_too_coarse_for_the_posterior_raises(tmp_path):
+    # 300 observations narrow brg's posterior in log sigma_obs below the
+    # grid's spacing: the subgrid moves a moment by about 1 SD, while the
+    # edge holds almost no mass
+    cfg = RunConfig(task="brg", steps=2, out_dir=str(tmp_path / "brg"), task_overrides={"steps": 300})
+    task = _build_task(cfg)
+    with pytest.raises(ValueError, match="grid is too coarse"):
+        cli_mod._oracle_stats(task, cli_mod._conditioned_model(task, 1)[0])
+    with pytest.raises(ValueError, match="too coarse"):
+        run_benchmark(cfg)
 
 
 def test_workers_match_sequential(tmp_path):

@@ -792,6 +792,27 @@ def test_code_cache_shares_chunks_and_keeps_the_bits(monkeypatch):
     assert len(compiled) == 2 * cold_compiles
 
 
+def test_code_cache_stays_under_its_cap_and_keeps_the_bits(monkeypatch):
+    # a caller that fits one simulated dataset after another keeps at
+    # most CODE_CACHE_CAP chunks, and an emptied cache changes no bits
+    monkeypatch.setattr(autodiff, "CODE_CACHE_CAP", 16)
+    task = get_task("br")
+
+    def run(seed):
+        model = condition(task.model, generate_data(task, seed=seed)[0])
+        result = fit(model, "asvi", TrainConfig(steps=3, seed=seed, record_every=1))
+        return result.params.tobytes(), np.array([loss for _, loss, _ in result.trajectory]).tobytes()
+
+    autodiff.clear_code_cache()
+    capped = []
+    for seed in (1, 2, 3, 4):
+        capped.append(run(seed))
+        assert 0 < len(autodiff._CODE) <= 16
+    for seed, bits in zip((1, 2, 3, 4), capped):
+        autodiff.clear_code_cache()
+        assert run(seed) == bits
+
+
 def test_fit_reports_divergence():
     m = build_joint(
         [

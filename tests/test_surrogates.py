@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from convexvi import autodiff as ad
 from convexvi.cli import USAGE, RunConfig, UsageError
 from convexvi.distributions import (
     BERNOULLI,
@@ -311,6 +312,40 @@ def test_ar1_sample_log_prob_consistent():
 def test_build_surrogate_rejects_unknown_kind():
     with pytest.raises(ValueError, match="unknown surrogate"):
         build_surrogate("flow", mixed_model())
+
+
+def test_a_numerical_failure_at_a_prior_center_falls_back():
+    # z is centred at 0, so x's link fails with a DomainError at the
+    # centers and x starts at the neutral center; the bytes are those of
+    # the catch-all handler this one replaced
+    model = build_joint(
+        [
+            rv("z", NORMAL, params=(0.0, 1.0)),
+            rv("x", NORMAL, parents=("z",), link=lambda z: (ad.log(z), 1.0)),
+            rv("y", NORMAL, parents=("x",), link=lambda x: (x, 0.5)),
+        ]
+    )
+    expected = {
+        "asvi": "50100c5bb984eabf00000000000000000c84b4be18d8e0bf8218112f8552e13f"
+        "7a9bcbb11448e33fac6e3f2a2b2be2bf7e7afddbcbf9e9bfae5b4a16b098cbbf"
+        "e0dc83959373a5bf0000000000000000b60d6f6ed6c6e5bf9019daa540b2dbbf",
+        "mean-field": "00000000000000008218112f8552e13f160b8167cd530040aa330882007204c0"
+        "00000000000000009019daa540b2dbbf",
+    }
+    for kind, hex_bytes in expected.items():
+        assert build_surrogate(kind, model, init_seed=3).init_params.tobytes().hex() == hex_bytes
+
+
+def test_a_bug_in_a_link_raises_from_build_surrogate():
+    model = build_joint(
+        [
+            rv("z", NORMAL, params=(0.0, 1.0)),
+            rv("x", NORMAL, parents=("z",), link=lambda z: (z + "1", 1.0)),
+        ]
+    )
+    for kind in ("asvi", "mean-field"):
+        with pytest.raises(TypeError):
+            build_surrogate(kind, model)
 
 
 @pytest.mark.parametrize("task_id", TASK_IDS)
