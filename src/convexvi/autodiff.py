@@ -6,7 +6,10 @@ gradient with respect to every input, by node id.  ``forward`` re-evaluates
 a recorded tape at new input values.  Its first call turns the tape into
 straight-line Python, one statement group per node, compiled in small
 functions; that code then runs every later ``forward`` and ``backward``
-(reverse mode by source transformation).  Functions are shared by
+(reverse mode by source transformation).  The generated forward sweep
+computes each repeated expression once: a node with the op, operands
+and constant of an earlier node copies that node's value, and its
+partials are read at that first node.  Functions are shared by
 identical source text within a sweep: ``clear_code_cache`` empties the
 cache when each CLI sweep starts.  A tape swept only once, just after
 recording, is swept by a loop over the nodes instead.  A replay equals a
@@ -30,6 +33,7 @@ raises ``PerSampleOnly``.
 from __future__ import annotations
 
 import math
+from array import array
 
 import numpy as np
 
@@ -48,6 +52,8 @@ SQRT = 10
 POW = 11
 DIV = 12
 RDIV = 13  # aux / node; still a div op, operand order flipped
+SUB = 14
+RSUB = 15  # aux - node
 
 
 class Node:
@@ -76,10 +82,17 @@ class Node:
     __radd__ = __add__
 
     def __sub__(self, other):
+        t = self.tape
+        if isinstance(other, Node):
+            if other.tape is not t:
+                raise ValueError("cannot combine nodes from different tapes")
+            return t._binary(SUB, self.i, other.i, t.vals[self.i] - t.vals[other.i], 1.0, -1.0)
         return self + (-other)
 
     def __rsub__(self, other):
-        return (-self) + other
+        # other - self
+        t = self.tape
+        return t._unary(RSUB, self.i, other - t.vals[self.i], -1.0, other)
 
     def __neg__(self):
         t = self.tape
@@ -180,7 +193,10 @@ class Tape:
         entries of `vals`, which the caller may have changed since
         recording; the graph itself is fixed.  The first call turns the
         tape into generated Python (`_Replay`); from then on both
-        `forward` and `backward` run that code.
+        `forward` and `backward` run that code.  Every entry of `vals`
+        is recomputed, but a node that repeats an earlier node's op on
+        the same operands and constant keeps the `d1` and `d2` entries
+        of recording: its partials are read at that first node.
         """
         if self._replay is None or self._replay.size != len(self.ops):
             self._replay = _Replay(self)
@@ -253,9 +269,10 @@ def _exp_float(x):
 
 
 # Nodes per generated function.  compile() needs memory in proportion to
-# the function it compiles: generating the code of the 6800-node lz x asvi
-# ELBO tape raised peak RSS by 30 MB as one function, 6 MB in functions
-# of 1024 nodes and 2 MB in functions of 64 or 128, at the same speed.
+# the function it compiles: generating the code of the lz x asvi ELBO tape
+# (6800 nodes when measured, 4012 now) raised peak RSS by 30 MB as one
+# function, 6 MB in functions of 1024 nodes and 2 MB in functions of 64 or
+# 128, at the same speed.
 # So the code is cut into small functions that index the tape's lists.
 REPLAY_CHUNK = 64
 
@@ -308,19 +325,22 @@ class _Replay:
     `forward` holds one function per `REPLAY_CHUNK` nodes; each node
     becomes the statements that recording ran for it, with the same
     floating-point expressions, domain checks and overflow rule, so a
-    replay gives the bits a fresh recording would.  The reverse sweep is
+    replay gives the bits a fresh recording would.  A node that repeats
+    its `first` node is not computed again; the first node's domain
+    check runs before it, as in recording.  The reverse sweep is
     generated per output node on first use (`_backward_source`).  A
     chunk whose source text was compiled before reuses that function
     (`_CODE`, emptied when a sweep starts), so a graph recorded again at
     another seed compiles only the chunks whose constants differ.
     """
 
-    __slots__ = ("size", "forward", "_backward")
+    __slots__ = ("size", "first", "forward", "_backward")
 
     def __init__(self, tape):
         self.size = len(tape.ops)
+        self.first = first = _value_numbers(tape)
         nodes = [i for i, op in enumerate(tape.ops) if op > INPUT]
-        self.forward = _generate((_forward_source(tape, chunk) for chunk in _chunks(nodes)), "v, d1, d2")
+        self.forward = _generate((_forward_source(tape, chunk, first) for chunk in _chunks(nodes)), "v, d1, d2")
         self._backward = {}
 
     def backward(self, tape, output):
@@ -334,11 +354,26 @@ class _Replay:
                     if parent >= 0 and last_child[parent] < 0:
                         last_child[parent] = i
             chunks = _generate(
-                (_backward_source(tape, chunk, output, last_child) for chunk in _chunks(nodes)),
+                (_backward_source(tape, chunk, output, last_child, self.first) for chunk in _chunks(nodes)),
                 "g, v, d1, d2",
             )
             self._backward[output] = chunks
         return chunks
+
+
+def _value_numbers(tape):
+    """`first[i]`: the earliest node with node i's op, operands (up to
+    repeats) and constant, so it holds the same bits.  A constant is
+    keyed by its repr, which tells -0.0 from 0.0.  The replay keeps the
+    numbers, so they are stored as machine integers, not int objects."""
+    first = array("q", range(len(tape.ops)))
+    seen = {}
+    for i, op in enumerate(tape.ops):
+        if op > INPUT:
+            j, k = tape.p1[i], tape.p2[i]
+            key = (op, first[j] if j >= 0 else j, first[k] if k >= 0 else k, repr(float(tape.aux[i])))
+            first[i] = seen.setdefault(key, i)
+    return first
 
 
 def _chunks(nodes):
@@ -376,24 +411,42 @@ def _generate(bodies, args):
     return chunks
 
 
-def _forward_source(tape, nodes):
+def _forward_source(tape, nodes, first):
     """Lines of one function of the forward sweep over `nodes` (in
     ascending order): each node's value and partials, computed as
-    recording computed them.  A value read again inside the function is
-    also kept in a local."""
+    recording computed them.  A repeated node (`first[i] != i`) only
+    copies its first node's value, and every operand is read at its
+    first node.  A value read again inside the function is also kept in
+    a local."""
     ops, p1, p2 = tape.ops, tape.p1, tape.p2
     lo = nodes[0]
     inside = set(nodes)
-    reread = {p for i in nodes for p in (p1[i], p2[i]) if p in inside}
+    reread = {
+        first[p]
+        for i in nodes
+        for p in ((p1[i], p2[i]) if first[i] == i else (first[i],))
+        if p >= 0 and first[p] in inside
+    }
+
+    def read(p):
+        p = first[p] if p >= 0 else p
+        return f"x{p - lo}" if p in inside else f"v[{p}]"
+
     lines = []
     for i in nodes:
+        if first[i] != i:
+            lines.append(f"v[{i}] = {read(i)}")
+            continue
         op, j, k = ops[i], p1[i], p2[i]
         c = float(tape.aux[i])
-        a = f"x{j - lo}" if j in inside else f"v[{j}]"
-        b = f"x{k - lo}" if k in inside else f"v[{k}]"
+        a, b = read(j), read(k)
         out = f"v[{i}] = x{i - lo}" if i in reread else f"v[{i}]"
         if op == ADD:
             lines.append(f"{out} = {a} + {b if k >= 0 else repr(c)}")
+        elif op == SUB:
+            lines.append(f"{out} = {a} - {b}")
+        elif op == RSUB:
+            lines.append(f"{out} = {c!r} - {a}")
         elif op == MUL:
             lines.append(f"{out} = {a} * {b if k >= 0 else repr(c)}")
         elif op == NEG:
@@ -432,7 +485,7 @@ def _forward_source(tape, nodes):
     return lines
 
 
-def _backward_source(tape, nodes, output, last_child):
+def _backward_source(tape, nodes, output, last_child, first):
     """Lines of one function of the reverse sweep over `nodes` (in
     descending order), giving the input adjoints `Tape.backward`'s loop
     gives, bit for bit.
@@ -441,9 +494,12 @@ def _backward_source(tape, nodes, output, last_child):
     order, as the loop does.  A node inside `nodes` keeps its adjoint in
     a local, starting from the list entry `g[i]` only where a child
     outside `nodes` added to it; inputs always sum in `g`, which starts
-    at +0.0 and so never holds -0.0.  An ADD node's local is dead once
-    its terms are emitted, so the first of its parents whose adjoint
-    would start as a copy of it takes the local over instead.  The loop
+    at +0.0 and so never holds -0.0.  An ADD or SUB node's local is dead
+    once its terms are emitted, so the first of its `+` parents whose
+    adjoint would start as a copy of it takes the local over instead (a
+    subtrahend starts from the negated adjoint).  Partials are read at
+    the node's `first`, which forward alone computes; each node keeps its
+    own adjoint, so the sums are those of the loop.  The loop
     skips a node whose adjoint is zero; that matters only where a
     partial can be infinite or NaN (0 * inf is NaN), so only those nodes
     test it.  Elsewhere the term is a signed zero, which changes neither
@@ -461,10 +517,12 @@ def _backward_source(tape, nodes, output, last_child):
                 continue  # no child reached this node: its adjoint is zero
             a = f"g{hi - i}"
             lines.append(f"{a} = g[{i}]")
-        op, j, k = ops[i], p1[i], p2[i]
+        op, j, k, f = ops[i], p1[i], p2[i], first[i]
         if op == ADD:
             terms = [(j, "+", a), (k, "+", a)]
-        elif op == NEG:
+        elif op == SUB:
+            terms = [(j, "+", a), (k, "-", a)]
+        elif op in (NEG, RSUB):
             terms = [(j, "-", a)]
         elif op == MUL and k < 0:
             terms = [(j, "+", f"{a} * {float(tape.aux[i])!r}")]
@@ -473,9 +531,9 @@ def _backward_source(tape, nodes, output, last_child):
         elif op == EXP:
             terms = [(j, "+", f"{a} * v[{i}]")]
         else:
-            terms = [(j, "+", f"{a} * d1[{i}]"), (k, "+", f"{a} * d2[{i}]")]
-        guarded = not (op in (ADD, NEG) or (op == MUL and k < 0 and math.isfinite(tape.aux[i])))
-        handed = op != ADD  # whether this node's local is no longer free
+            terms = [(j, "+", f"{a} * d1[{f}]"), (k, "+", f"{a} * d2[{f}]")]
+        guarded = not (op in (ADD, SUB, NEG, RSUB) or (op == MUL and k < 0 and math.isfinite(tape.aux[i])))
+        handed = op not in (ADD, SUB)  # whether this node's local is no longer free
         updates = []
         for parent, sign, term in terms:
             if parent < 0:
@@ -486,7 +544,7 @@ def _backward_source(tape, nodes, output, last_child):
                 updates.append(f"{local[parent]} {sign}= {term}")
             else:
                 base = f"g[{parent}]" if last_child[parent] > hi else None
-                if not (base or handed):
+                if not (base or handed or sign == "-"):
                     local[parent] = a  # `g{parent} = a` would only copy
                     handed = True
                     continue

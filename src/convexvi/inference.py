@@ -251,16 +251,18 @@ class TrainConfig:
     n_samples: int = 1
     seed: int = 0
     record_every: int = 10
-    window: int = 1000  # early stopping: trailing-window mean loss
+    window: int = 1000  # early stopping: trailing-window mean loss; 0 turns it off
     tol: float = 1e-4  # relative improvement threshold
     patience: int = 5  # consecutive stale windows before stopping
 
     def __post_init__(self):
-        for name, low in (("steps", 0), ("n_samples", 1), ("record_every", 1)):
+        for name, low in (("steps", 0), ("n_samples", 1), ("record_every", 1), ("window", 0), ("patience", 1)):
             if getattr(self, name) < low:
                 raise ValueError(f"TrainConfig.{name} must be >= {low}, got {getattr(self, name)!r}")
         if self.lr is not None and not (math.isfinite(self.lr) and self.lr > 0):
             raise ValueError(f"TrainConfig.lr must be positive and finite, got {self.lr!r}")
+        if not (math.isfinite(self.tol) and self.tol >= 0):
+            raise ValueError(f"TrainConfig.tol must be non-negative and finite, got {self.tol!r}")
 
 
 @dataclass

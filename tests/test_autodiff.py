@@ -1,3 +1,4 @@
+import itertools
 import math
 import re
 
@@ -211,18 +212,20 @@ def test_replay_follows_recorded_edge_cases():
 
 
 def test_replay_matches_fresh_record_on_random_graphs(monkeypatch):
-    # every op, repeated operands (x + x among them), folded and infinite
-    # constants, and inputs at 0, -0, huge, infinite and NaN values;
-    # repr() tells -0.0 from 0.0 and treats every NaN alike.  Graphs of 40
-    # and 120 ops, cut into functions at the default size and at 5 nodes,
-    # hand adjoint locals down ADD chains and across function boundaries.
+    # every op, repeated operands (x + x among them), repeated expressions,
+    # folded and infinite constants, and inputs at 0, -0, huge, infinite
+    # and NaN values; repr() tells -0.0 from 0.0 and treats every NaN
+    # alike.  Graphs of 40 and 120 ops, cut into functions at the default
+    # size and at 5 nodes, hand adjoint locals down ADD and SUB chains and
+    # across function boundaries.
     unary = [
         lambda a: a + 1.5, lambda a: a * -2.5, lambda a: a * math.inf, lambda a: -a,
         lambda a: a * a, ad.exp, ad.log, ad.tanh, ad.sigmoid, ad.softplus, ad.sqrt,
         lambda a: a**2.0, lambda a: a**0.5, lambda a: 2.0 / a, lambda a: 0.0 / a,
-        lambda a: a + -0.75, lambda a: a + a,
+        lambda a: a + -0.75, lambda a: a + a, lambda a: 1.5 - a, lambda a: -0.0 - a,
+        lambda a: a - a,
     ]
-    binary = [lambda a, b: a + b, lambda a, b: a * b, lambda a, b: a / b]
+    binary = [lambda a, b: a + b, lambda a, b: a * b, lambda a, b: a / b, lambda a, b: a - b]
     special = [0.0, -0.0, 1e-300, 800.0, -800.0, math.inf, -math.inf, math.nan]
 
     def build(seed, xs):
@@ -243,7 +246,7 @@ def test_replay_matches_fresh_record_on_random_graphs(monkeypatch):
     for chunk in (ad.REPLAY_CHUNK, 5):
         monkeypatch.setattr(ad, "REPLAY_CHUNK", chunk)
         rng = np.random.default_rng(5)
-        compared = longer = 0
+        compared = longer = repeats = 0
         for seed in range(150):
             tape = ad.Tape()
             xs = [tape.input(v) for v in rng.uniform(0.5, 2.0, 3)]
@@ -263,7 +266,8 @@ def test_replay_matches_fresh_record_on_random_graphs(monkeypatch):
                 assert [repr(g[x.i]) for x in xs] == [repr(fg[x.i]) for x in fxs]
                 compared += 1
                 longer += len(tape) - len(xs) > 64
-        assert compared > 150 and longer > 40, (compared, longer)
+                repeats += sum(f != i for i, f in enumerate(tape._replay.first))
+        assert compared > 150 and longer > 40 and repeats > 100, (compared, longer, repeats)
 
 
 def test_backward_source_copies_no_adjoint(monkeypatch):
@@ -287,6 +291,94 @@ def test_backward_source_copies_no_adjoint(monkeypatch):
     assert len(bodies) == 4 and len(lines) > 200
     assert not [line for line in lines if re.fullmatch(r"\w+ = \w+", line)]
     assert g[:100] == ad.gradient(lambda xs: sum([x * x for x in xs]), tape.vals[:100])
+
+
+def test_sub_and_rsub_match_the_negate_then_add_encoding(monkeypatch):
+    # `a - b` is one SUB node and `c - a` one RSUB node, where each was a
+    # NEG node and an ADD.  IEEE defines x - y as x + (-y), so the values,
+    # the loop's adjoints and the generated adjoints are the old ones, in
+    # repr: bit for bit, except that a NaN's sign bit may differ (x - nan
+    # keeps it, x + -nan flips it).  The subtrahends include inputs, x - x,
+    # and inner nodes first reached at their SUB node, reached before it in
+    # its chunk, or reached from a later chunk.
+    def build(sub, rsub):
+        def f(xs):
+            x, y, z = xs
+            w = x * z
+            s = y * y
+            u = sub(x, y) * rsub(2.5, z) + sub(s, w)
+            v = sub(sub(w, s), rsub(-0.0, w)) * sub(u, sub(x, x))
+            return sub(v, s * u) + sub(u, w)
+
+        return f
+
+    new = build(lambda a, b: a - b, lambda c, a: c - a)
+    old = build(lambda a, b: a + (-b), lambda c, a: (-a) + c)
+    points = [0.0, -0.0, 1.5, -2.25, math.inf, -math.inf, math.nan]
+    for chunk in (ad.REPLAY_CHUNK, 2, 3):
+        monkeypatch.setattr(ad, "REPLAY_CHUNK", chunk)
+        replayed = []
+        for f in (new, old):
+            tape = ad.Tape()
+            xs = [tape.input(v) for v in (0.5, 1.5, -1.0)]
+            out = f(xs)
+            tape.forward()  # generates the replay code
+            replayed.append((tape, xs, out))
+        assert ad.NEG not in replayed[0][0].ops and len(replayed[1][0]) - len(replayed[0][0]) == 10
+        for point in itertools.product(points, repeat=3):
+            sweeps = []
+            for tape, xs, out in replayed:
+                for x, v in zip(xs, point):
+                    tape.set_input(x, v)
+                tape.forward()
+                g = tape.backward(out)
+                sweeps.append([tape.vals[out.i]] + [g[x.i] for x in xs])
+            for f in (new, old):
+                tape = ad.Tape()
+                xs = [tape.input(v) for v in point]
+                out = f(xs)
+                g = tape.backward(out)
+                sweeps.append([tape.vals[out.i]] + [g[x.i] for x in xs])
+            assert len({repr(sweep) for sweep in sweeps}) == 1, (point, sweeps)
+
+
+def test_replay_computes_a_repeated_expression_once():
+    # a constant is keyed by its bits, not by ==: at x = -0.0, x + 0.0 is
+    # 0.0 and x + -0.0 is -0.0
+    def build(x):
+        plus, minus, again = x + 0.0, x + -0.0, x + 0.0
+        once, twice = ad.sigmoid(again), ad.sigmoid(plus)  # equal up to a repeat
+        return plus * minus + once - twice, [plus, minus, again, once, twice]
+
+    tape = ad.Tape()
+    x = tape.input(1.0)
+    out, (plus, minus, again, once, twice) = build(x)
+    tape.forward()
+    first = tape._replay.first
+    assert (first[plus.i], first[minus.i], first[again.i], first[twice.i]) == (plus.i, minus.i, plus.i, once.i)
+    for v in (-0.0, 0.7, math.inf):
+        tape.set_input(x, v)
+        tape.forward()
+        fresh = ad.Tape()
+        fout, _ = build(fresh.input(v))
+        assert list(map(repr, tape.vals)) == list(map(repr, fresh.vals))
+        assert repr(tape.backward(out)[x.i]) == repr(fresh.backward(fout)[0])
+
+
+def test_a_repeated_log_raises_on_replay_as_on_recording():
+    # the repeat is not checked again: its first node's check raises first
+    tape = ad.Tape()
+    x = tape.input(1.0)
+    once, twice = ad.log(x), ad.log(x)
+    tape.forward()
+    assert tape._replay.first[twice.i] == once.i
+    for v in (0.0, -2.0):
+        tape.set_input(x, v)
+        with pytest.raises(ad.DomainError) as replayed:
+            tape.forward()
+        with pytest.raises(ad.DomainError) as recorded:
+            ad.log(ad.Tape().input(v))
+        assert str(replayed.value) == str(recorded.value)
 
 
 def test_value_read_notes_reads_of_node_values_only():

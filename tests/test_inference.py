@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from convexvi import autodiff, inference
-from convexvi.autodiff import INPUT, DomainError, value_of
+from convexvi.autodiff import ADD, INPUT, NEG, SUB, DomainError, value_of
 from convexvi.distributions import (
     HALF_NORMAL,
     LOG_NORMAL,
@@ -225,18 +225,23 @@ def test_replay_rejects_inputs_of_another_length():
     assert grad.tobytes() == fresh.gradient().tobytes()
 
 
-@pytest.mark.parametrize("kind", ["asvi", "mean-field", "ar1", "mvn"])
-@pytest.mark.parametrize("task_id", TASK_IDS)
-def test_every_recorded_node_reaches_the_objective(task_id, kind):
-    # a dead node costs every replayed forward and backward sweep, and
-    # replay keeps it, since dropping it would drop its domain checks
+def first_step_graph(task_id, kind):
+    """The ELBO graph of a fit's first step, at one sample."""
     task = get_task(task_id)
     model = task.model
     if not task.is_pre_conditioned:
         model = condition(model, generate_data(task, seed=1)[0])
     surrogate = build_surrogate(kind, model, init_seed=1)
     draws = draw(surrogate, 1, np.random.default_rng(1))
-    graph = CompiledElbo(model, surrogate, surrogate.init_params, draws)
+    return CompiledElbo(model, surrogate, surrogate.init_params, draws)
+
+
+@pytest.mark.parametrize("kind", ["asvi", "mean-field", "ar1", "mvn"])
+@pytest.mark.parametrize("task_id", TASK_IDS)
+def test_every_recorded_node_reaches_the_objective(task_id, kind):
+    # a dead node costs every replayed forward and backward sweep, and
+    # replay keeps it, since dropping it would drop its domain checks
+    graph = first_step_graph(task_id, kind)
     tape = graph.tape
     live = [False] * len(tape)
     live[graph.objective.i] = True
@@ -247,6 +252,23 @@ def test_every_recorded_node_reaches_the_objective(task_id, kind):
                     live[p] = True
     dead = [i for i, op in enumerate(tape.ops) if op != INPUT and not live[i]]
     assert dead == []
+
+
+@pytest.mark.parametrize("kind", ["asvi", "mean-field", "ar1", "mvn"])
+@pytest.mark.parametrize("task_id", TASK_IDS)
+def test_every_subtraction_is_one_node(task_id, kind):
+    # `a - b` once recorded a NEG node whose only child was the next ADD:
+    # 700 of lz x asvi's 4262 op nodes, each replayed at every step
+    tape = first_step_graph(task_id, kind).tape
+    children = [[] for _ in tape.ops]
+    for i in range(len(tape)):
+        for p in {tape.p1[i], tape.p2[i]} - {-1}:
+            children[p].append(i)
+    negate_then_add = [
+        i for i, op in enumerate(tape.ops) if op == NEG and children[i] == [i + 1] and tape.ops[i + 1] == ADD
+    ]
+    assert negate_then_add == []
+    assert SUB in tape.ops
 
 
 # numpy's warnings for the SD of one sample, or of samples holding inf
@@ -430,7 +452,7 @@ def test_mean_field_records_no_prior_link():
     assert mf.init_params.tobytes() == old.init_params.tobytes()
     draws = draw(mf, 1, np.random.default_rng(1))
     graph, old_graph = (CompiledElbo(model, q, mf.init_params, draws) for q in (mf, old))
-    assert (len(graph.tape), len(old_graph.tape)) == (2930, 3452)
+    assert (len(graph.tape), len(old_graph.tape)) == (2526, 2932)
     assert graph.value == old_graph.value
     assert graph.gradient().tobytes() == old_graph.gradient().tobytes()
     cfg = TrainConfig(steps=120, seed=1, window=0, record_every=1)
@@ -738,12 +760,25 @@ def test_fit_zero_steps_returns_initial():
     assert len(result.trajectory) == 1
 
 
-@pytest.mark.parametrize("field, value", [("steps", -3), ("n_samples", 0), ("record_every", 0)])
+@pytest.mark.parametrize(
+    "field, value",
+    [("steps", -3), ("n_samples", 0), ("record_every", 0), ("window", -3), ("patience", 0)],
+)
 def test_train_config_rejects_values_that_break_fit(field, value):
     # unchecked, `fit` gave an empty trajectory (steps < 0), a "divergence"
-    # after 0 steps (n_samples 0) and a ZeroDivisionError (record_every 0)
+    # after 0 steps (n_samples 0), a ZeroDivisionError (record_every 0),
+    # no early stopping (window < 0) and a stop with converged=True at the
+    # second window, whatever the loss did (patience 0)
     with pytest.raises(ValueError, match=f"TrainConfig.{field} must be >= "):
         TrainConfig(**{field: value})
+
+
+@pytest.mark.parametrize("tol", [-1e-4, math.inf, math.nan])
+def test_train_config_rejects_a_tolerance_that_is_negative_or_not_finite(tol):
+    # a NaN tolerance never counts a window as stale, so early stopping
+    # was off without saying so
+    with pytest.raises(ValueError, match="TrainConfig.tol must be non-negative and finite"):
+        TrainConfig(tol=tol)
 
 
 @pytest.mark.parametrize("lr", [0.0, -0.05, math.inf, math.nan])
