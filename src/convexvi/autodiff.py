@@ -9,8 +9,12 @@ functions; that code then runs every later ``forward`` and ``backward``
 (reverse mode by source transformation).  The generated forward sweep
 computes each repeated expression once: a node with the op, operands
 and constant of an earlier node copies that node's value, and its
-partials are read at that first node.  Functions are shared by
-identical source text within a sweep: ``clear_code_cache`` empties the
+partials are read at that first node.  The tape is cut into functions
+where its structure repeats, and each function's source names its list
+indices and float constants by slot, so a pattern the tape repeats (the
+steps of a chain, the samples of a wide ELBO) is compiled once as a
+shape, and each chunk binds its own values into that shape's bytecode.
+Shapes are cached by source text: ``clear_code_cache`` empties the
 cache when each CLI sweep starts.  A tape swept only once, just after
 recording, is swept by a loop over the nodes instead.  A replay equals a
 fresh recording only if recording decided nothing on a node's value:
@@ -34,6 +38,7 @@ from __future__ import annotations
 
 import math
 from array import array
+from types import CodeType, FunctionType
 
 import numpy as np
 
@@ -268,13 +273,20 @@ def _exp_float(x):
         return math.inf
 
 
-# Nodes per generated function.  compile() needs memory in proportion to
-# the function it compiles: generating the code of the lz x asvi ELBO tape
-# (6800 nodes when measured, 4012 now) raised peak RSS by 30 MB as one
-# function, 6 MB in functions of 1024 nodes and 2 MB in functions of 64 or
-# 128, at the same speed.
-# So the code is cut into small functions that index the tape's lists.
-REPLAY_CHUNK = 64
+# Nodes per generated function, at most.  compile() needs memory in
+# proportion to the function it compiles: generating the forward and
+# reverse code of the lz x asvi ELBO tape (4012 nodes) raised peak RSS by
+# 20 MB as one function each, 7 MB in functions of 1024 nodes and 2 MB in
+# functions of 64 or 128.  So the code is cut into small functions that
+# index the tape's lists.  A function of CUT_MIN nodes or more ends early
+# at an anchor (`_chunks`), so that a pattern the tape repeats is cut alike
+# each time and compiled once.  Against fixed functions of 64 nodes, these
+# sizes compiled 60-70% fewer lines for lz and es and replayed a few
+# percent faster; anchors from 32 nodes on (every 8) shared a little more
+# code but replayed 2-6% slower.
+REPLAY_CHUNK = 128
+CUT_MIN = 64  # nodes before a function may end at an anchor
+CUT_EVERY = 16  # an anchor's window hashes to 0 modulo this
 
 
 def _domain_error(what, a):
@@ -322,16 +334,17 @@ _UNARY = {
 class _Replay:
     """A recorded tape as straight-line Python, generated once.
 
-    `forward` holds one function per `REPLAY_CHUNK` nodes; each node
-    becomes the statements that recording ran for it, with the same
+    `forward` holds one function per chunk of nodes (`_chunks`); each
+    node becomes the statements that recording ran for it, with the same
     floating-point expressions, domain checks and overflow rule, so a
     replay gives the bits a fresh recording would.  A node that repeats
     its `first` node is not computed again; the first node's domain
     check runs before it, as in recording.  The reverse sweep is
-    generated per output node on first use (`_backward_source`).  A
-    chunk whose source text was compiled before reuses that function
-    (`_CODE`, emptied when a sweep starts), so a graph recorded again at
-    another seed compiles only the chunks whose constants differ.
+    generated per output node on first use (`_backward_source`).  Each
+    chunk's source names its list indices and float constants by slot,
+    so chunks of one shape (a step of a chain, one sample of several)
+    share one compiled template, and each chunk's function is that code
+    with the chunk's own values bound in (`_generate`).
     """
 
     __slots__ = ("size", "first", "forward", "_backward")
@@ -340,7 +353,9 @@ class _Replay:
         self.size = len(tape.ops)
         self.first = first = _value_numbers(tape)
         nodes = [i for i, op in enumerate(tape.ops) if op > INPUT]
-        self.forward = _generate((_forward_source(tape, chunk, first) for chunk in _chunks(nodes)), "v, d1, d2")
+        self.forward = _generate(
+            (_forward_source(tape, chunk, first) for chunk in _chunks(tape, nodes)), "v, d1, d2"
+        )
         self._backward = {}
 
     def backward(self, tape, output):
@@ -354,7 +369,7 @@ class _Replay:
                     if parent >= 0 and last_child[parent] < 0:
                         last_child[parent] = i
             chunks = _generate(
-                (_backward_source(tape, chunk, output, last_child, self.first) for chunk in _chunks(nodes)),
+                (_backward_source(tape, chunk, output, last_child, self.first) for chunk in _chunks(tape, nodes)),
                 "g, v, d1, d2",
             )
             self._backward[output] = chunks
@@ -376,48 +391,151 @@ def _value_numbers(tape):
     return first
 
 
-def _chunks(nodes):
-    return (nodes[start : start + REPLAY_CHUNK] for start in range(0, len(nodes), REPLAY_CHUNK))
+def _chunks(tape, nodes):
+    """`nodes`, in their order, cut into runs of at most REPLAY_CHUNK.
+    A run of CUT_MIN nodes or more also ends at an anchor: a node where
+    the last four nodes' `(op, parent offset, parent offset)` tuples hash
+    to 0 modulo CUT_EVERY.  An offset is `i - p`, -2 for an input parent
+    and -1 for none, so the cuts depend on the graph's structure alone
+    (an int tuple's hash does not depend on PYTHONHASHSEED), and a
+    pattern repeated along the tape is cut alike each time it recurs
+    (content-defined chunking, as in LBFS)."""
+    ops, p1, p2 = tape.ops, tape.p1, tape.p2
+    kinds = [
+        (ops[i], -2 if ops[j] == INPUT else i - j, k if k < 0 else -2 if ops[k] == INPUT else i - k)
+        for i in nodes
+        for j, k in ((p1[i], p2[i]),)
+    ]
+    start = 0
+    for end in range(1, len(nodes) + 1):
+        size = end - start
+        if size >= REPLAY_CHUNK or (size >= CUT_MIN and hash(tuple(kinds[end - 4 : end])) % CUT_EVERY == 0):
+            yield nodes[start:end]
+            start = end
+    if start < len(nodes):
+        yield nodes[start:]
 
 
-# Compiled chunks by their full source text.  A chunk's function takes
-# the tape's lists as arguments and closes over no tape, so tapes with
-# the same graph (one task x kind at another seed) share its code.
+# Compiled shapes by their source text, each with the functions bound
+# from it.  A chunk's function takes the tape's lists as arguments and
+# closes over no tape, so tapes with the same graph (one task x kind at
+# another seed) share its code, and equal chunks share one function.
 # `cli.run_benchmark` empties the cache when a sweep starts (a sweep
-# compiles a few hundred chunks); for other callers it is emptied when
-# it holds CODE_CACHE_CAP chunks, about 20 MB at 8-9 KB a chunk.
+# compiles a hundred-odd shapes).  For other callers it is emptied when
+# it holds CODE_CACHE_CAP functions, and so at most that many shapes: a
+# caller fitting one dataset after another binds new constants into the
+# shapes it has, so functions, not shapes, are what grows.
 _CODE = {}
 CODE_CACHE_CAP = 2048
+_bound = 0  # functions held by the shapes in _CODE
+
+# A slot is written in a chunk's source as a literal that compiles to one
+# entry of the code's constants: index slot k as the int
+# _INDEX_SLOT + k, constant slot k as the float (k + 1)e300.  Never with
+# a unary minus in front, which the compiler would fold into another
+# constant.
+_INDEX_SLOT = 9_000_000_000_000
 
 
 def clear_code_cache():
-    """Drop every compiled chunk, so the next replay generates its own."""
+    """Drop every compiled shape, so the next replay generates its own."""
+    global _bound
     _CODE.clear()
+    _bound = 0
+
+
+class _Slots(list):
+    """A chunk's slot values, in slot order, as its source names them:
+    one slot per distinct index or constant, as compile() keeps one
+    constant per distinct value."""
+
+    def __init__(self):
+        super().__init__()
+        self._text = {}  # index, or repr of a constant -> its literal
+
+    def index(self, i):
+        """The literal naming list index `i`."""
+        text = self._text.get(i)
+        if text is None:
+            text = self._text[i] = str(_INDEX_SLOT + len(self))
+            self.append(i)
+        return text
+
+    def const(self, c):
+        """The literal naming float constant `c`, told apart from another
+        by its repr (-0.0 is not 0.0).  A non-finite constant is written
+        by its repr, which names a global (`inf`, `nan`), not a slot."""
+        if not math.isfinite(c):
+            return repr(c)
+        key = repr(c)
+        text = self._text.get(key)
+        if text is None:
+            self.append(c)
+            text = self._text[key] = f"{len(self)}e300"
+        return text
+
+
+class _Shape:
+    """One compiled chunk source: the position of each slot in its code's
+    constants, the functions bound from it by their slot values' bits,
+    and the code last bound, from which the next is made."""
+
+    __slots__ = ("code", "at", "bound")
+
+    def __init__(self, text, slots):
+        module = compile(text, "<tape replay>", "exec")
+        self.code = next(c for c in module.co_consts if isinstance(c, CodeType))
+        where = {(type(c), c): n for n, c in enumerate(self.code.co_consts) if type(c) in (int, float)}
+        self.at = []
+        for k, value in enumerate(slots):
+            p = _INDEX_SLOT + k if type(value) is int else float(f"{k + 1}e300")
+            if (type(p), p) not in where:
+                raise ValueError(f"slot {k} ({p!r}) is not a constant of the compiled chunk")
+            self.at.append(where[type(p), p])
+        self.bound = {}
+
+    def bind(self, slots):
+        """A function running this code on `slots`' values."""
+        consts = list(self.code.co_consts)
+        for n, value in zip(self.at, slots):
+            consts[n] = value
+        self.code = self.code.replace(co_consts=tuple(consts))
+        return FunctionType(self.code, _REPLAY_GLOBALS)
 
 
 def _generate(bodies, args):
-    """One function of `args` per list of lines in `bodies`, compiled
-    unless a chunk of the same source text is in the cache."""
+    """One function of `args` per `(lines, slots)` in `bodies`.  The
+    lines, which name each value by its slot's literal, are the chunk's
+    shape, compiled unless it is in the cache; the function runs the
+    shape's bytecode with the slots' values as its constants, which is
+    the bytecode a compile() of the lines with the values written in
+    gives.  A shape keeps its functions by the values' bits, never by
+    ==, which takes -0.0 for 0.0, so equal chunks share one function."""
+    global _bound
     chunks = []
-    for lines in bodies:
+    for lines, slots in bodies:
+        if _bound >= CODE_CACHE_CAP:
+            clear_code_cache()
         text = f"def chunk({args}):\n    " + "\n    ".join(lines or ["pass"]) + "\n"
-        chunk = _CODE.get(text)
+        shape = _CODE.get(text)
+        if shape is None:
+            shape = _CODE[text] = _Shape(text, slots)
+        key = array("d", slots).tobytes()
+        chunk = shape.bound.get(key)
         if chunk is None:
-            if len(_CODE) >= CODE_CACHE_CAP:
-                _CODE.clear()
-            exec(compile(text, "<tape replay>", "exec"), _REPLAY_GLOBALS)
-            chunk = _CODE[text] = _REPLAY_GLOBALS.pop("chunk")
+            chunk = shape.bound[key] = shape.bind(slots)
+            _bound += 1
         chunks.append(chunk)
     return chunks
 
 
 def _forward_source(tape, nodes, first):
-    """Lines of one function of the forward sweep over `nodes` (in
-    ascending order): each node's value and partials, computed as
+    """`(lines, slots)` of one function of the forward sweep over `nodes`
+    (in ascending order): each node's value and partials, computed as
     recording computed them.  A repeated node (`first[i] != i`) only
     copies its first node's value, and every operand is read at its
     first node.  A value read again inside the function is also kept in
-    a local."""
+    a local, named by its offset in the chunk."""
     ops, p1, p2 = tape.ops, tape.p1, tape.p2
     lo = nodes[0]
     inside = set(nodes)
@@ -427,28 +545,31 @@ def _forward_source(tape, nodes, first):
         for p in ((p1[i], p2[i]) if first[i] == i else (first[i],))
         if p >= 0 and first[p] in inside
     }
+    slots = _Slots()
+    index, const = slots.index, slots.const
 
     def read(p):
-        p = first[p] if p >= 0 else p
-        return f"x{p - lo}" if p in inside else f"v[{p}]"
+        p = first[p]
+        return f"x{p - lo}" if p in inside else f"v[{index(p)}]"
 
     lines = []
     for i in nodes:
         if first[i] != i:
-            lines.append(f"v[{i}] = {read(i)}")
+            lines.append(f"v[{index(i)}] = {read(i)}")
             continue
         op, j, k = ops[i], p1[i], p2[i]
         c = float(tape.aux[i])
-        a, b = read(j), read(k)
-        out = f"v[{i}] = x{i - lo}" if i in reread else f"v[{i}]"
+        a = read(j)
+        b = read(k) if k >= 0 else None
+        out = f"v[{index(i)}] = x{i - lo}" if i in reread else f"v[{index(i)}]"
         if op == ADD:
-            lines.append(f"{out} = {a} + {b if k >= 0 else repr(c)}")
+            lines.append(f"{out} = {a} + {b or const(c)}")
         elif op == SUB:
             lines.append(f"{out} = {a} - {b}")
         elif op == RSUB:
-            lines.append(f"{out} = {c!r} - {a}")
+            lines.append(f"{out} = {const(c)} - {a}")
         elif op == MUL:
-            lines.append(f"{out} = {a} * {b if k >= 0 else repr(c)}")
+            lines.append(f"{out} = {a} * {b or const(c)}")
         elif op == NEG:
             lines.append(f"{out} = -{a}")
         elif op == EXP:
@@ -464,31 +585,32 @@ def _forward_source(tape, nodes, first):
                 lines += [f"y = {u.name}({a})", f"{out} = y"]
             else:
                 lines.append(f"{out} = {u.name}({a})")
-            lines.append(f"d1[{i}] = {u.partial}")
+            lines.append(f"d1[{index(i)}] = {u.partial}")
         elif op == POW:
             lines.append(f"a = {a}")
             if not c.is_integer():
                 lines.append("if a < 0.0: _domain_error('fractional power of negative value', a)")
-            lines += [f"{out} = a ** {c!r}", f"d1[{i}] = {c!r} * a ** {c - 1.0!r}"]
+            lines.append(f"{out} = a ** {const(c)}")
+            lines.append(f"d1[{index(i)}] = {const(c)} * a ** {const(c - 1.0)}")
         elif op == DIV:
             lines += [
                 f"a = {a}",
                 f"inv = 1.0 / {b}",
                 f"{out} = a * inv",
-                f"d1[{i}] = inv",
-                f"d2[{i}] = -a * inv * inv",
+                f"d1[{index(i)}] = inv",
+                f"d2[{index(i)}] = -a * inv * inv",
             ]
         elif op == RDIV:
-            lines += [f"a = {a}", f"{out} = {c!r} / a", f"d1[{i}] = {-c!r} / (a * a)"]
+            lines += [f"a = {a}", f"{out} = {const(c)} / a", f"d1[{index(i)}] = {const(-c)} / (a * a)"]
         else:
             raise ValueError(f"unknown op kind {op}")
-    return lines
+    return lines, slots
 
 
 def _backward_source(tape, nodes, output, last_child, first):
-    """Lines of one function of the reverse sweep over `nodes` (in
-    descending order), giving the input adjoints `Tape.backward`'s loop
-    gives, bit for bit.
+    """`(lines, slots)` of one function of the reverse sweep over `nodes`
+    (in descending order), giving the input adjoints `Tape.backward`'s
+    loop gives, bit for bit.
 
     Each node's adjoint sums its children's terms in descending child
     order, as the loop does.  A node inside `nodes` keeps its adjoint in
@@ -508,6 +630,8 @@ def _backward_source(tape, nodes, output, last_child, first):
     ops, p1, p2 = tape.ops, tape.p1, tape.p2
     hi = nodes[0]
     inside = set(nodes)
+    slots = _Slots()
+    index = slots.index
     local = {}  # node -> the local holding its adjoint, once defined
     lines = []
     for i in nodes:
@@ -516,7 +640,7 @@ def _backward_source(tape, nodes, output, last_child, first):
             if i != output and last_child[i] <= hi:
                 continue  # no child reached this node: its adjoint is zero
             a = f"g{hi - i}"
-            lines.append(f"{a} = g[{i}]")
+            lines.append(f"{a} = g[{index(i)}]")
         op, j, k, f = ops[i], p1[i], p2[i], first[i]
         if op == ADD:
             terms = [(j, "+", a), (k, "+", a)]
@@ -525,13 +649,15 @@ def _backward_source(tape, nodes, output, last_child, first):
         elif op in (NEG, RSUB):
             terms = [(j, "-", a)]
         elif op == MUL and k < 0:
-            terms = [(j, "+", f"{a} * {float(tape.aux[i])!r}")]
+            terms = [(j, "+", f"{a} * {slots.const(float(tape.aux[i]))}")]
         elif op == MUL:
-            terms = [(j, "+", f"{a} * v[{k}]"), (k, "+", f"{a} * v[{j}]")]
+            terms = [(j, "+", f"{a} * v[{index(k)}]"), (k, "+", f"{a} * v[{index(j)}]")]
         elif op == EXP:
-            terms = [(j, "+", f"{a} * v[{i}]")]
+            terms = [(j, "+", f"{a} * v[{index(i)}]")]
+        elif k < 0:
+            terms = [(j, "+", f"{a} * d1[{index(f)}]")]
         else:
-            terms = [(j, "+", f"{a} * d1[{f}]"), (k, "+", f"{a} * d2[{f}]")]
+            terms = [(j, "+", f"{a} * d1[{index(f)}]"), (k, "+", f"{a} * d2[{index(f)}]")]
         guarded = not (op in (ADD, SUB, NEG, RSUB) or (op == MUL and k < 0 and math.isfinite(tape.aux[i])))
         handed = op not in (ADD, SUB)  # whether this node's local is no longer free
         updates = []
@@ -539,11 +665,11 @@ def _backward_source(tape, nodes, output, last_child, first):
             if parent < 0:
                 continue
             if parent not in inside:
-                updates.append(f"g[{parent}] {sign}= {term}")
+                updates.append(f"g[{index(parent)}] {sign}= {term}")
             elif parent in local:
                 updates.append(f"{local[parent]} {sign}= {term}")
             else:
-                base = f"g[{parent}]" if last_child[parent] > hi else None
+                base = f"g[{index(parent)}]" if last_child[parent] > hi else None
                 if not (base or handed or sign == "-"):
                     local[parent] = a  # `g{parent} = a` would only copy
                     handed = True
@@ -560,7 +686,7 @@ def _backward_source(tape, nodes, output, last_child, first):
             lines.append(f"if {a} != 0.0: " + "; ".join(updates))
         else:
             lines.extend(updates)
-    return lines
+    return lines, slots
 
 
 def _unary_helper(name, op):

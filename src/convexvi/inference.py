@@ -281,6 +281,11 @@ class FitResult:
         return self.trajectory[-1][1]
 
 
+# Steps whose noise `fit` draws in one `draw_noise` call.  draw_noise
+# draws its rows in order, so a block of steps gets the rows that one
+# call per step would.
+NOISE_BLOCK = 64
+
 # numerical failures of one step, reported as divergence; any other
 # error (a ModelError, say) is a bug and is raised
 _DIVERGENCE = (DomainError, ParameterError, OverflowError, ZeroDivisionError, NonFiniteError)
@@ -321,8 +326,13 @@ def fit(model, surrogate, config: TrainConfig = TrainConfig(), init_params=None)
         est = elbo_estimate(model, surrogate, params, config.n_samples, seed=config.seed)
         trajectory.append((0, -est.value, time.perf_counter() - start))
 
+    n, k = config.n_samples, len(surrogate.noise_spec)
     for step in range(config.steps):
-        draws = draw_noise(surrogate.noise_spec, config.n_samples, rng)
+        b = step % NOISE_BLOCK
+        if b == 0:
+            count = min(NOISE_BLOCK, config.steps - step)
+            block = draw_noise(surrogate.noise_spec, count * n, rng).reshape(count, n, k)
+        draws = block[b]
         try:
             if graph is None or not graph.replayable:
                 graph = CompiledElbo(model, surrogate, params, draws)

@@ -272,7 +272,11 @@ def test_replay_matches_fresh_record_on_random_graphs(monkeypatch):
 
 def test_backward_source_copies_no_adjoint(monkeypatch):
     # an ADD hands its adjoint local to the first parent that would start
-    # as a copy of it, so a sum emits no `gX = gY` line
+    # as a copy of it, so a sum emits no `gX = gY` line.  At most 64 nodes
+    # a function, each square is in another function than its sum (an ADD
+    # whose two parents are both first seen in its function still copies
+    # for the second)
+    monkeypatch.setattr(ad, "REPLAY_CHUNK", 64)
     generate, bodies = ad._generate, []
 
     def keep_source(sources, args):
@@ -287,10 +291,41 @@ def test_backward_source_copies_no_adjoint(monkeypatch):
     tape.forward()
     bodies.clear()  # the forward sweep's
     g = tape.backward(out)
-    lines = [line for body in bodies for line in body]
+    lines = [line for body, _ in bodies for line in body]
     assert len(bodies) == 4 and len(lines) > 200
     assert not [line for line in lines if re.fullmatch(r"\w+ = \w+", line)]
     assert g[:100] == ad.gradient(lambda xs: sum([x * x for x in xs]), tape.vals[:100])
+
+
+def test_a_slot_the_compiler_folds_away_raises():
+    # slot 1's literal under a unary minus compiles to the constant
+    # -2e300, so the value has no constant to take; slot 2 is not in the
+    # text at all.  Neither is bound, and nothing is cached.
+    ad.clear_code_cache()
+    with pytest.raises(ValueError, match="slot 1 "):
+        ad._generate([(["v[9000000000000] = -2e300"], [5, 2.5])], "v, d1, d2")
+    with pytest.raises(ValueError, match="slot 2 "):
+        ad._generate([(["v[9000000000000] = 2e300"], [5, 2.5, 7])], "v, d1, d2")
+    assert ad._CODE == {}
+    (chunk,) = ad._generate([(["v[9000000000000] = 2e300"], [1, -0.0])], "v, d1, d2")
+    v = [0.0, 0.0]
+    chunk(v, None, None)
+    assert repr(v) == "[0.0, -0.0]"
+
+
+def test_a_shape_keeps_its_functions_by_the_bits_of_their_values():
+    # 0.0 == -0.0, but a chunk writing -0.0 is not the chunk writing 0.0;
+    # an equal chunk gets the same function back
+    ad.clear_code_cache()
+    lines = ["v[9000000000000] = v[9000000000001] + 3e300"]
+    plus, minus, again = ad._generate([(lines, [2, 0, 0.0]), (lines, [2, 0, -0.0]), (lines, [2, 0, 0.0])], "v")
+    assert len(ad._CODE) == 1 and plus is again and plus is not minus
+    sums = []
+    for chunk in (plus, minus):
+        v = [-0.0, 5.0, 5.0]
+        chunk(v)
+        sums.append(repr(v[2]))
+    assert sums == ["0.0", "-0.0"]
 
 
 def test_sub_and_rsub_match_the_negate_then_add_encoding(monkeypatch):

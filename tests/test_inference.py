@@ -1,4 +1,10 @@
+import dis
+import json
 import math
+import os
+import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -234,6 +240,111 @@ def first_step_graph(task_id, kind):
     surrogate = build_surrogate(kind, model, init_seed=1)
     draws = draw(surrogate, 1, np.random.default_rng(1))
     return CompiledElbo(model, surrogate, surrogate.init_params, draws)
+
+
+def literal_code(lines, slots, args):
+    """The code object a compile() of a chunk gives with each slot's
+    value written in its place as a literal (its repr)."""
+
+    def value(match):
+        text = match.group(0)
+        k = int(text[:-4]) - 1 if text.endswith("e300") else int(text) - autodiff._INDEX_SLOT
+        return repr(slots[k])
+
+    body = [re.sub(r"\b\d+e300\b|\b9000000\d{6}\b", value, line) for line in lines] or ["pass"]
+    namespace = {}
+    exec(compile(f"def chunk({args}):\n    " + "\n    ".join(body) + "\n", "<literal>", "exec"), namespace)
+    return namespace["chunk"].__code__
+
+
+def instructions(code):
+    return [(i.opname, repr(i.argval)) for i in dis.get_instructions(code)]
+
+
+@pytest.mark.parametrize("kind", ["asvi", "mean-field", "ar1", "mvn"])
+@pytest.mark.parametrize("task_id", TASK_IDS)
+def test_every_chunk_runs_the_bytecode_of_its_literal_source(task_id, kind, monkeypatch):
+    # a chunk's function is its shape's code with the chunk's values bound
+    # in as constants; it runs what compiling the values in would give
+    generate, made = autodiff._generate, []
+
+    def keep(bodies, args):
+        bodies = list(bodies)
+        chunks = generate(bodies, args)
+        made.extend(zip(bodies, [args] * len(bodies), chunks))
+        return chunks
+
+    monkeypatch.setattr(autodiff, "_generate", keep)
+    autodiff.clear_code_cache()
+    graph = first_step_graph(task_id, kind)
+    graph.tape.forward()
+    graph.gradient()
+    assert {args for _, args, _ in made} == {"v, d1, d2", "g, v, d1, d2"}
+    assert sum(len(slots) for (_, slots), _, _ in made) > len(graph.tape)
+    for (lines, slots), args, chunk in made:
+        assert instructions(chunk.__code__) == instructions(literal_code(lines, slots, args))
+
+
+CUTS = """
+import json
+import numpy as np
+from convexvi import autodiff
+from convexvi.distributions import draw_noise
+from convexvi.inference import CompiledElbo
+from convexvi.surrogates import build_surrogate
+from convexvi.tasks import get_task
+model = get_task("es").model
+surrogate = build_surrogate("asvi", model, init_seed=1)
+draws = draw_noise(surrogate.noise_spec, 8, np.random.default_rng(1))
+tape = CompiledElbo(model, surrogate, surrogate.init_params, draws).tape
+nodes = [i for i in range(len(tape)) if tape.p1[i] >= 0]
+print(json.dumps([list(map(len, autodiff._chunks(tape, order))) for order in (nodes, nodes[::-1])]))
+"""
+
+
+def test_cuts_do_not_depend_on_the_hash_seed():
+    # a cut hashes int tuples only, whose hashes no PYTHONHASHSEED changes
+    src = os.path.dirname(os.path.dirname(autodiff.__file__))
+    cuts = []
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", CUTS], env=env, capture_output=True, text=True, check=True)
+        cuts.append(json.loads(out.stdout))
+    assert cuts[0] == cuts[1]
+    for sizes in cuts[0]:
+        assert max(sizes) <= autodiff.REPLAY_CHUNK and min(sizes[:-1]) >= autodiff.CUT_MIN
+        assert any(size < autodiff.REPLAY_CHUNK for size in sizes[:-1])  # anchors cut
+
+
+def test_cuts_follow_the_graph_not_its_constants():
+    # br x asvi records the same graph at another data seed, with other
+    # constants; its chunks start at the same nodes
+    tapes = []
+    for seed in (1, 2):
+        task = get_task("br")
+        model = condition(task.model, generate_data(task, seed=seed)[0])
+        surrogate = build_surrogate("asvi", model, init_seed=seed)
+        draws = draw(surrogate, 1, np.random.default_rng(seed))
+        tapes.append(CompiledElbo(model, surrogate, surrogate.init_params, draws).tape)
+    a, b = tapes
+    assert (a.ops, a.p1, a.p2) == (b.ops, b.p1, b.p2) and a.aux != b.aux
+    nodes = [i for i in range(len(a)) if a.p1[i] >= 0]
+    for order in (nodes, nodes[::-1]):
+        assert list(autodiff._chunks(a, order)) == list(autodiff._chunks(b, order))
+
+
+def test_the_samples_of_a_wide_tape_share_their_shapes():
+    # es x asvi at 8 samples repeats one pattern per sample: cut where the
+    # pattern repeats, its 83 chunks compile 25 shapes (83 at fixed cuts of
+    # 64 nodes).  A cut that loses the pattern's alignment shows here.
+    autodiff.clear_code_cache()
+    model = get_task("es").model
+    surrogate = build_surrogate("asvi", model, init_seed=1)
+    graph = CompiledElbo(model, surrogate, surrogate.init_params, draw(surrogate, 8, np.random.default_rng(1)))
+    graph.tape.forward()
+    graph.gradient()
+    functions = sum(len(shape.bound) for shape in autodiff._CODE.values())
+    assert functions > 80 and len(autodiff._CODE) <= 30, (functions, len(autodiff._CODE))
 
 
 @pytest.mark.parametrize("kind", ["asvi", "mean-field", "ar1", "mvn"])
@@ -549,6 +660,15 @@ def test_discrete_graph_is_recorded_every_step(monkeypatch):
     assert len(built) == 20
 
 
+@pytest.mark.parametrize("n_samples", [1, 3])
+def test_noise_drawn_in_blocks_is_the_noise_of_each_step(n_samples):
+    # `fit` draws NOISE_BLOCK steps of noise at a time, uniform included;
+    # the reference draws each step's noise on its own
+    assert inference.NOISE_BLOCK < 150
+    cfg = TrainConfig(steps=150, seed=3, n_samples=n_samples, window=0, record_every=1)
+    assert_fit_is_recorded(two_bernoulli_model(), cfg)
+
+
 def stopped_in_replay(model, config, kind, init_params=None):
     """A fit that equals `recorded_fit` and diverged after some replayed
     steps: (fit, its step-0 graph, the draws of the step that diverged)."""
@@ -829,7 +949,8 @@ def test_code_cache_shares_chunks_and_keeps_the_bits(monkeypatch):
 
 def test_code_cache_stays_under_its_cap_and_keeps_the_bits(monkeypatch):
     # a caller that fits one simulated dataset after another keeps at
-    # most CODE_CACHE_CAP chunks, and an emptied cache changes no bits
+    # most CODE_CACHE_CAP functions, and so at most as many shapes, and an
+    # emptied cache changes no bits
     monkeypatch.setattr(autodiff, "CODE_CACHE_CAP", 16)
     task = get_task("br")
 
@@ -842,7 +963,7 @@ def test_code_cache_stays_under_its_cap_and_keeps_the_bits(monkeypatch):
     capped = []
     for seed in (1, 2, 3, 4):
         capped.append(run(seed))
-        assert 0 < len(autodiff._CODE) <= 16
+        assert 0 < len(autodiff._CODE) <= sum(len(shape.bound) for shape in autodiff._CODE.values()) <= 16
     for seed, bits in zip((1, 2, 3, 4), capped):
         autodiff.clear_code_cache()
         assert run(seed) == bits
