@@ -14,10 +14,11 @@ where its structure repeats, and each function's source names its list
 indices and float constants by slot, so a pattern the tape repeats (the
 steps of a chain, the samples of a wide ELBO) is compiled once as a
 shape, and each chunk binds its own values into that shape's bytecode.
-Shapes are cached by source text: ``clear_code_cache`` empties the
-cache when each CLI sweep starts.  A tape swept only once, just after
-recording, is swept by a loop over the nodes instead.  A replay equals a
-fresh recording only if recording decided nothing on a node's value:
+Shapes are cached by source text (``clear_code_cache`` empties the
+cache when each CLI sweep starts); a chunk's bound function is kept by
+its tape alone.  A tape swept only once, just after recording, is swept
+by a loop over the nodes instead.  A replay equals a fresh recording
+only if recording decided nothing on a node's value:
 reads through ``Node.value`` or ``value_of`` set ``Tape.value_read``,
 while the ops, and checks that a replay repeats by itself
 (``value_for_check``), read values without setting it.
@@ -344,7 +345,7 @@ class _Replay:
     chunk's source names its list indices and float constants by slot,
     so chunks of one shape (a step of a chain, one sample of several)
     share one compiled template, and each chunk's function is that code
-    with the chunk's own values bound in (`_generate`).
+    with the chunk's own values bound in (`_generate`), held here alone.
     """
 
     __slots__ = ("size", "first", "forward", "_backward")
@@ -416,18 +417,16 @@ def _chunks(tape, nodes):
         yield nodes[start:]
 
 
-# Compiled shapes by their source text, each with the functions bound
-# from it.  A chunk's function takes the tape's lists as arguments and
-# closes over no tape, so tapes with the same graph (one task x kind at
-# another seed) share its code, and equal chunks share one function.
-# `cli.run_benchmark` empties the cache when a sweep starts (a sweep
-# compiles a hundred-odd shapes).  For other callers it is emptied when
-# it holds CODE_CACHE_CAP functions, and so at most that many shapes: a
-# caller fitting one dataset after another binds new constants into the
-# shapes it has, so functions, not shapes, are what grows.
+# Compiled shapes by their source text.  A chunk's function takes the
+# tape's lists as arguments and closes over no tape, so tapes with the
+# same graph (one task x kind at another seed) share its shapes.  The
+# cache keeps shapes only: each chunk gets a new function, held by its
+# tape's `_Replay` and freed with the tape.  `cli.run_benchmark` empties
+# the cache when a sweep starts (a sweep compiles a hundred-odd shapes).
+# For other callers it is emptied before a shape is added to a cache
+# holding CODE_CACHE_CAP shapes.
 _CODE = {}
 CODE_CACHE_CAP = 2048
-_bound = 0  # functions held by the shapes in _CODE
 
 # A slot is written in a chunk's source as a literal that compiles to one
 # entry of the code's constants: index slot k as the int
@@ -439,9 +438,7 @@ _INDEX_SLOT = 9_000_000_000_000
 
 def clear_code_cache():
     """Drop every compiled shape, so the next replay generates its own."""
-    global _bound
     _CODE.clear()
-    _bound = 0
 
 
 class _Slots(list):
@@ -476,11 +473,10 @@ class _Slots(list):
 
 
 class _Shape:
-    """One compiled chunk source: the position of each slot in its code's
-    constants, the functions bound from it by their slot values' bits,
-    and the code last bound, from which the next is made."""
+    """One compiled chunk source: its code, and the position of each slot
+    in that code's constants."""
 
-    __slots__ = ("code", "at", "bound")
+    __slots__ = ("code", "at")
 
     def __init__(self, text, slots):
         module = compile(text, "<tape replay>", "exec")
@@ -492,40 +488,31 @@ class _Shape:
             if (type(p), p) not in where:
                 raise ValueError(f"slot {k} ({p!r}) is not a constant of the compiled chunk")
             self.at.append(where[type(p), p])
-        self.bound = {}
 
     def bind(self, slots):
-        """A function running this code on `slots`' values."""
+        """A new function running this code on `slots`' values."""
         consts = list(self.code.co_consts)
         for n, value in zip(self.at, slots):
             consts[n] = value
-        self.code = self.code.replace(co_consts=tuple(consts))
-        return FunctionType(self.code, _REPLAY_GLOBALS)
+        return FunctionType(self.code.replace(co_consts=tuple(consts)), _REPLAY_GLOBALS)
 
 
 def _generate(bodies, args):
-    """One function of `args` per `(lines, slots)` in `bodies`.  The
+    """One new function of `args` per `(lines, slots)` in `bodies`.  The
     lines, which name each value by its slot's literal, are the chunk's
     shape, compiled unless it is in the cache; the function runs the
     shape's bytecode with the slots' values as its constants, which is
     the bytecode a compile() of the lines with the values written in
-    gives.  A shape keeps its functions by the values' bits, never by
-    ==, which takes -0.0 for 0.0, so equal chunks share one function."""
-    global _bound
+    gives."""
     chunks = []
     for lines, slots in bodies:
-        if _bound >= CODE_CACHE_CAP:
-            clear_code_cache()
         text = f"def chunk({args}):\n    " + "\n    ".join(lines or ["pass"]) + "\n"
         shape = _CODE.get(text)
         if shape is None:
+            if len(_CODE) >= CODE_CACHE_CAP:
+                _CODE.clear()
             shape = _CODE[text] = _Shape(text, slots)
-        key = array("d", slots).tobytes()
-        chunk = shape.bound.get(key)
-        if chunk is None:
-            chunk = shape.bound[key] = shape.bind(slots)
-            _bound += 1
-        chunks.append(chunk)
+        chunks.append(shape.bind(slots))
     return chunks
 
 

@@ -222,6 +222,8 @@ def parse_flags(argv) -> RunConfig:
                     data = json.load(fh)
             except (OSError, json.JSONDecodeError) as exc:
                 raise UsageError(f"cannot read config file {value!r}: {exc}")
+            if not isinstance(data, dict):
+                raise UsageError(f"config file {value!r} must hold a JSON object, not {type(data).__name__}")
             for key, v in data.items():
                 if key not in _CONFIG_KEYS:
                     raise UsageError(f"unknown config key {key!r}")

@@ -85,9 +85,6 @@ class Sigmoid:
             raise ValueError(f"sigmoid inverse needs 0 < y < 1, got {y!r}")
         return math.log(y) - math.log1p(-y)
 
-    def log_det_jacobian(self, u):
-        return -ad.softplus(u) - ad.softplus(-u)
-
 
 class SoftmaxCentered:
     """Map R^(k-1) to the interior of the k-simplex.
@@ -113,13 +110,6 @@ class SoftmaxCentered:
             raise ValueError("simplex inverse needs strictly positive probabilities")
         ref = math.log(probs[-1])
         return [math.log(p) - ref for p in probs[:-1]]
-
-    def log_det_jacobian(self, u):
-        probs = self.forward(u)
-        total = ad.log(probs[0])
-        for p in probs[1:]:
-            total = total + ad.log(p)
-        return total
 
 
 IDENTITY = Identity()

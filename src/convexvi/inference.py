@@ -276,10 +276,6 @@ class FitResult:
     steps_run: int = 0
     surrogate: object = field(repr=False, default=None)
 
-    @property
-    def final_loss(self):
-        return self.trajectory[-1][1]
-
 
 # Steps whose noise `fit` draws in one `draw_noise` call.  draw_noise
 # draws its rows in order, so a block of steps gets the rows that one

@@ -488,6 +488,8 @@ def _brownian_spec(task, model):
 def check_task_overrides(data):
     """Overrides of the SDE task defaults (steps, dt, scales, mask),
     checked: unknown keys raise, a mask becomes a tuple of bools."""
+    if not isinstance(data, dict):
+        raise ValueError(f"task config must hold a JSON object, not {type(data).__name__}")
     allowed = {"steps", "dt", "innovation_scale", "obs_scale", "mask"}
     unknown = set(data) - allowed
     if unknown:

@@ -108,6 +108,17 @@ def test_run_config_validation(tmp_path, capsys):
     run_file.write_text(json.dumps({"task": "br", "seeds": [2.0, 3], "steps": 7.0, "workers": 2.0}))
     cfg = parse_flags(["--config", str(run_file)])
     assert (cfg.seeds, cfg.steps, cfg.workers) == ((2, 3), 7, 2)
+    # a file whose top level is not an object raised AttributeError from
+    # --config, and named the string's letters as unknown task-config keys
+    for flag, text in (
+        ("--config", "[1, 2]"), ("--config", '"br"'), ("--task-config", '"steps"'), ("--task-config", "[1]"),
+    ):
+        run_file.write_text(text)
+        with pytest.raises(UsageError, match="must hold a JSON object"):
+            parse_flags(["--task", "br", flag, str(run_file)])
+        capsys.readouterr()
+        assert main(["--task", "br", flag, str(run_file)]) == 2
+        assert "must hold a JSON object" in capsys.readouterr().err
     assert main(["--task", "br", "--steps", "2.7"]) == 2
 
 

@@ -1,10 +1,13 @@
 import dis
+import gc
 import json
 import math
 import os
 import re
 import subprocess
 import sys
+import types
+import weakref
 
 import numpy as np
 import pytest
@@ -343,8 +346,28 @@ def test_the_samples_of_a_wide_tape_share_their_shapes():
     graph = CompiledElbo(model, surrogate, surrogate.init_params, draw(surrogate, 8, np.random.default_rng(1)))
     graph.tape.forward()
     graph.gradient()
-    functions = sum(len(shape.bound) for shape in autodiff._CODE.values())
+    replay = graph.tape._replay
+    functions = len(replay.forward) + sum(map(len, replay._backward.values()))
     assert functions > 80 and len(autodiff._CODE) <= 30, (functions, len(autodiff._CODE))
+
+
+def test_a_chunk_function_does_not_outlive_its_tape():
+    # the cache keeps shapes only; a tape's functions are held by its
+    # replay and freed with it
+    autodiff.clear_code_cache()
+    graph = first_step_graph("br", "asvi")
+    graph.tape.forward()
+    graph.gradient()
+    chunk = weakref.ref(graph.tape._replay.forward[0])
+    frontier, reached = list(autodiff._CODE.values()), []
+    for _ in range(3):  # the shapes' fields, and what those hold
+        frontier = [r for r in gc.get_referents(*frontier) if not isinstance(r, type)]
+        reached += frontier
+    assert chunk() is not None and reached
+    assert not [r for r in reached if isinstance(r, types.FunctionType)]
+    del graph
+    gc.collect()
+    assert chunk() is None
 
 
 @pytest.mark.parametrize("kind", ["asvi", "mean-field", "ar1", "mvn"])
@@ -919,7 +942,7 @@ def test_fit_reproducible():
 
 def test_code_cache_shares_chunks_and_keeps_the_bits(monkeypatch):
     # es has fixed data, so a fit at another seed records the same graph
-    # and reuses the compiled functions of the fit before it
+    # and binds its chunks into the shapes compiled by the fit before it
     model = get_task("es").model
     generate, made, compiled = autodiff._generate, [], []
 
@@ -941,7 +964,8 @@ def test_code_cache_shares_chunks_and_keeps_the_bits(monkeypatch):
     warm = run(2)
     assert cold_compiles > 0 and len(compiled) == cold_compiles
     assert [len(chunks) for chunks in made] == [len(chunks) for chunks in first]
-    assert all(new is old for now, then in zip(made, first) for new, old in zip(now, then))
+    pairs = [(new, old) for now, then in zip(made, first) for new, old in zip(now, then)]
+    assert all(new is not old and new.__code__.co_code == old.__code__.co_code for new, old in pairs)
     autodiff.clear_code_cache()
     assert run(2) == warm
     assert len(compiled) == 2 * cold_compiles
@@ -949,8 +973,7 @@ def test_code_cache_shares_chunks_and_keeps_the_bits(monkeypatch):
 
 def test_code_cache_stays_under_its_cap_and_keeps_the_bits(monkeypatch):
     # a caller that fits one simulated dataset after another keeps at
-    # most CODE_CACHE_CAP functions, and so at most as many shapes, and an
-    # emptied cache changes no bits
+    # most CODE_CACHE_CAP shapes, and an emptied cache changes no bits
     monkeypatch.setattr(autodiff, "CODE_CACHE_CAP", 16)
     task = get_task("br")
 
@@ -963,7 +986,7 @@ def test_code_cache_stays_under_its_cap_and_keeps_the_bits(monkeypatch):
     capped = []
     for seed in (1, 2, 3, 4):
         capped.append(run(seed))
-        assert 0 < len(autodiff._CODE) <= sum(len(shape.bound) for shape in autodiff._CODE.values()) <= 16
+        assert 0 < len(autodiff._CODE) <= 16
     for seed, bits in zip((1, 2, 3, 4), capped):
         autodiff.clear_code_cache()
         assert run(seed) == bits
