@@ -25,9 +25,11 @@ while the ops, and checks that a replay repeats by itself
 
 Everything is double precision.  The unary ops (``exp``, ``log``,
 ``tanh``, ``sigmoid``, ``softplus``, ``sqrt``) are declared once, in the
-table ``_UNARY``, whose source text serves recording, floats, arrays and
-generated replay alike.  Each accepts a ``Node``, a float, or a float
-array: the tape, one sample, or a batch (one array entry per sample).
+table ``_UNARY`` as source text: the value as an expression, inlined
+into replay (so replay calls no Python function but ``_exp``, whose
+overflow rule needs a statement), the partial and the domain check.
+Each accepts a ``Node``, a float, or a float array: the tape, one
+sample, or a batch (one array entry per sample).
 On an array an op maps its float function over the entries (numpy's own
 ``exp``/``log`` differ from libm in the last bit on some inputs), so
 each entry has the float path's bits; ``+ - * /`` and ``abs`` are exact
@@ -38,6 +40,7 @@ raises ``PerSampleOnly``.
 from __future__ import annotations
 
 import math
+import re
 from array import array
 from types import CodeType, FunctionType
 
@@ -251,20 +254,6 @@ class PerSampleOnly(Exception):
     at a time."""
 
 
-def _sigmoid_float(x):
-    if x >= 0.0:
-        return 1.0 / (1.0 + math.exp(-x))
-    e = math.exp(x)
-    return e / (1.0 + e)
-
-
-def _softplus_float(x):
-    # branch form avoids overflow of exp for large |x|
-    if x > 0.0:
-        return x + math.log1p(math.exp(-x))
-    return math.log1p(math.exp(x))
-
-
 def _exp_float(x):
     # overflow becomes inf so divergence shows up as a non-finite value
     # in the diagnostics instead of an OverflowError mid-graph
@@ -295,40 +284,50 @@ def _domain_error(what, a):
 
 
 _REPLAY_GLOBALS = {
+    "exp": math.exp,
     "log": math.log,
+    "log1p": math.log1p,
     "tanh": math.tanh,
     "sqrt": math.sqrt,
     "inf": math.inf,  # repr() of a non-finite constant names one of these
     "nan": math.nan,
     "_domain_error": _domain_error,
     "_exp": _exp_float,
-    "_sigmoid": _sigmoid_float,
-    "_softplus": _softplus_float,
 }
 
 
 class _Unary:
     """One unary op as source text, read by recording, the float and
-    array paths and replay alike: its float function's `name` in
-    `_REPLAY_GLOBALS`, its `partial` in the argument `a` and value `y`,
-    and a domain `check` on `a` that raises `DomainError(message)`."""
+    array paths and replay alike: its `value` as an expression in the
+    argument `a`, inlined into replay; its `partial` in `a` and the value
+    `y`; and a domain `check` on `a` that raises `DomainError(message)`.
+    The float function `f` is built from the same text; a value that is
+    one call of a global on `a` is that global itself."""
 
-    def __init__(self, name, partial, check=None, message=None):
-        self.name, self.partial, self.check, self.message = name, partial, check, message
-        self.f = _REPLAY_GLOBALS[name]
+    def __init__(self, value, partial, check=None, message=None):
+        self.value, self.partial, self.check, self.message = value, partial, check, message
+        call = re.fullmatch(r"(\w+)\(a\)", value)
+        self.f = _REPLAY_GLOBALS[call[1]] if call else eval(f"lambda a: {value}", _REPLAY_GLOBALS)
         self.d = eval(f"lambda a, y: {partial}", _REPLAY_GLOBALS)
         self.bad = check and eval(f"lambda a: {check}")
         reads = compile(partial, "<partial>", "eval").co_names
-        self.binds_a, self.binds_y = bool(check) or "a" in reads, "y" in reads
+        self.binds_a, self.binds_y = bool(check) or "a" in reads or not call, "y" in reads
 
+    def of(self, a):
+        """The value's text with the argument's text `a` in place of `a`."""
+        return re.sub(r"\ba\b", a, self.value)
+
+
+# exp(-a) and exp(a) are taken only where they cannot overflow
+_SIGMOID = "1.0 / (1.0 + exp(-a)) if a >= 0.0 else (e := exp(a)) / (1.0 + e)"
 
 _UNARY = {
-    EXP: _Unary("_exp", "y"),
-    LOG: _Unary("log", "1.0 / a", "a <= 0.0", "log of non-positive value"),
-    TANH: _Unary("tanh", "1.0 - y * y"),
-    SIGMOID: _Unary("_sigmoid", "y * (1.0 - y)"),
-    SOFTPLUS: _Unary("_softplus", "_sigmoid(a)"),
-    SQRT: _Unary("sqrt", "0.5 / y if y > 0.0 else inf", "a < 0.0", "sqrt of negative value"),
+    EXP: _Unary("_exp(a)", "y"),
+    LOG: _Unary("log(a)", "1.0 / a", "a <= 0.0", "log of non-positive value"),
+    TANH: _Unary("tanh(a)", "1.0 - y * y"),
+    SIGMOID: _Unary(_SIGMOID, "y * (1.0 - y)"),
+    SOFTPLUS: _Unary("a + log1p(exp(-a)) if a > 0.0 else log1p(exp(a))", _SIGMOID),
+    SQRT: _Unary("sqrt(a)", "0.5 / y if y > 0.0 else inf", "a < 0.0", "sqrt of negative value"),
 }
 
 
@@ -569,9 +568,9 @@ def _forward_source(tape, nodes, first):
             if u.check:
                 lines.append(f"if {u.check}: _domain_error({u.message!r}, a)")
             if u.binds_y:
-                lines += [f"y = {u.name}({a})", f"{out} = y"]
+                lines += [f"y = {u.of(a)}", f"{out} = y"]
             else:
-                lines.append(f"{out} = {u.name}({a})")
+                lines.append(f"{out} = {u.of(a)}")
             lines.append(f"d1[{index(i)}] = {u.partial}")
         elif op == POW:
             lines.append(f"a = {a}")

@@ -28,7 +28,7 @@ from __future__ import annotations
 import csv
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -168,7 +168,7 @@ class CompiledElbo:
 
     def gradient(self):
         """Gradient of the recorded objective with respect to the params."""
-        return np.array(self.tape.backward(self.objective)[: self.n_params])
+        return np.fromiter(self.tape.backward(self.objective), float, self.n_params)
 
     def replay(self, params, draws):
         """(value, gradient) of the recorded graph at new `params` and
@@ -211,8 +211,11 @@ def elbo_gradient(model, surrogate, params, n_samples=1, seed=0):
 # Adam
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class AdamState:
+    """Adam's step count and moment estimates; `adam_step` updates them
+    in place."""
+
     step: int
     m: np.ndarray
     v: np.ndarray
@@ -227,17 +230,18 @@ class AdamState:
 
 
 def adam_step(state: AdamState, gradient, params):
-    """One bias-corrected Adam ascent step on the ELBO."""
+    """One bias-corrected Adam ascent step on the ELBO: `state`, updated
+    in place, and the new parameters."""
     g = np.asarray(gradient, dtype=float)
     if g.shape != state.m.shape or len(params) != len(g):
         raise ValueError("gradient/parameter dimension mismatch")
-    t = state.step + 1
-    m = state.beta1 * state.m + (1.0 - state.beta1) * g
-    v = state.beta2 * state.v + (1.0 - state.beta2) * g * g
-    m_hat = m / (1.0 - state.beta1**t)
-    v_hat = v / (1.0 - state.beta2**t)
-    new_params = np.asarray(params, dtype=float) + state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
-    return replace(state, step=t, m=m, v=v), new_params
+    beta1, beta2 = state.beta1, state.beta2
+    t = state.step = state.step + 1
+    m = state.m = beta1 * state.m + (1.0 - beta1) * g
+    v = state.v = beta2 * state.v + (1.0 - beta2) * g * g
+    m_hat = m / (1.0 - beta1**t)
+    v_hat = v / (1.0 - beta2**t)
+    return state, np.asarray(params, dtype=float) + state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
 
 
 # ---------------------------------------------------------------------------
@@ -319,8 +323,11 @@ def fit(model, surrogate, config: TrainConfig = TrainConfig(), init_params=None)
     diverged = False
 
     if config.steps == 0:
-        est = elbo_estimate(model, surrogate, params, config.n_samples, seed=config.seed)
-        trajectory.append((0, -est.value, time.perf_counter() - start))
+        try:
+            est = elbo_estimate(model, surrogate, params, config.n_samples, seed=config.seed)
+            trajectory.append((0, -est.value, time.perf_counter() - start))
+        except _DIVERGENCE:
+            diverged = True
 
     n, k = config.n_samples, len(surrogate.noise_spec)
     for step in range(config.steps):
@@ -339,7 +346,7 @@ def fit(model, surrogate, config: TrainConfig = TrainConfig(), init_params=None)
         except _DIVERGENCE:
             diverged = True
             break
-        if not math.isfinite(value) or not np.all(np.isfinite(grad)):
+        if not (math.isfinite(value) and np.isfinite(grad).all()):
             diverged = True
             break
         loss = -value

@@ -390,6 +390,30 @@ def test_every_recorded_node_reaches_the_objective(task_id, kind):
 
 @pytest.mark.parametrize("kind", ["asvi", "mean-field", "ar1", "mvn"])
 @pytest.mark.parametrize("task_id", TASK_IDS)
+def test_replay_calls_no_python_helper(task_id, kind):
+    # every op of a replayed step is bytecode or a C function: with the
+    # sigmoid and softplus helpers inline, lz x asvi's forward sweep took
+    # 0.88 of the time.  `_exp` turns an overflow into inf, which needs a
+    # statement
+    tape = first_step_graph(task_id, kind).tape
+    tape.forward()
+    loaded = {
+        ins.argval
+        for chunk in tape._replay.forward
+        for ins in dis.get_instructions(chunk)
+        if ins.opname == "LOAD_GLOBAL"
+    }
+    allowed = {"_domain_error", "_exp", "inf", "nan"}
+    helpers = {
+        name
+        for name in loaded - allowed
+        if not isinstance(autodiff._REPLAY_GLOBALS[name], types.BuiltinFunctionType)
+    }
+    assert helpers == set()
+
+
+@pytest.mark.parametrize("kind", ["asvi", "mean-field", "ar1", "mvn"])
+@pytest.mark.parametrize("task_id", TASK_IDS)
 def test_every_subtraction_is_one_node(task_id, kind):
     # `a - b` once recorded a NEG node whose only child was the next ADD:
     # 700 of lz x asvi's 4262 op nodes, each replayed at every step
@@ -878,6 +902,34 @@ def test_adam_dimension_mismatch():
         adam_step(state, np.zeros(3), np.zeros(3))
 
 
+def test_adam_step_matches_a_per_element_reference_in_bytes():
+    # Adam on Python floats, one entry at a time, in adam_step's expression
+    # order; 5e-324 * 5e-324 underflows to 0.0 and 1e200 * 1e200 overflows
+    # to inf, which freezes that entry for good
+    rng = np.random.default_rng(4)
+    state = AdamState.fresh(6, lr=0.05)
+    params = rng.normal(size=6)
+    b1, b2, eps, lr = 0.9, 0.999, 1e-8, 0.05
+    m, v, p = [0.0] * 6, [0.0] * 6, params.tolist()
+    specials = [0.0, -0.0, 5e-324, 1e200, -5e-324]
+    for t in range(1, 51):
+        g = rng.normal(size=6) * 10.0 ** rng.integers(-3, 4, size=6)
+        g[t % 5] = specials[t % 5]
+        g[5] = 1e200 if t == 40 else g[5]
+        with np.errstate(over="ignore"):
+            state, params = adam_step(state, g, params)
+        assert state.step == t
+        for k, gk in enumerate(g.tolist()):
+            m[k] = b1 * m[k] + (1.0 - b1) * gk
+            v[k] = b2 * v[k] + (1.0 - b2) * gk * gk
+            m_hat = m[k] / (1.0 - b1**t)
+            v_hat = v[k] / (1.0 - b2**t)
+            p[k] = p[k] + lr * m_hat / (math.sqrt(v_hat) + eps)
+        for got, want in ((state.m, m), (state.v, v), (params, p)):
+            assert got.tobytes() == np.array(want).tobytes(), t
+    assert math.isinf(v[5]) and math.isinf(v[3])
+
+
 def test_fit_conjugate_reaches_evidence():
     model = conjugate_pair(y=2.0)
     coarse = fit(model, "asvi", TrainConfig(steps=4000, seed=0, window=500, patience=4))
@@ -901,6 +953,15 @@ def test_fit_zero_steps_returns_initial():
     result = fit(model, "asvi", TrainConfig(steps=0, seed=0))
     assert np.array_equal(result.params, asvi.init_params)
     assert len(result.trajectory) == 1
+
+
+def test_a_zero_step_fit_reports_an_elbo_that_diverges():
+    # es x mvn at seed 3 draws a -inf ELBO term at once: a fit of one
+    # step reports divergence, and so must the zero-step fit's estimate
+    model = get_task("es").model
+    for steps in (0, 1):
+        result = fit(model, "mvn", TrainConfig(steps=steps, seed=3))
+        assert (result.diverged, result.trajectory, result.steps_run) == (True, [], 0), steps
 
 
 @pytest.mark.parametrize(
