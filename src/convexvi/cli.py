@@ -197,10 +197,14 @@ def _coerce(key, value):
     if key in ("steps", "n_samples", "workers"):
         return _integer(value)
     if key == "lr":
+        if isinstance(value, bool):
+            raise ValueError(f"{value!r} is not a number")
         return None if value is None else float(value)
     if key == "task_overrides":
         return check_task_overrides(value)
-    return str(value)
+    if not isinstance(value, str):
+        raise ValueError(f"{value!r} is not a string")
+    return value
 
 
 def parse_flags(argv) -> RunConfig:

@@ -5,8 +5,8 @@ log densities plus reparameterized sampling (continuous families) or
 inverse-CDF sampling (discrete families).  All density code is written
 against the generic helpers in :mod:`convexvi.autodiff`, so the same
 formulas evaluate on plain floats, on a tape, or on float arrays that
-hold one entry per sample; the checks of the continuous families act
-per sample on an array.
+hold one entry per sample.  On an array a bad scale raises
+``ParameterError`` and a sample outside the support ``PerSampleOnly``.
 
 Scale-type parameters materialized from unconstrained storage get a
 small additive floor (``SCALE_FLOOR``) after the softplus, since an
@@ -21,7 +21,7 @@ import math
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import value_for_check, value_of
+from .autodiff import PerSampleOnly, value_for_check, value_of
 
 HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 SCALE_FLOOR = 1e-6
@@ -162,14 +162,13 @@ def _check_scale(scale, who):
         raise ParameterError(f"{who} requires scale > 0, got {bad!r}")
 
 
-def _outside_support(family, params, value, outside):
-    """`family.log_prob` of samples that fail its support test (`outside`
-    is True or a bool array with a True entry): -inf for one sample; on
-    an array, -inf for the failing samples only and the density of the
-    others, computed with the failing entries set to 1.0."""
-    if outside is True:
-        return NEG_INF
-    return np.where(outside, NEG_INF, family.log_prob(params, np.where(outside, 1.0, value)))
+def zero_density(test):
+    """Whether `test`, one bool or one per sample on an array, puts a
+    sample's density at 0.  A batch holding such a sample raises
+    `PerSampleOnly`: the per-sample loop evaluates it."""
+    if test is not True and test is not False and test.any():
+        raise PerSampleOnly("a sample of the batch has zero density")
+    return test is True
 
 
 class Normal:
@@ -209,9 +208,8 @@ class HalfNormal:
         (scale,) = params
         _check_scale(scale, self.name)
         # unnoted read: a sample, scale * |eps| or a softplus, is never < 0
-        outside = value_for_check(value) < 0.0
-        if outside is not False and np.any(outside):
-            return _outside_support(self, params, value, outside)
+        if zero_density(value_for_check(value) < 0.0):
+            return NEG_INF
         z = value / scale
         return math.log(2.0) - 0.5 * (z * z) - ad.log(scale) - HALF_LOG_2PI
 
@@ -240,9 +238,8 @@ class LogNormal:
         loc, scale = params
         _check_scale(scale, self.name)
         # unnoted read: a replay takes the log of the value below
-        outside = value_for_check(value) <= 0.0
-        if outside is not False and np.any(outside):
-            return _outside_support(self, params, value, outside)
+        if zero_density(value_for_check(value) <= 0.0):
+            return NEG_INF
         log_value = ad.log(value)
         z = (log_value - loc) / scale
         return -0.5 * (z * z) - ad.log(scale) - HALF_LOG_2PI - log_value

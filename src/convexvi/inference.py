@@ -4,8 +4,8 @@ The final ELBO (``elbo_estimate``) and the posterior moments
 (``surrogate_moments``) are reductions over one evaluator,
 ``sample_batch``: it runs the program once over a sample axis, one float
 array per latent, with the bits the per-sample float loop gives; a
-program that cannot run on arrays (uniform noise, or a link that reads a
-value) runs that loop instead.
+batch the arrays cannot take whole (uniform noise, a read value, a
+failing sample) runs that loop instead.
 
 Gradients go through the reparameterized sampling path for continuous
 nodes; discrete nodes contribute score-function terms weighted by each
@@ -59,29 +59,25 @@ def sample_batch(surrogate, params, n, rng, model=None):
     The noise is one `draw_noise` array, row `s` for sample `s`, kept
     transposed; `sample_and_log_prob` and `joint_log_prob` then run
     once, with one array of `n` entries in place of each float, and
-    every entry has the bits that sample gets on floats.  Two kinds of
-    program cannot run on arrays and run one sample at a time instead,
-    on the same noise and into the same arrays: one with uniform noise
-    (discrete latents, whose values links branch on), and one that
-    reads a value (`value_of` of an array raises `PerSampleOnly`).  An
-    array operation that overflows or divides by zero gives the IEEE inf
-    or NaN silently; on floats, a division by zero raises
-    `ZeroDivisionError`.  Only a link that divides by a sampled value
-    can meet that: the families check their scales before dividing by
-    them.
+    every entry has the bits that sample gets on floats.  The arrays take
+    the batch whole or not at all: uniform noise (discrete values, which
+    links branch on), `PerSampleOnly` (a read value, a sample of density
+    0), a floating-point error (numpy raises here), a `DomainError` or a
+    `ParameterError` run the per-sample float loop on the same noise, so
+    a caller gets its values, terms or error.  Any other error is raised.
     """
     params = [float(p) for p in params]
     # row j holds noise entry j of every sample; only this copy is kept
     eps = draw_noise(surrogate.noise_spec, n, rng).T.copy()
-    if "uniform" in surrogate.noise_spec:
-        return _one_at_a_time(surrogate, params, eps.T.tolist(), model)
-    try:
-        with np.errstate(all="ignore"):
-            values, log_q, _ = surrogate.sample_and_log_prob(params, list(eps))
-            terms = None if model is None else joint_log_prob(model, values) - log_q
-    except PerSampleOnly:
-        return _one_at_a_time(surrogate, params, eps.T.tolist(), model)
-    return {name: values[name] for name in surrogate.latent_names}, terms
+    if "uniform" not in surrogate.noise_spec:
+        try:
+            with np.errstate(all="raise", under="ignore"):
+                values, log_q, _ = surrogate.sample_and_log_prob(params, list(eps))
+                terms = None if model is None else joint_log_prob(model, values) - log_q
+            return {name: values[name] for name in surrogate.latent_names}, terms
+        except (PerSampleOnly, FloatingPointError, DomainError, ParameterError):
+            pass
+    return _one_at_a_time(surrogate, params, eps.T.tolist(), model)
 
 
 def _one_at_a_time(surrogate, params, noise, model):
@@ -100,8 +96,8 @@ def _one_at_a_time(surrogate, params, noise, model):
 def elbo_estimate(model, surrogate, params, n_samples=1, seed=0) -> ElboEstimate:
     """Mean over samples of log p(x, y) - log q(x) with x ~ q, on floats:
     the mean of `sample_batch`'s terms, which come from one pass over
-    arrays, or from the per-sample loop where the surrogate draws uniform
-    noise or a link reads a value.  The first non-finite term raises
+    arrays, or from the per-sample loop where the arrays cannot take the
+    batch whole.  The first non-finite term raises
     `NonFiniteError` with its sample index.  The value can differ from
     `CompiledElbo.value` in the last bits: a node divided by `b` is
     `a * (1 / b)` on the tape, floats compute `a / b`."""
@@ -399,9 +395,10 @@ def surrogate_moments(surrogate, params, n_samples=4000, seed=0):
     """Per-latent posterior mean/SD estimated by sampling the program:
     the mean and SD (ddof 1) of each latent's `sample_batch` array, which
     comes from one pass over arrays, or from the per-sample loop where the
-    surrogate draws uniform noise or one of its links reads a value.  A
-    sample is kept as drawn, even one outside its support (no density is
-    checked here)."""
+    arrays cannot take the batch whole.  A sample is kept as drawn, even
+    one outside its support (no density of the model is checked here)."""
+    if n_samples < 1:
+        raise ValueError("n_samples must be >= 1")
     values, _ = sample_batch(surrogate, params, n_samples, np.random.default_rng(seed))
     means = {name: float(v.mean()) for name, v in values.items()}
     sds = {name: float(v.std(ddof=1)) for name, v in values.items()}

@@ -23,7 +23,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .autodiff import value_for_check
-from .distributions import NEG_INF, draw_noise
+from .distributions import NEG_INF, draw_noise, zero_density
 
 
 class ModelError(ValueError):
@@ -184,7 +184,6 @@ def sample_forward(model: JointModel, seed) -> Trace:
 
 def _accumulate(model, node_subset, values):
     total = None
-    live = None  # on arrays, once a sample's density is 0: the others' indices
     for node in node_subset:
         if node.name in model.observations:
             x = model.observations[node.name]
@@ -196,28 +195,12 @@ def _accumulate(model, node_subset, values):
         lp = node.family.log_prob(params, x)
         # density is zero at an out-of-support point; children may
         # see nonsense parameters there, so do not evaluate them
-        # (unnoted read: a -inf term makes a replayed sum non-finite)
-        zero = value_for_check(lp) == NEG_INF
-        if zero is True:
+        # (unnoted read: a -inf term makes a replayed sum non-finite;
+        # a batch with such a sample goes to the per-sample loop)
+        if zero_density(value_for_check(lp) == NEG_INF):
             return NEG_INF
-        if zero is not False and zero.any():
-            # per sample on arrays: the others go on without those samples
-            keep = ~zero
-            if live is None:
-                size, live = len(keep), np.flatnonzero(keep)
-            else:
-                live = live[keep]
-            values = {k: v[keep] if isinstance(v, np.ndarray) else v for k, v in values.items()}
-            lp = lp[keep]
-            if isinstance(total, np.ndarray):
-                total = total[keep]
         total = lp if total is None else total + lp
-    total = 0.0 if total is None else total
-    if live is None:
-        return total
-    out = np.full(size, NEG_INF)
-    out[live] = total
-    return out
+    return 0.0 if total is None else total
 
 
 def joint_log_prob(model: JointModel, values: Mapping) -> float:
@@ -225,8 +208,9 @@ def joint_log_prob(model: JointModel, values: Mapping) -> float:
 
     `values` must assign every unobserved node; observation bindings
     supply the rest.  Works on floats, on tape nodes, or on float arrays
-    of samples (one log-density per sample; a sample whose density is 0
-    is -inf, and its later nodes are not evaluated).
+    of samples (one log-density per sample).  A density of 0 gives -inf,
+    and the later nodes are not evaluated; on arrays a sample of density
+    0 raises `PerSampleOnly`, for the per-sample loop to evaluate it.
     """
     return _accumulate(model, model.nodes, values)
 

@@ -487,13 +487,24 @@ def _brownian_spec(task, model):
 
 def check_task_overrides(data):
     """Overrides of the SDE task defaults (steps, dt, scales, mask),
-    checked: unknown keys raise, a mask becomes a tuple of bools."""
+    checked: unknown keys and values of another type raise (a bool is no
+    number here), a mask becomes a tuple of bools."""
     if not isinstance(data, dict):
         raise ValueError(f"task config must hold a JSON object, not {type(data).__name__}")
     allowed = {"steps", "dt", "innovation_scale", "obs_scale", "mask"}
     unknown = set(data) - allowed
     if unknown:
         raise ValueError(f"unknown task-config keys {sorted(unknown)}")
+    for key, value in data.items():
+        if key == "mask":
+            listed = isinstance(value, (list, tuple))
+            ok = value is None or listed and all(type(b) in (bool, int) and b in (0, 1) for b in value)
+        else:
+            number = int if key == "steps" else (int, float)
+            ok = isinstance(value, number) and not isinstance(value, bool)
+        if not ok:
+            what = {"steps": "an integer", "mask": "a list of booleans or 0/1"}.get(key, "a number")
+            raise ValueError(f"task-config key {key!r} takes {what}, not {value!r}")
     data = dict(data)
     if data.get("mask") is not None:
         data["mask"] = tuple(bool(b) for b in data["mask"])

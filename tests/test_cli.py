@@ -97,6 +97,8 @@ def test_run_config_validation(tmp_path, capsys):
         ("seeds", 3), ("steps", [1]), ("surrogate", 5), ("lr", [1]),
         ("seeds", [1.5]), ("steps", 2.7), ("samples", 1.5), ("workers", 1.5),
         ("steps", True), ("steps", "2.7"),
+        # a bool was taken as a rate of 1.0, and null as the directory "None"
+        ("lr", True), ("out", None), ("out", 5),
     ):
         run_file.write_text(json.dumps({"task": "br", key: value}))
         with pytest.raises(UsageError, match=f"bad value for config key '{key}'"):
@@ -145,12 +147,25 @@ def test_task_overrides_are_checked_from_either_file(tmp_path, capsys):
         ({"obs_scale": math.inf}, "obs_scale"),
         ({"mask": [True]}, "mask"),
         ({"steps": "x"}, "steps"),
+        # bools were taken as numbers (a 1-step chain, a scale of 1.0),
+        # and any mask entry as a bool ("no" as True)
+        ({"steps": True}, "steps"),
+        ({"steps": 3.0}, "steps"),
+        ({"dt": False}, "dt"),
+        ({"innovation_scale": True}, "innovation_scale"),
+        ({"obs_scale": "1.0"}, "obs_scale"),
+        ({"steps": 3, "mask": [1, "no", 1]}, "mask"),
+        ({"steps": 3, "mask": [1, 2, 1]}, "mask"),
+        ({"steps": 3, "mask": "yes"}, "mask"),
     ):
         run_file.write_text(json.dumps({"task": "br", "task_overrides": overrides}))
         with pytest.raises(UsageError, match=key):
             parse_flags(["--config", str(run_file)])
         assert main(["--config", str(run_file)]) == 2
         assert key in capsys.readouterr().err
+    task_file.write_text(json.dumps({"steps": True}))
+    with pytest.raises(UsageError, match="'steps' takes an integer, not True"):
+        parse_flags(["--task", "br", "--task-config", str(task_file)])
     task_file.write_text(json.dumps({"dt": 0}))
     argv = ["--task", "br", "--task-config", str(task_file)]
     with pytest.raises(UsageError, match="bad task overrides .*'dt': 0.*must be positive"):

@@ -220,8 +220,16 @@ def test_checks_act_per_sample_on_arrays():
         scales = np.array([1.0, bad, 2.0])
         with pytest.raises(dist.ParameterError, match=f"got {bad!r}$"):
             dist.NORMAL.log_prob((0.0, scales), np.zeros(3))
-    values = np.array([1.5, 0.0, -1.0, 2.0, math.inf])
-    for family, params in ((dist.LOG_NORMAL, (0.3, 1.2)), (dist.HALF_NORMAL, (1.2,))):
-        out = family.log_prob(params, values)
-        expected = np.array([family.log_prob(params, float(v)) for v in values])
+    # a sample of density 0 leaves the batch to the per-sample loop; on
+    # floats it is -inf
+    for family, params, inside, outside in (
+        (dist.LOG_NORMAL, (0.3, 1.2), [1.5, 2.0, math.inf], [0.0, -1.0]),
+        (dist.HALF_NORMAL, (1.2,), [1.5, 0.0, 2.0, math.inf], [-1.0]),
+    ):
+        out = family.log_prob(params, np.array(inside))
+        expected = np.array([family.log_prob(params, v) for v in inside])
         assert out.tobytes() == expected.tobytes(), family.name
+        for v in outside:
+            assert family.log_prob(params, v) == -math.inf
+            with pytest.raises(ad.PerSampleOnly):
+                family.log_prob(params, np.array([1.5, v, 2.0]))

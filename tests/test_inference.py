@@ -128,6 +128,12 @@ def test_elbo_estimate_rejects_bad_sample_count():
         elbo_estimate(m, mf, mf.init_params, n_samples=0)
 
 
+def test_surrogate_moments_rejects_bad_sample_count():
+    mf = build_surrogate("mean-field", conjugate_pair())
+    with pytest.raises(ValueError, match="n_samples must be >= 1"):
+        surrogate_moments(mf, mf.init_params, n_samples=0)
+
+
 def test_elbo_nonfinite_raises_diagnostic():
     m = build_joint(
         [
@@ -531,16 +537,22 @@ def test_one_lognormal_sample_off_the_float_range(edge, seed, monkeypatch):
     values, terms = reference_samples(m, mf, params, 3, seed)
     assert values["s"][k] == (0.0 if edge == "underflow" else math.inf)
     assert np.flatnonzero(~np.isfinite(terms)).tolist() == [k]
+    # the model's density of that sample is 0, so the batch runs the loop
     with pytest.raises(NonFiniteError, match=f"non-finite ELBO term nan at sample {k}$"):
         elbo_estimate(m, mf, params, 3, seed=seed)
-    # the moment pass checks no density: it keeps the sample as drawn
+    assert len(loops) == 1
+    # the moment pass checks no density of the model: it keeps the sample
+    # as drawn; q's own density of s = 0 is 0 (the loop again), of s = inf
+    # it is -inf (the arrays)
     means, _ = surrogate_moments(mf, params, 3, seed=seed)
     assert means["s"] == values["s"].mean()
+    moment_loops = 1 if edge == "underflow" else 0
+    assert len(loops) == 1 + moment_loops
     assert_batch_is_the_loop(m, mf, params, 3, seed)
-    assert not loops
+    assert len(loops) == 2 * (1 + moment_loops)
 
 
-def test_one_non_positive_link_scale_raises_from_the_array_pass(monkeypatch):
+def test_one_non_positive_link_scale_goes_to_the_per_sample_loop(monkeypatch):
     m = build_joint(
         [
             rv("s", NORMAL, params=(0.3, 0.3)),
@@ -564,10 +576,62 @@ def test_one_non_positive_link_scale_raises_from_the_array_pass(monkeypatch):
         elbo_estimate(m, mf, params, n, seed=seed)
     assert str(batch_error.value) == str(loop_error.value)
     assert "Normal requires scale > 0, got -" in str(loop_error.value)
+    assert len(loops) == 1  # the array pass raised, and the loop raised again
     # q alone never reads y's scale
     means, _ = surrogate_moments(mf, params, n, seed=seed)
     assert means["s"] == reference_samples(None, mf, params, n, seed)[0]["s"].mean()
-    assert not loops
+    assert len(loops) == 1
+
+
+def reciprocal_link_model(c):
+    """x's loc is 1 / (s - c): a zero division where a sample of s is c."""
+    m = build_joint(
+        [
+            rv("s", NORMAL, params=(0.0, 1.0)),
+            rv("x", NORMAL, parents=("s",), link=lambda s: (1.0 / (s - c), 1.0)),
+            rv("y", NORMAL, parents=("x",), link=lambda x: (x, 1.0)),
+        ]
+    )
+    return condition(m, {"y": 0.3})
+
+
+def test_a_link_dividing_by_zero_at_one_sample_raises_as_the_loop_does():
+    # c is sample 2 of s, which asvi draws from s's prior whatever c is
+    probe = build_surrogate("asvi", reciprocal_link_model(0.5))
+    values, _ = inference.sample_batch(probe, probe.init_params, 5, np.random.default_rng(0))
+    model = reciprocal_link_model(float(values["s"][2]))
+    asvi = build_surrogate("asvi", model)
+    with pytest.raises(ZeroDivisionError) as loop_error:
+        reference_samples(model, asvi, asvi.init_params, 5, 0)
+    # q alone runs x's link too, so the moments meet the division
+    with pytest.raises(ZeroDivisionError) as moments_error:
+        surrogate_moments(asvi, asvi.init_params, 5, seed=0)
+    with pytest.raises(ZeroDivisionError) as elbo_error:
+        elbo_estimate(model, asvi, asvi.init_params, 5, seed=0)
+    assert str(moments_error.value) == str(elbo_error.value) == str(loop_error.value)
+
+
+def test_the_first_bad_link_scale_in_sample_order_is_reported():
+    # the arrays meet node b's bad scale (sample 2) before node c's, the
+    # loop meets sample 0's bad scale at c first
+    m = build_joint(
+        [
+            rv("s", NORMAL, params=(0.0, 1.0)),
+            rv("b", NORMAL, parents=("s",), link=lambda s: (0.0, 1.0 - s)),
+            rv("c", NORMAL, parents=("s",), link=lambda s: (0.0, s + 1.5)),
+        ]
+    )
+    m = condition(m, {"b": 0.1, "c": 0.1})
+    mf = build_surrogate("mean-field", m)
+    params = mf.init_params.copy()
+    params[mf.param_index["s.loc.alpha"]] = 0.0
+    params[mf.param_index["s.scale.alpha"]] = unconstrain_param("positive", 3.0)
+    with pytest.raises(ParameterError) as loop_error:
+        reference_samples(m, mf, params, 4, 4)
+    with pytest.raises(ParameterError) as batch_error:
+        elbo_estimate(m, mf, params, 4, seed=4)
+    assert str(batch_error.value) == str(loop_error.value)
+    assert str(loop_error.value) == "Normal requires scale > 0, got -0.4553734578350688"
 
 
 @SD_WARNINGS
