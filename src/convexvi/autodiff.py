@@ -2,14 +2,19 @@
 
 A ``Tape`` records a computation over scalar nodes in topological
 (creation) order; ``backward`` runs one reverse sweep and returns the
-gradient with respect to every input, by node id.  ``forward`` re-evaluates
-a recorded tape at new input values.  Its first call turns the tape into
-straight-line Python, one statement group per node, compiled in small
-functions; that code then runs every later ``forward`` and ``backward``
-(reverse mode by source transformation).  The generated forward sweep
-computes each repeated expression once: a node with the op, operands
-and constant of an earlier node copies that node's value, and its
-partials are read at that first node.  The tape is cut into functions
+gradient with respect to every input, by node id, or with respect to
+the inputs below the id ``wrt`` alone, the other entries being scratch.
+``forward`` re-evaluates a recorded tape at new input values.  Its first
+call turns the tape into straight-line Python, one statement group per
+node, compiled in small functions; that code then runs every later
+``forward`` and ``backward`` (reverse mode by source transformation).
+The generated reverse sweep computes only the active adjoints (activity
+analysis): it sweeps the nodes that depend on a wanted input and that
+the output depends on, and adds no term into any other node; a sum
+hands its adjoint on to its parents without copying it.  The generated
+forward sweep computes each repeated expression once: a node with the
+op, operands and constant of an earlier node copies that node's value,
+and its partials are read at that first node.  The tape is cut into functions
 where its structure repeats, and each function's source names its list
 indices and float constants by slot, so a pattern the tape repeats (the
 steps of a chain, the samples of a wide ELBO) is compiled once as a
@@ -214,12 +219,14 @@ class Tape:
         for chunk in self._replay.forward:
             chunk(vals, d1, d2)
 
-    def backward(self, output):
+    def backward(self, output, wrt=None):
         """Reverse accumulation from `output`.
 
-        Returns the adjoints as a list indexed by node id: an input's
-        entry is d(output)/d(input), other entries are scratch.  A tape
-        that has been replayed with `forward` sweeps with generated code;
+        Returns the adjoints as a list indexed by node id: the entry of
+        an input below node id `wrt` (of every input, if `wrt` is None)
+        is d(output)/d(input); every other entry is scratch.  A tape
+        that has been replayed with `forward` sweeps with generated code,
+        which computes only what those entries need (`_Replay.backward`);
         a freshly recorded tape, usually swept once, runs the loop below
         instead of paying for code generation.
         """
@@ -227,7 +234,7 @@ class Tape:
         adj = [0.0] * len(vals)
         adj[output.i] = 1.0
         if self._replay is not None:
-            for chunk in self._replay.backward(self, output.i):
+            for chunk in self._replay.backward(self, output.i, wrt):
                 chunk(adj, vals, d1, d2)
             return adj
         p1, p2 = self.p1, self.p2
@@ -341,11 +348,12 @@ class _Replay:
     replay gives the bits a fresh recording would.  A node that repeats
     its `first` node is not computed again; the first node's domain
     check runs before it, as in recording.  The reverse sweep is
-    generated per output node on first use (`_backward_source`).  Each
-    chunk's source names its list indices and float constants by slot,
-    so chunks of one shape (a step of a chain, one sample of several)
-    share one compiled template, and each chunk's function is that code
-    with the chunk's own values bound in (`_generate`), held here alone.
+    generated per output node and `wrt` on first use (`backward`,
+    `_backward_source`).  Each chunk's source names its list indices and
+    float constants by slot, so chunks of one shape (a step of a chain,
+    one sample of several) share one compiled template, and each chunk's
+    function is that code with the chunk's own values bound in
+    (`_generate`), held here alone.
     """
 
     __slots__ = ("size", "first", "forward", "_backward")
@@ -359,21 +367,40 @@ class _Replay:
         )
         self._backward = {}
 
-    def backward(self, tape, output):
-        """The functions of the reverse sweep from node `output`."""
-        chunks = self._backward.get(output)
+    def backward(self, tape, output, wrt):
+        """The functions of the reverse sweep from node `output` that
+        give the adjoints of the inputs below `wrt` (of every input, if
+        `wrt` is None).  Only the active nodes are swept (activity
+        analysis): those that depend on such an input and that `output`
+        depends on.  No other node adds to an active node's adjoint, so
+        the other nodes' adjoints, and the other inputs', are not
+        computed."""
+        chunks = self._backward.get((output, wrt))
         if chunks is None:
-            nodes = [i for i in range(output, -1, -1) if tape.p1[i] >= 0]
-            last_child = [-1] * (output + 1)
-            for i in nodes:
-                for parent in (tape.p1[i], tape.p2[i]):
-                    if parent >= 0 and last_child[parent] < 0:
-                        last_child[parent] = i
+            p1, p2 = tape.p1, tape.p2
+            varied = bytearray(output + 1)  # depends on an input below `wrt`
+            for i in range(output + 1):
+                j, k = p1[i], p2[i]
+                varied[i] = (wrt is None or i < wrt) if j < 0 else varied[j] or (k >= 0 and varied[k])
+            useful = bytearray(output + 1)  # `output` depends on it
+            useful[output] = 1
+            nodes, last_child = [], [-1] * (output + 1)
+            for i in range(output, -1, -1):
+                if p1[i] >= 0 and useful[i] and varied[i]:
+                    nodes.append(i)
+                    for parent in (p1[i], p2[i]):
+                        if parent >= 0:
+                            useful[parent] = 1
+                            if last_child[parent] < 0:
+                                last_child[parent] = i
             chunks = _generate(
-                (_backward_source(tape, chunk, output, last_child, self.first) for chunk in _chunks(tape, nodes)),
+                (
+                    _backward_source(tape, chunk, last_child, self.first, varied)
+                    for chunk in _chunks(tape, nodes)
+                ),
                 "g, v, d1, d2",
             )
-            self._backward[output] = chunks
+            self._backward[output, wrt] = chunks
         return chunks
 
 
@@ -594,10 +621,12 @@ def _forward_source(tape, nodes, first):
     return lines, slots
 
 
-def _backward_source(tape, nodes, output, last_child, first):
+def _backward_source(tape, nodes, last_child, first, active):
     """`(lines, slots)` of one function of the reverse sweep over `nodes`
-    (in descending order), giving the input adjoints `Tape.backward`'s
-    loop gives, bit for bit.
+    (active nodes, in descending order), giving the adjoints of the
+    active inputs (`active[i]` true) that `Tape.backward`'s loop gives,
+    bit for bit.  No term goes into an inactive parent: no wanted
+    adjoint reads its adjoint.
 
     Each node's adjoint sums its children's terms in descending child
     order, as the loop does.  A node inside `nodes` keeps its adjoint in
@@ -606,13 +635,19 @@ def _backward_source(tape, nodes, output, last_child, first):
     at +0.0 and so never holds -0.0.  An ADD or SUB node's local is dead
     once its terms are emitted, so the first of its `+` parents whose
     adjoint would start as a copy of it takes the local over instead (a
-    subtrahend starts from the negated adjoint).  Partials are read at
-    the node's `first`, which forward alone computes; each node keeps its
-    own adjoint, so the sums are those of the loop.  The loop
-    skips a node whose adjoint is zero; that matters only where a
-    partial can be infinite or NaN (0 * inf is NaN), so only those nodes
-    test it.  Elsewhere the term is a signed zero, which changes neither
-    a sum that is not -0.0 nor whether an inner node's adjoint is zero.
+    subtrahend starts from the negated adjoint).  The ADD's other parent
+    reads the same local, with no copy, where it is the node just below,
+    so it is swept next, before anything writes the local: it must not
+    add to the local's holder, nor name one parent twice, and it passes
+    the local on only by the same rule, to the node just below it.  An
+    ADD whose first parent is the node just below takes its parents in
+    the other order.  Partials are read at the node's `first`, which
+    forward alone computes; each node keeps its own adjoint, so the sums
+    are those of the loop.  The loop skips a node whose adjoint is zero;
+    that matters only where a partial can be infinite or NaN (0 * inf is
+    NaN), so only those nodes test it.  Elsewhere the term is a signed
+    zero, which changes neither a sum that is not -0.0 nor whether an
+    inner node's adjoint is zero.
     """
     ops, p1, p2 = tape.ops, tape.p1, tape.p2
     hi = nodes[0]
@@ -620,47 +655,63 @@ def _backward_source(tape, nodes, output, last_child, first):
     slots = _Slots()
     index = slots.index
     local = {}  # node -> the local holding its adjoint, once defined
+    shares = {}  # node -> the node whose local it reads as well
     lines = []
     for i in nodes:
         a = local.get(i)
-        if a is None:
-            if i != output and last_child[i] <= hi:
-                continue  # no child reached this node: its adjoint is zero
+        if a is None:  # the output, or a node whose children are all in earlier functions
             a = f"g{hi - i}"
             lines.append(f"{a} = g[{index(i)}]")
         op, j, k, f = ops[i], p1[i], p2[i], first[i]
+        # (parent, sign, factor): the term is `a`, or `a` times a float
+        # constant or a list entry `(list, index)`
         if op == ADD:
-            terms = [(j, "+", a), (k, "+", a)]
+            terms = [(j, "+", None), (k, "+", None)]
+            if j == i - 1:
+                terms.reverse()  # the node just below may read the local
         elif op == SUB:
-            terms = [(j, "+", a), (k, "-", a)]
+            terms = [(j, "+", None), (k, "-", None)]
         elif op in (NEG, RSUB):
-            terms = [(j, "-", a)]
+            terms = [(j, "-", None)]
         elif op == MUL and k < 0:
-            terms = [(j, "+", f"{a} * {slots.const(float(tape.aux[i]))}")]
+            terms = [(j, "+", float(tape.aux[i]))]
         elif op == MUL:
-            terms = [(j, "+", f"{a} * v[{index(k)}]"), (k, "+", f"{a} * v[{index(j)}]")]
+            terms = [(j, "+", ("v", k)), (k, "+", ("v", j))]
         elif op == EXP:
-            terms = [(j, "+", f"{a} * v[{index(i)}]")]
+            terms = [(j, "+", ("v", i))]
         elif k < 0:
-            terms = [(j, "+", f"{a} * d1[{index(f)}]")]
+            terms = [(j, "+", ("d1", f))]
         else:
-            terms = [(j, "+", f"{a} * d1[{index(f)}]"), (k, "+", f"{a} * d2[{index(f)}]")]
+            terms = [(j, "+", ("d1", f)), (k, "+", ("d2", f))]
         guarded = not (op in (ADD, SUB, NEG, RSUB) or (op == MUL and k < 0 and math.isfinite(tape.aux[i])))
-        handed = op not in (ADD, SUB)  # whether this node's local is no longer free
+        # whether this node's local is no longer free, and which other
+        # node holds it
+        handed, holder = op not in (ADD, SUB) or i in shares, shares.get(i)
         updates = []
-        for parent, sign, term in terms:
-            if parent < 0:
-                continue
+        for parent, sign, factor in terms:
+            if parent < 0 or not active[parent]:
+                continue  # a folded constant, or an adjoint nothing wanted reads
+            if factor is None:
+                term = a
+            elif type(factor) is float:
+                term = f"{a} * {slots.const(factor)}"
+            else:
+                term = f"{a} * {factor[0]}[{index(factor[1])}]"
             if parent not in inside:
                 updates.append(f"g[{index(parent)}] {sign}= {term}")
             elif parent in local:
                 updates.append(f"{local[parent]} {sign}= {term}")
             else:
                 base = f"g[{index(parent)}]" if last_child[parent] > hi else None
-                if not (base or handed or sign == "-"):
-                    local[parent] = a  # `g{parent} = a` would only copy
-                    handed = True
-                    continue
+                if sign == "+" and term == a and not base:  # `g{parent} = a` would only copy
+                    if not handed:
+                        local[parent] = a
+                        handed, holder = True, parent
+                        continue
+                    if parent == i - 1 and j != k and holder not in (p1[parent], p2[parent]):
+                        local[parent] = a  # swept next: nothing writes `a` before
+                        shares[parent] = holder
+                        continue
                 g = local[parent] = f"g{hi - parent}"
                 if guarded:
                     lines.append(f"{g} = {base or '0.0'}")

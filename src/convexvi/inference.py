@@ -163,8 +163,11 @@ class CompiledElbo:
         self.value = sum(w_vals) * (1.0 / n)
 
     def gradient(self):
-        """Gradient of the recorded objective with respect to the params."""
-        return np.fromiter(self.tape.backward(self.objective), float, self.n_params)
+        """Gradient of the recorded objective with respect to the params:
+        the first `P` adjoints.  The sweep asks for those alone
+        (`Tape.backward`'s `wrt`), so the noise inputs' entries, and the
+        nodes that depend on noise alone, are not computed."""
+        return np.fromiter(self.tape.backward(self.objective, self.n_params), float, self.n_params)
 
     def replay(self, params, draws):
         """(value, gradient) of the recorded graph at new `params` and

@@ -49,6 +49,17 @@ class SdeTaskConfig:
     mask: tuple = None
 
     def __post_init__(self):
+        # a bool is no number here: True would be a 1-step chain or a scale of 1.0
+        for name in ("steps", "dt", "innovation_scale", "obs_scale"):
+            value = getattr(self, name)
+            kind, what = (int, "an integer") if name == "steps" else ((int, float), "a number")
+            if isinstance(value, bool) or not isinstance(value, kind):
+                raise ValueError(f"{name!r} takes {what}, not {value!r}")
+        mask = self.mask
+        if mask is not None and not (
+            isinstance(mask, (list, tuple)) and all(type(b) in (bool, int) and b in (0, 1) for b in mask)
+        ):
+            raise ValueError(f"'mask' takes a list of booleans or 0/1, not {mask!r}")
         if self.steps <= 0 or not (math.isfinite(self.dt) and self.dt > 0):
             raise ValueError("steps and dt must be positive, dt finite")
         scales = (self.innovation_scale, self.obs_scale)
@@ -486,28 +497,18 @@ def _brownian_spec(task, model):
 
 
 def check_task_overrides(data):
-    """Overrides of the SDE task defaults (steps, dt, scales, mask),
-    checked: unknown keys and values of another type raise (a bool is no
-    number here), a mask becomes a tuple of bools."""
+    """Overrides of the SDE task defaults (steps, dt, scales, mask) from
+    JSON: an object of known keys, with a mask list made a tuple.
+    `SdeTaskConfig` checks the values' types and ranges."""
     if not isinstance(data, dict):
         raise ValueError(f"task config must hold a JSON object, not {type(data).__name__}")
     allowed = {"steps", "dt", "innovation_scale", "obs_scale", "mask"}
     unknown = set(data) - allowed
     if unknown:
         raise ValueError(f"unknown task-config keys {sorted(unknown)}")
-    for key, value in data.items():
-        if key == "mask":
-            listed = isinstance(value, (list, tuple))
-            ok = value is None or listed and all(type(b) in (bool, int) and b in (0, 1) for b in value)
-        else:
-            number = int if key == "steps" else (int, float)
-            ok = isinstance(value, number) and not isinstance(value, bool)
-        if not ok:
-            what = {"steps": "an integer", "mask": "a list of booleans or 0/1"}.get(key, "a number")
-            raise ValueError(f"task-config key {key!r} takes {what}, not {value!r}")
     data = dict(data)
-    if data.get("mask") is not None:
-        data["mask"] = tuple(bool(b) for b in data["mask"])
+    if isinstance(data.get("mask"), list):
+        data["mask"] = tuple(data["mask"])
     return data
 
 

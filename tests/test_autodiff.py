@@ -217,7 +217,10 @@ def test_replay_matches_fresh_record_on_random_graphs(monkeypatch):
     # and NaN values; repr() tells -0.0 from 0.0 and treats every NaN
     # alike.  Graphs of 40 and 120 ops, cut into functions at the default
     # size and at 5 nodes, hand adjoint locals down ADD and SUB chains and
-    # across function boundaries.
+    # across function boundaries.  One more input is declared among the
+    # ops, and `lone` depends on it alone.  A sweep asked for the inputs
+    # below `wrt` gives their entries of the full sweep, and a sweep from
+    # `lone` at `wrt` = that input's id has no code and gives zeros.
     unary = [
         lambda a: a + 1.5, lambda a: a * -2.5, lambda a: a * math.inf, lambda a: -a,
         lambda a: a * a, ad.exp, ad.log, ad.tanh, ad.sigmoid, ad.softplus, ad.sqrt,
@@ -231,7 +234,12 @@ def test_replay_matches_fresh_record_on_random_graphs(monkeypatch):
     def build(seed, xs):
         rng = np.random.default_rng(seed)
         nodes = list(xs)
-        for _ in range(120 if seed % 2 else 40):
+        n_ops = 120 if seed % 2 else 40
+        mid_at = int(rng.integers(n_ops))
+        for step in range(n_ops):
+            if step == mid_at:
+                mid = xs[0].tape.input(rng.normal())
+                nodes.append(mid)
             a = nodes[-1 - int(rng.integers(min(len(nodes), 6)))]
             b = nodes[int(rng.integers(len(nodes)))]
             try:
@@ -241,7 +249,7 @@ def test_replay_matches_fresh_record_on_random_graphs(monkeypatch):
                     nodes.append(unary[int(rng.integers(len(unary)))](a))
             except (ValueError, ZeroDivisionError, OverflowError):
                 pass  # recording rejected the op here; the graph skips it
-        return sum(nodes[-3:], nodes[0])
+        return sum(nodes[-3:], nodes[0]), ad.tanh(mid) * 3.0 + mid
 
     for chunk in (ad.REPLAY_CHUNK, 5):
         monkeypatch.setattr(ad, "REPLAY_CHUNK", chunk)
@@ -250,32 +258,82 @@ def test_replay_matches_fresh_record_on_random_graphs(monkeypatch):
         for seed in range(150):
             tape = ad.Tape()
             xs = [tape.input(v) for v in rng.uniform(0.5, 2.0, 3)]
-            out = build(seed, xs)
+            out, lone = build(seed, xs)
+            inputs = [i for i, op in enumerate(tape.ops) if op == ad.INPUT]
+            mid = inputs[-1]
             for _ in range(4):
                 point = [float(rng.choice(special)) if rng.random() < 0.3 else rng.normal() for _ in xs]
                 for x, v in zip(xs, point):
                     tape.set_input(x, v)
                 fresh = ad.Tape()
                 fxs = [fresh.input(v) for v in point]
-                fout = build(seed, fxs)
+                fout, _ = build(seed, fxs)
                 if (fresh.ops, fresh.p1, fresh.p2, fresh.aux) != (tape.ops, tape.p1, tape.p2, tape.aux):
                     continue  # recording took another path at this point
                 tape.forward()
                 g, fg = tape.backward(out), fresh.backward(fout)
                 assert list(map(repr, tape.vals)) == list(map(repr, fresh.vals))
-                assert [repr(g[x.i]) for x in xs] == [repr(fg[x.i]) for x in fxs]
+                assert [repr(g[i]) for i in inputs] == [repr(fg[i]) for i in inputs]
+                for wrt in (0, 1, len(xs), mid, mid + 1):
+                    gw = tape.backward(out, wrt)
+                    assert [repr(gw[i]) for i in inputs if i < wrt] == [repr(g[i]) for i in inputs if i < wrt]
+                gl = tape.backward(lone, mid)
+                assert [gl[i] for i in inputs if i < mid] == [0.0] * len(xs)
+                assert tape._replay._backward[lone.i, mid] == []
                 compared += 1
                 longer += len(tape) - len(xs) > 64
                 repeats += sum(f != i for i, f in enumerate(tape._replay.first))
         assert compared > 150 and longer > 40 and repeats > 100, (compared, longer, repeats)
 
 
+def test_sums_read_their_adjoint_locals_on_random_chains(monkeypatch):
+    # graphs of sums and differences that mostly read the node just
+    # below, as a Cholesky row or a log-density sum does: an ADD's second
+    # `+` parent reads the ADD's local, and so on down, with no copy.  A
+    # write to a local that two nodes read would change a gradient here
+    # (x + x below a node that reads another's local did).
+    ops = [
+        lambda a, b: a + b, lambda a, b: a - b, lambda a, b: b + a, lambda a, b: a + a,
+        lambda a, b: a - a, lambda a, b: a * b, lambda a, b: a + 1.5, lambda a, b: -a,
+        lambda a, b: ad.tanh(a), lambda a, b: a * 0.5,
+    ]
+
+    def build(seed, xs):
+        rng = np.random.default_rng(seed)
+        nodes = list(xs)
+        for _ in range(int(rng.integers(5, 80))):
+            a = nodes[-1 - int(rng.integers(min(len(nodes), 3)))]
+            b = nodes[-1 - int(rng.integers(min(len(nodes), 8)))]
+            nodes.append(ops[int(rng.integers(len(ops)))](a, b))
+        return nodes[-1]
+
+    for chunk in (3, 5, ad.REPLAY_CHUNK):
+        monkeypatch.setattr(ad, "REPLAY_CHUNK", chunk)
+        rng = np.random.default_rng(1)
+        for seed in range(400):
+            point = rng.normal(size=int(rng.integers(1, 5))).tolist()
+            tape, xs, out = ad.record(lambda xs: build(seed, xs), point)
+            if out.i < len(xs):
+                continue
+            want = ad.gradient(lambda xs: build(seed, xs), point)
+            tape.forward()
+            for wrt in (None, 1, len(xs)):
+                g = tape.backward(out, wrt)
+                n = len(xs) if wrt is None else wrt
+                assert list(map(repr, g[:n])) == list(map(repr, want[:n])), (chunk, seed, wrt)
+
+
 def test_backward_source_copies_no_adjoint(monkeypatch):
-    # an ADD hands its adjoint local to the first parent that would start
-    # as a copy of it, so a sum emits no `gX = gY` line.  At most 64 nodes
-    # a function, each square is in another function than its sum (an ADD
-    # whose two parents are both first seen in its function still copies
-    # for the second)
+    # a sum emits no `gX = gY` line: an ADD hands its adjoint local to the
+    # first parent that would start as a copy of it, and its other parent,
+    # where that is the node just below (swept next), reads the same
+    # local.  Squares summed apart from their sum (at most 64 nodes a
+    # function, four functions: each square is in another function than
+    # its sum), and a Cholesky row, `u = u + L_j * eps_j`, in one
+    # function, so every ADD has both parents first seen in its function
+    # (each copied its adjoint for the second before).  The row's sweep
+    # asks for the parameters alone, so it adds no term into a noise
+    # input.
     monkeypatch.setattr(ad, "REPLAY_CHUNK", 64)
     generate, bodies = ad._generate, []
 
@@ -284,17 +342,32 @@ def test_backward_source_copies_no_adjoint(monkeypatch):
         bodies.extend(sources)
         return generate(sources, args)
 
+    def squares(xs):
+        return sum([x * x for x in xs])
+
+    def cholesky_row(xs):
+        u = xs[0]  # the mean, then the row's entries, then the noise
+        for entry, eps in zip(xs[1:31], xs[31:]):
+            u = u + entry * eps
+        return u * u
+
     monkeypatch.setattr(ad, "_generate", keep_source)
-    tape = ad.Tape()
-    xs = [tape.input(v) for v in np.linspace(-1.0, 1.0, 100)]
-    out = sum([x * x for x in xs])
-    tape.forward()
-    bodies.clear()  # the forward sweep's
-    g = tape.backward(out)
-    lines = [line for body, _ in bodies for line in body]
-    assert len(bodies) == 4 and len(lines) > 200
-    assert not [line for line in lines if re.fullmatch(r"\w+ = \w+", line)]
-    assert g[:100] == ad.gradient(lambda xs: sum([x * x for x in xs]), tape.vals[:100])
+    for fn, n_inputs, wrt, n_lines, n_bodies in ((squares, 100, None, 200, 4), (cholesky_row, 61, 31, 30, 1)):
+        tape, xs, out = ad.record(fn, np.linspace(-1.0, 1.0, n_inputs))
+        tape.forward()
+        bodies.clear()  # the forward sweep's
+        g = tape.backward(out, wrt)
+        lines = [line for body, _ in bodies for line in body]
+        assert len(bodies) == n_bodies and len(lines) > n_lines
+        assert not [line for line in lines if re.fullmatch(r"\w+ = \w+", line)]
+        written = {
+            slots[int(m[1]) - ad._INDEX_SLOT]
+            for body, slots in bodies
+            for line in body
+            for m in re.finditer(r"\bg\[(\d+)\] [+-]= ", line)
+        }
+        assert sorted(i for i in written if tape.ops[i] == ad.INPUT) == list(range(wrt or n_inputs))
+        assert g[: wrt or n_inputs] == ad.gradient(fn, tape.vals[:n_inputs])[: wrt or n_inputs]
 
 
 def test_a_slot_the_compiler_folds_away_raises():

@@ -75,6 +75,11 @@ def test_run_config_validation(tmp_path, capsys):
         RunConfig(task="br", n_samples=0)
     with pytest.raises(UsageError, match="SDE tasks only"):
         RunConfig(task="es", task_overrides={"steps": 6})
+    # overrides built in Python, not read from JSON, are checked too
+    with pytest.raises(UsageError, match="'steps' takes an integer, not True"):
+        RunConfig(task="br", task_overrides={"steps": True, "mask": ["no"]})
+    with pytest.raises(UsageError, match="'mask' takes a list of booleans or 0/1"):
+        RunConfig(task="br", task_overrides={"steps": 3, "mask": ["no", 1, 0]})
     # a repeated cell would run again and overwrite its own rows
     with pytest.raises(UsageError, match="surrogate 'asvi' is given more than once"):
         RunConfig(task="br", surrogates=("asvi", "mvn", "asvi"))

@@ -240,14 +240,14 @@ def test_replay_rejects_inputs_of_another_length():
     assert grad.tobytes() == fresh.gradient().tobytes()
 
 
-def first_step_graph(task_id, kind):
-    """The ELBO graph of a fit's first step, at one sample."""
+def first_step_graph(task_id, kind, n_samples=1):
+    """The ELBO graph of a fit's first step, at one sample by default."""
     task = get_task(task_id)
     model = task.model
     if not task.is_pre_conditioned:
         model = condition(model, generate_data(task, seed=1)[0])
     surrogate = build_surrogate(kind, model, init_seed=1)
-    draws = draw(surrogate, 1, np.random.default_rng(1))
+    draws = draw(surrogate, n_samples, np.random.default_rng(1))
     return CompiledElbo(model, surrogate, surrogate.init_params, draws)
 
 
@@ -392,6 +392,56 @@ def test_every_recorded_node_reaches_the_objective(task_id, kind):
                     live[p] = True
     dead = [i for i, op in enumerate(tape.ops) if op != INPUT and not live[i]]
     assert dead == []
+
+
+@pytest.mark.parametrize("kind", list(SURROGATES))
+@pytest.mark.parametrize("task_id", TASK_IDS)
+def test_the_reverse_sweep_computes_the_parameter_adjoints_alone(task_id, kind, monkeypatch):
+    # the gradient reads the first P adjoints, so the sweep adds no term
+    # into a noise input and gives no line to a node that no parameter
+    # reaches (a log N(eps) term): br x mvn added 525 terms into its 30
+    # noise inputs and swept 90 such nodes.  Asked for every input, the
+    # sweep still gives each one's adjoint, as the loop over a fresh
+    # recording does.
+    swept, bodies = [], []
+    generate, backward_source = autodiff._generate, autodiff._backward_source
+
+    def keep_bodies(sources, args):
+        sources = list(sources)
+        bodies.extend(sources)
+        return generate(sources, args)
+
+    def keep_nodes(tape, nodes, *rest):
+        swept.extend(nodes)
+        return backward_source(tape, nodes, *rest)
+
+    monkeypatch.setattr(autodiff, "_generate", keep_bodies)
+    monkeypatch.setattr(autodiff, "_backward_source", keep_nodes)
+    for n_samples in (1, 8) if task_id == "es" else (1,):
+        graph = first_step_graph(task_id, kind, n_samples)
+        tape, P = graph.tape, graph.n_params
+        everything = tape.backward(graph.objective)  # a fresh tape: the loop
+        tape.forward()
+        swept.clear()
+        bodies.clear()
+        grad = graph.gradient()
+        reached = [False] * len(tape)
+        for i in range(len(tape)):
+            j, k = tape.p1[i], tape.p2[i]
+            reached[i] = i < P if j < 0 else reached[j] or (k >= 0 and reached[k])
+        named = {
+            slots[int(m[1]) - autodiff._INDEX_SLOT]
+            for lines, slots in bodies
+            for line in lines
+            for m in re.finditer(r"\bg\[(\d+)\]", line)
+        }
+        assert swept and all(reached[i] for i in swept)
+        assert {i for i in named if tape.ops[i] == INPUT} <= set(range(P))
+        assert graph.n_inputs > P and list(map(repr, grad.tolist())) == list(map(repr, everything[:P]))
+        full = tape.backward(graph.objective)
+        inputs = range(graph.n_inputs)
+        assert [repr(full[i]) for i in inputs] == [repr(everything[i]) for i in inputs]
+        assert any(full[i] != 0.0 for i in range(P, graph.n_inputs))
 
 
 @pytest.mark.parametrize("kind", ["asvi", "mean-field", "ar1", "mvn"])

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -265,6 +266,24 @@ def test_task_config_rejects_bad_values():
                 SdeTaskConfig(**{scale: bad})
     with pytest.raises(ValueError):
         SdeTaskConfig(steps=5, mask=(True,) * 4)
+
+
+def test_task_config_checks_types_when_built_in_python():
+    # the type checks sit in the config, not only at the JSON boundary:
+    # steps=True was a 1-step chain, and a mask entry "no" was taken as True
+    for kwargs, message in (
+        ({"steps": True}, "'steps' takes an integer, not True"),
+        ({"steps": 3.0}, "'steps' takes an integer, not 3.0"),
+        ({"dt": False}, "'dt' takes a number, not False"),
+        ({"innovation_scale": "0.1"}, "'innovation_scale' takes a number, not '0.1'"),
+        ({"obs_scale": None}, "'obs_scale' takes a number, not None"),
+        ({"steps": 3, "mask": ["no", 1, 0]}, "'mask' takes a list of booleans or 0/1"),
+        ({"steps": 3, "mask": [1, 2, 1]}, "'mask' takes a list of booleans or 0/1"),
+        ({"steps": 3, "mask": "yes"}, "'mask' takes a list of booleans or 0/1"),
+    ):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            SdeTaskConfig(**kwargs)
+    assert SdeTaskConfig(steps=3, dt=1, mask=[1, 0, True]).mask == (True, False, True)
 
 
 def test_default_mask_thirds():
