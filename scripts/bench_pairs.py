@@ -3,7 +3,7 @@ one JSON file.
 
     python3 scripts/bench_pairs.py PARENT CHANGE --out BENCH.json \\
         --workload br-sweep --seed 1 --pairs 10
-    python3 scripts/bench_pairs.py PARENT CHANGE --out BENCH.json --workload lz-fit --trace
+    python3 scripts/bench_pairs.py PARENT CHANGE --out BENCH.json --workload lz-fit --trace --pairs 5
     python3 scripts/bench_pairs.py PARENT CHANGE --out BENCH.json --tapes
     python3 scripts/bench_pairs.py ALONE CHANGE --out BENCH.json \\
         --section ablation --workload br-sweep --seed 1 --pairs 10
@@ -22,18 +22,23 @@ part of it), compared as the parent and the change are.
   (`statistics.quantiles(n=4, method="inclusive")`) and the pairs the
   change won, and per run whether perfbench found every row correct and
   how many cells failed.
-- trace (`--trace`): one `--trace 1` run per side and workload, with
-  its per-layer metrics.
-- tapes (`--tapes`): the generated reverse sweep of the ELBO tape of a
-  fit's first step, for each task x surrogate kind at one sample and for
-  es at 8 samples, counted in each checkout: its lines and characters,
-  the nodes it sweeps, the terms it adds into noise inputs, the nodes it
-  gives code that depend on no parameter (inactive), and its copy lines
-  (`gX = gY`).  Then, in one process, both checkouts' `Tape.backward`
-  on the change's tape after one replayed forward sweep, checked to give
-  the same parameter adjoints in bits and timed in ROUNDS alternating
-  rounds of CALLS calls: each side's median per call and the median
-  ratio.
+- trace (`--trace`): the same pairs of runs with `--trace 1`, which
+  adds the per-layer metrics, recorded as the pairs are.
+- tapes (`--tapes`): the generated sweeps of the ELBO tape of a fit's
+  first step, for each task x surrogate kind at one sample and for es at
+  8 samples, counted in each checkout.  Of the reverse sweep: its lines
+  and characters, the nodes it sweeps, the terms it adds into noise
+  inputs, the nodes it gives code that depend on no parameter
+  (inactive), and its copy lines (`gX = gY`).  Of the forward sweep
+  (`forward_*`): its lines and characters, its stores into `v`, its copy
+  lines (`v[i] = xK` or `v[i] = v[j]`) and its slots.  Then, in one
+  process, both checkouts on copies of the change's tape, checked to
+  give the same objective and parameter adjoints in bits: `Tape.forward`
+  and `Tape.backward` (after one replayed forward sweep), timed in
+  ROUNDS alternating rounds of CALLS calls, and code generation (the
+  first `forward` and `backward` of a new copy, with the shape cache
+  emptied first) in GEN_ROUNDS alternating rounds: each side's median
+  and the median ratio.
 
 Only the standard library is used here; each checkout runs its own code.
 """
@@ -47,6 +52,7 @@ import sys
 
 SIDES = ("parent", "change")
 ROUNDS, CALLS = 30, 20  # the in-process sweep timing of --tapes
+GEN_ROUNDS = 10  # the in-process code generation timing of --tapes
 
 
 def git_commit(directory):
@@ -84,12 +90,12 @@ def metric_table(parent_dir):
     return {m["name"]: m for m in bench["end_to_end"] + bench.get("per_layer", [])}
 
 
-def run_pairs(dirs, workload, seed, pairs, table):
+def run_pairs(dirs, workload, seed, pairs, table, trace):
     runs = {side: [] for side in SIDES}
     for p in range(pairs):
         order = SIDES if p % 2 == 0 else SIDES[::-1]
         for side in order:
-            runs[side].append(perfbench(dirs[side], workload, seed, trace=False))
+            runs[side].append(perfbench(dirs[side], workload, seed, trace))
             print(f"{workload} seed {seed} pair {p} {side}: {runs[side][-1]['metrics']}", file=sys.stderr)
     metrics = {}
     for name in runs["parent"][0]["metrics"]:
@@ -142,18 +148,18 @@ def tapes():
 """
 
 # Run in each checkout with its own `src` first on the path: per tape,
-# the counts of the reverse sweep that `CompiledElbo.gradient` generates.
+# the counts of the forward sweep that `Tape.forward` generates and of
+# the reverse sweep that `CompiledElbo.gradient` generates.
 COUNTS = TAPE_SET + r"""
 import json, re
 from convexvi import autodiff
 
-bodies, swept = [], []
+bodies, forward_bodies, swept = [], [], []
 generate, backward_source = autodiff._generate, autodiff._backward_source
 
 def keep_bodies(sources, args):
     sources = list(sources)
-    if args.startswith("g,"):
-        bodies.extend(sources)
+    (bodies if args.startswith("g,") else forward_bodies).extend(sources)
     return generate(sources, args)
 
 def keep_nodes(tape, nodes, *rest):
@@ -164,6 +170,7 @@ autodiff._generate, autodiff._backward_source = keep_bodies, keep_nodes
 out = {}
 for name, graph in tapes():
     tape, P = graph.tape, graph.n_params
+    forward_bodies.clear()
     tape.forward()
     bodies.clear()
     swept.clear()
@@ -185,6 +192,7 @@ for name, graph in tapes():
                 node = slots[int(m.group(1)) - autodiff._INDEX_SLOT]
                 noise_terms += tape.ops[node] == autodiff.INPUT and node >= P
     lines = [line for body, _ in bodies for line in body]
+    forward_lines = [line for body, _ in forward_bodies for line in body]
     out[name] = {
         "tape_nodes": len(tape),
         "params": P,
@@ -195,14 +203,23 @@ for name, graph in tapes():
         "noise_terms": noise_terms,
         "inactive_nodes_with_code": sum(live[i] and not active[i] for i in swept),
         "copy_lines": sum(bool(re.fullmatch(r"\w+ = \w+", line)) for line in lines),
+        "forward_lines": len(forward_lines),
+        "forward_chars": sum(map(len, forward_lines)),
+        "forward_stores": sum(bool(re.match(r"v\[\d+\] = ", line)) for line in forward_lines),
+        "forward_copy_lines": sum(
+            bool(re.fullmatch(r"v\[\d+\] = (x\d+|v\[\d+\])", line)) for line in forward_lines
+        ),
+        "forward_slots": sum(len(slots) for _, slots in forward_bodies),
     }
 print(json.dumps(out))
 """
 
 # Run with the change's `src` first on the path, and the parent's
-# autodiff.py, ROUNDS and CALLS as arguments: per tape, each side's
-# `Tape.backward` on a copy of the change's recorded tape, replayed once,
-# timed in alternating rounds of CALLS calls in this one process.  A side
+# autodiff.py, ROUNDS, CALLS and GEN_ROUNDS as arguments: per tape, each
+# side on copies of the change's recorded tape, timed in alternating
+# rounds in this one process.  `Tape.forward` and `Tape.backward` run on
+# a copy replayed once; code generation is the first `forward` and
+# `backward` of a new copy with the side's shape cache empty.  A side
 # whose `Tape.backward` takes `wrt` is asked for the parameters' adjoints.
 SWEEPS = TAPE_SET + r"""
 import importlib.util, inspect, json, statistics, sys, time
@@ -211,37 +228,69 @@ from convexvi import autodiff
 spec = importlib.util.spec_from_file_location("parent_autodiff", sys.argv[1])
 parent = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(parent)
-ROUNDS, CALLS = int(sys.argv[2]), int(sys.argv[3])
+ROUNDS, CALLS, GEN_ROUNDS = map(int, sys.argv[2:5])
 
-def sweep(module, graph):
+def copy_of(module, graph):
     tape = module.Tape()
     for name in ("ops", "p1", "p2", "d1", "d2", "aux", "vals"):
         setattr(tape, name, list(getattr(graph.tape, name)))
-    tape.forward()
     out = module.Node(tape, graph.objective.i)
     args = (out, graph.n_params) if "wrt" in inspect.signature(module.Tape.backward).parameters else (out,)
-    return lambda: tape.backward(*args)
+    return tape, args
+
+def per_call(run):
+    def measure():
+        start = time.perf_counter()
+        for _ in range(CALLS):
+            run()
+        return (time.perf_counter() - start) / CALLS * 1e6
+    return measure
+
+def generation(module, graph):
+    def measure():
+        tape, args = copy_of(module, graph)
+        module.clear_code_cache()
+        start = time.perf_counter()
+        tape.forward()
+        tape.backward(*args)
+        return (time.perf_counter() - start) * 1e3
+    return measure
+
+def compare(measure, rounds, unit):
+    times = {side: [] for side in measure}
+    for r in range(rounds):
+        for side in ("parent", "change") if r % 2 == 0 else ("change", "parent"):
+            times[side].append(measure[side]())
+    ratios = [c / p for p, c in zip(times["parent"], times["change"])]
+    return {
+        f"parent_{unit}": statistics.median(times["parent"]),
+        f"change_{unit}": statistics.median(times["change"]),
+        "median_ratio": statistics.median(ratios),
+        "rounds_change_faster": sum(r < 1.0 for r in ratios),
+        "rounds": rounds,
+    }
 
 result = {}
 for name, graph in tapes():
-    sides = {"parent": sweep(parent, graph), "change": sweep(autodiff, graph)}
-    grads = {side: run()[: graph.n_params] for side, run in sides.items()}
+    sides = {"parent": copy_of(parent, graph), "change": copy_of(autodiff, graph)}
+    for tape, _ in sides.values():
+        tape.forward()
+    objective = {side: repr(tape.vals[graph.objective.i]) for side, (tape, _) in sides.items()}
+    grads = {side: tape.backward(*args)[: graph.n_params] for side, (tape, args) in sides.items()}
+    assert objective["parent"] == objective["change"], name
     assert list(map(repr, grads["parent"])) == list(map(repr, grads["change"])), name
-    times = {side: [] for side in sides}
-    for r in range(ROUNDS):
-        for side in ("parent", "change") if r % 2 == 0 else ("change", "parent"):
-            run = sides[side]
-            start = time.perf_counter()
-            for _ in range(CALLS):
-                run()
-            times[side].append((time.perf_counter() - start) / CALLS * 1e6)
-    ratios = [c / p for p, c in zip(times["parent"], times["change"])]
     result[name] = {
-        "parent_us": statistics.median(times["parent"]),
-        "change_us": statistics.median(times["change"]),
-        "median_ratio": statistics.median(ratios),
-        "rounds_change_faster": sum(r < 1.0 for r in ratios),
-        "rounds": ROUNDS,
+        "forward_us": compare({side: per_call(tape.forward) for side, (tape, _) in sides.items()}, ROUNDS, "us"),
+        "backward_us": compare(
+            {side: per_call(lambda tape=tape, args=args: tape.backward(*args)) for side, (tape, args) in sides.items()},
+            ROUNDS,
+            "us",
+        ),
+        "codegen_ms": compare(
+            {side: generation(module, graph) for side, module in (("parent", parent), ("change", autodiff))},
+            GEN_ROUNDS,
+            "ms",
+        ),
     }
 print(json.dumps(result))
 """
@@ -260,12 +309,12 @@ def python_in(directory, code, *args):
 def run_tapes(dirs):
     counts = {side: python_in(dirs[side], COUNTS) for side in SIDES}
     parent_autodiff = os.path.join(os.path.abspath(dirs["parent"]), "src", "convexvi", "autodiff.py")
-    sweeps = python_in(dirs["change"], SWEEPS, parent_autodiff, str(ROUNDS), str(CALLS))
+    sweeps = python_in(dirs["change"], SWEEPS, parent_autodiff, str(ROUNDS), str(CALLS), str(GEN_ROUNDS))
     tapes = {}
     for name, row in counts["parent"].items():
         tapes[name] = {key: {side: counts[side][name][key] for side in SIDES} for key in row}
-        tapes[name]["backward_us"] = sweeps[name]
-    return {"sweep_rounds": ROUNDS, "tapes": tapes}
+        tapes[name].update(sweeps[name])
+    return {"sweep_rounds": ROUNDS, "codegen_rounds": GEN_ROUNDS, "tapes": tapes}
 
 
 def main(argv=None):
@@ -293,13 +342,8 @@ def main(argv=None):
     table = metric_table(args.parent)
     target = record if args.section is None else record.setdefault(args.section, {})
     for workload in args.workload:
-        if args.trace:
-            target.setdefault("traced", {})[f"{workload} seed {args.seed}"] = {
-                side: perfbench(dirs[side], workload, args.seed, trace=True) for side in SIDES
-            }
-        else:
-            result = run_pairs(dirs, workload, args.seed, args.pairs, table)
-            target.setdefault("pairs", {})[f"{workload} seed {args.seed}"] = result
+        result = run_pairs(dirs, workload, args.seed, args.pairs, table, args.trace)
+        target.setdefault("traced" if args.trace else "pairs", {})[f"{workload} seed {args.seed}"] = result
     if args.tapes:
         target["tapes"] = run_tapes(dirs)
     with open(args.out, "w") as fh:

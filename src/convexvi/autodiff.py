@@ -12,13 +12,18 @@ The generated reverse sweep computes only the active adjoints (activity
 analysis): it sweeps the nodes that depend on a wanted input and that
 the output depends on, and adds no term into any other node; a sum
 hands its adjoint on to its parents without copying it.  The generated
-forward sweep computes each repeated expression once: a node with the
-op, operands and constant of an earlier node copies that node's value,
-and its partials are read at that first node.  The tape is cut into functions
-where its structure repeats, and each function's source names its list
-indices and float constants by slot, so a pattern the tape repeats (the
-steps of a chain, the samples of a wide ELBO) is compiled once as a
-shape, and each chunk binds its own values into that shape's bytecode.
+forward sweep computes each repeated expression once: its partials and
+value are read at the earliest node with its op, operands and constant.
+It stores a value into ``vals`` only where something reads it there
+(liveness): a later function, a reverse sweep, or a caller, who may read
+the inputs and the sinks (nodes no node reads, such as the objective).
+After ``forward`` every other entry of ``vals`` is NaN, so a stray read
+shows.  Once replayed, a tape is fixed: recording onto it raises
+``ValueError``.  The tape is cut into functions where its structure
+repeats, and each function's source names its list indices and float
+constants by slot, so a pattern the tape repeats (the steps of a chain,
+the samples of a wide ELBO) is compiled once as a shape, and each chunk
+binds its own values into that shape's bytecode.
 Shapes are cached by source text (``clear_code_cache`` empties the
 cache when each CLI sweep starts); a chunk's bound function is kept by
 its tape alone.  A tape swept only once, just after recording, is swept
@@ -178,6 +183,8 @@ class Tape:
         return len(self.ops)
 
     def _append(self, op, p1, p2, d1, d2, aux, val):
+        if self._replay is not None:
+            raise ValueError("a replayed tape is fixed: record onto a new tape")
         i = len(self.ops)
         self.ops.append(op)
         self.p1.append(p1)
@@ -206,14 +213,18 @@ class Tape:
     def forward(self):
         """Recompute all values and local partials from the input
         entries of `vals`, which the caller may have changed since
-        recording; the graph itself is fixed.  The first call turns the
-        tape into generated Python (`_Replay`); from then on both
-        `forward` and `backward` run that code.  Every entry of `vals`
-        is recomputed, but a node that repeats an earlier node's op on
-        the same operands and constant keeps the `d1` and `d2` entries
-        of recording: its partials are read at that first node.
+        recording.  The first call turns the tape into generated Python
+        (`_Replay`); from then on both `forward` and `backward` run that
+        code, and the graph is fixed: recording another node raises
+        `ValueError`.  Every node is computed, with its domain checks,
+        but `vals` then holds the inputs, the sinks (nodes no node
+        reads, such as the objective) and the values the generated code
+        reads again; its other entries are NaN, set once, when the code
+        is generated.  A node that repeats an earlier node's op on the
+        same operands and constant keeps the `d1` and `d2` entries of
+        recording: its partials are read at that first node.
         """
-        if self._replay is None or self._replay.size != len(self.ops):
+        if self._replay is None:
             self._replay = _Replay(self)
         vals, d1, d2 = self.vals, self.d1, self.d2
         for chunk in self._replay.forward:
@@ -347,7 +358,9 @@ class _Replay:
     floating-point expressions, domain checks and overflow rule, so a
     replay gives the bits a fresh recording would.  A node that repeats
     its `first` node is not computed again; the first node's domain
-    check runs before it, as in recording.  The reverse sweep is
+    check runs before it, as in recording.  A value goes into the tape's
+    `vals` only if something reads it there (`_live_values`); the other
+    entries are set to NaN here, once.  The reverse sweep is
     generated per output node and `wrt` on first use (`backward`,
     `_backward_source`).  Each chunk's source names its list indices and
     float constants by slot, so chunks of one shape (a step of a chain,
@@ -356,15 +369,17 @@ class _Replay:
     (`_generate`), held here alone.
     """
 
-    __slots__ = ("size", "first", "forward", "_backward")
+    __slots__ = ("first", "forward", "_backward")
 
     def __init__(self, tape):
-        self.size = len(tape.ops)
         self.first = first = _value_numbers(tape)
-        nodes = [i for i, op in enumerate(tape.ops) if op > INPUT]
-        self.forward = _generate(
-            (_forward_source(tape, chunk, first) for chunk in _chunks(tape, nodes)), "v, d1, d2"
-        )
+        chunks = list(_chunks(tape, [i for i, op in enumerate(tape.ops) if op > INPUT]))
+        stored = _live_values(tape, chunks, first)
+        vals = tape.vals
+        for i, keep in enumerate(stored):
+            if not keep:
+                vals[i] = math.nan
+        self.forward = _generate((_forward_source(tape, chunk, first, stored) for chunk in chunks), "v, d1, d2")
         self._backward = {}
 
     def backward(self, tape, output, wrt):
@@ -417,6 +432,43 @@ def _value_numbers(tape):
             key = (op, first[j] if j >= 0 else j, first[k] if k >= 0 else k, repr(float(tape.aux[i])))
             first[i] = seen.setdefault(key, i)
     return first
+
+
+def _live_values(tape, chunks, first):
+    """`stored[i]`: whether the forward sweep, cut into `chunks`, writes
+    node i's value into `vals[i]`, or (an input) finds it there.  A value
+    is stored only if something reads it there (liveness): a later
+    function of the forward sweep, which reads an operand at its `first`;
+    a reverse sweep, for any output and `wrt`, which reads both operands
+    of a node x node MUL and an EXP's own value, at their `first`; or a
+    caller, who reads a sink (a node no node reads, such as the
+    objective).  A repeated sink copies its first node's value.  Any
+    other value lives in a local of its function alone."""
+    ops, p1, p2 = tape.ops, tape.p1, tape.p2
+    stored, read = bytearray(len(ops)), bytearray(len(ops))
+    for i, op in enumerate(ops):
+        j, k = p1[i], p2[i]
+        if j < 0:
+            stored[i] = 1
+            continue
+        read[j] = 1
+        if k >= 0:
+            read[k] = 1
+            if op == MUL:
+                stored[first[j]] = stored[first[k]] = 1
+        elif op == EXP:
+            stored[first[i]] = 1
+    for chunk in chunks:
+        lo = chunk[0]  # a value below the function's first node is read from `vals`
+        for i in chunk:
+            sink = not read[i]
+            if sink:
+                stored[i] = 1
+            # what node i's lines read: its operands, or the value it copies
+            for p in (p1[i], p2[i]) if first[i] == i else (i,) if sink else ():
+                if p >= 0 and first[p] < lo:
+                    stored[first[p]] = 1
+    return stored
 
 
 def _chunks(tape, nodes):
@@ -543,20 +595,21 @@ def _generate(bodies, args):
     return chunks
 
 
-def _forward_source(tape, nodes, first):
+def _forward_source(tape, nodes, first, stored):
     """`(lines, slots)` of one function of the forward sweep over `nodes`
     (in ascending order): each node's value and partials, computed as
-    recording computed them.  A repeated node (`first[i] != i`) only
-    copies its first node's value, and every operand is read at its
-    first node.  A value read again inside the function is also kept in
-    a local, named by its offset in the chunk."""
+    recording computed them.  Every operand is read at its first node,
+    so a repeated node (`first[i] != i`) has no line, but a stored one
+    (a sink) copies its first node's value.  A value is written into
+    `v` if `stored` says so, and kept in a local, named by its offset in
+    the chunk, if read again inside the function."""
     ops, p1, p2 = tape.ops, tape.p1, tape.p2
     lo = nodes[0]
     inside = set(nodes)
     reread = {
         first[p]
         for i in nodes
-        for p in ((p1[i], p2[i]) if first[i] == i else (first[i],))
+        for p in ((p1[i], p2[i]) if first[i] == i else (i,) if stored[i] else ())
         if p >= 0 and first[p] in inside
     }
     slots = _Slots()
@@ -569,13 +622,15 @@ def _forward_source(tape, nodes, first):
     lines = []
     for i in nodes:
         if first[i] != i:
-            lines.append(f"v[{index(i)}] = {read(i)}")
+            if stored[i]:
+                lines.append(f"v[{index(i)}] = {read(i)}")
             continue
         op, j, k = ops[i], p1[i], p2[i]
         c = float(tape.aux[i])
         a = read(j)
         b = read(k) if k >= 0 else None
-        out = f"v[{index(i)}] = x{i - lo}" if i in reread else f"v[{index(i)}]"
+        # a first node's value is stored, read again in this function, or both
+        out = " = ".join(([f"v[{index(i)}]"] if stored[i] else []) + ([f"x{i - lo}"] if i in reread else []))
         if op == ADD:
             lines.append(f"{out} = {a} + {b or const(c)}")
         elif op == SUB:
@@ -642,10 +697,12 @@ def _backward_source(tape, nodes, last_child, first, active):
     the local on only by the same rule, to the node just below it.  An
     ADD whose first parent is the node just below takes its parents in
     the other order.  Partials are read at the node's `first`, which
-    forward alone computes; each node keeps its own adjoint, so the sums
-    are those of the loop.  The loop skips a node whose adjoint is zero;
-    that matters only where a partial can be infinite or NaN (0 * inf is
-    NaN), so only those nodes test it.  Elsewhere the term is a signed
+    forward alone computes, and so are the operands of a MUL and the
+    value of an EXP, which forward stores into `v` there alone; each
+    node keeps its own adjoint, so the sums are those of the loop.  The
+    loop skips a node whose adjoint is zero; that matters only where a
+    partial can be infinite or NaN (0 * inf is NaN), so only those nodes
+    test it.  Elsewhere the term is a signed
     zero, which changes neither a sum that is not -0.0 nor whether an
     inner node's adjoint is zero.
     """
@@ -676,9 +733,9 @@ def _backward_source(tape, nodes, last_child, first, active):
         elif op == MUL and k < 0:
             terms = [(j, "+", float(tape.aux[i]))]
         elif op == MUL:
-            terms = [(j, "+", ("v", k)), (k, "+", ("v", j))]
+            terms = [(j, "+", ("v", first[k])), (k, "+", ("v", first[j]))]
         elif op == EXP:
-            terms = [(j, "+", ("v", i))]
+            terms = [(j, "+", ("v", f))]
         elif k < 0:
             terms = [(j, "+", ("d1", f))]
         else:

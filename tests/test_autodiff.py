@@ -139,30 +139,89 @@ def test_backward_touches_each_node_once():
     assert len(tape) == n
 
 
-def test_forward_replay_matches_fresh_record():
+LIVE_VALUES = ad._live_values
+
+
+def replays_storing(monkeypatch, every):
+    """Make each new replay store every node's value (`every`), or the
+    values that `_live_values` keeps; returns the dict that gathers each
+    replayed tape's `stored` flags."""
+    seen = {}
+
+    def spy(tape, chunks, first):
+        seen[tape] = bytearray(b"\1" * len(tape)) if every else LIVE_VALUES(tape, chunks, first)
+        return seen[tape]
+
+    monkeypatch.setattr(ad, "_live_values", spy)
+    return seen
+
+
+def assert_stored_values_match(tape, fresh, stored):
+    """Each stored entry of the replayed `tape` has the bits of `fresh`'s
+    entry (repr tells -0.0 from 0.0), and every other entry is NaN."""
+    for i, keep in enumerate(stored):
+        if keep:
+            assert repr(tape.vals[i]) == repr(fresh.vals[i]), i
+        else:
+            assert math.isnan(tape.vals[i]), i
+
+
+def test_forward_replay_matches_fresh_record(monkeypatch):
+    # with every value stored, replay gives every entry of a fresh
+    # recording; as generated, the entries it keeps, and NaN elsewhere
     def build(tape, xs):
         s = ad.softplus(xs[0]) + 1e-6
         z = (xs[1] - xs[2] * 0.5) / s
         return -0.5 * (z * z) - ad.log(s) + ad.exp(xs[2] * 0.1) + xs[1] ** 2.0
 
-    rng = np.random.default_rng(3)
-    tape = ad.Tape()
-    xs = [tape.input(v) for v in rng.standard_normal(3)]
-    out = build(tape, xs)
-    for _ in range(20):
-        vals = rng.standard_normal(3)
-        for x, v in zip(xs, vals):
-            tape.set_input(x, v)
-        tape.forward()
-        g = tape.backward(out)
+    for every in (True, False):
+        stored = replays_storing(monkeypatch, every)
+        rng = np.random.default_rng(3)
+        tape = ad.Tape()
+        xs = [tape.input(v) for v in rng.standard_normal(3)]
+        out = build(tape, xs)
+        for _ in range(20):
+            vals = rng.standard_normal(3)
+            for x, v in zip(xs, vals):
+                tape.set_input(x, v)
+            tape.forward()
+            g = tape.backward(out)
 
-        fresh = ad.Tape()
-        fxs = [fresh.input(v) for v in vals]
-        fout = build(fresh, fxs)
-        fg = fresh.backward(fout)
-        assert (fresh.ops, fresh.p1, fresh.p2, fresh.aux) == (tape.ops, tape.p1, tape.p2, tape.aux)
-        assert fresh.vals == tape.vals
-        assert [g[x.i] for x in xs] == [fg[fx.i] for fx in fxs]
+            fresh = ad.Tape()
+            fxs = [fresh.input(v) for v in vals]
+            fout = build(fresh, fxs)
+            fg = fresh.backward(fout)
+            assert (fresh.ops, fresh.p1, fresh.p2, fresh.aux) == (tape.ops, tape.p1, tape.p2, tape.aux)
+            assert_stored_values_match(tape, fresh, stored[tape])
+            assert [g[x.i] for x in xs] == [fg[fx.i] for fx in fxs]
+        assert all(stored[tape]) == every
+
+
+def test_a_replayed_tape_is_fixed():
+    # recording onto a tape after `forward` made `backward` raise
+    # IndexError: the replay was generated for the shorter tape
+    tape = ad.Tape()
+    x = tape.input(2.0)
+    y = x * x
+    tape.forward()
+    with pytest.raises(ValueError, match="replayed tape is fixed"):
+        ad.log(y) + x
+    with pytest.raises(ValueError, match="replayed tape is fixed"):
+        tape.input(1.0)
+    assert len(tape) == 2 and tape.backward(y)[x.i] == 4.0
+
+
+def test_replay_stores_only_the_values_read_again():
+    # `y` is read by `z` alone, in the same function: it stays a local,
+    # and its entry reads NaN, so a stray read does not pass for a value
+    tape = ad.Tape()
+    x = tape.input(1.0)
+    y = x + 1.0
+    z = y * 3.0
+    tape.set_input(x, 2.0)
+    tape.forward()
+    assert math.isnan(y.value) and z.value == 9.0 and tape.vals[x.i] == 2.0
+    assert tape.backward(z)[x.i] == 3.0
 
 
 @pytest.mark.parametrize(
@@ -251,8 +310,9 @@ def test_replay_matches_fresh_record_on_random_graphs(monkeypatch):
                 pass  # recording rejected the op here; the graph skips it
         return sum(nodes[-3:], nodes[0]), ad.tanh(mid) * 3.0 + mid
 
-    for chunk in (ad.REPLAY_CHUNK, 5):
+    for every, chunk in itertools.product((True, False), (ad.REPLAY_CHUNK, 5)):
         monkeypatch.setattr(ad, "REPLAY_CHUNK", chunk)
+        stored = replays_storing(monkeypatch, every)
         rng = np.random.default_rng(5)
         compared = longer = repeats = 0
         for seed in range(150):
@@ -272,7 +332,7 @@ def test_replay_matches_fresh_record_on_random_graphs(monkeypatch):
                     continue  # recording took another path at this point
                 tape.forward()
                 g, fg = tape.backward(out), fresh.backward(fout)
-                assert list(map(repr, tape.vals)) == list(map(repr, fresh.vals))
+                assert_stored_values_match(tape, fresh, stored[tape])
                 assert [repr(g[i]) for i in inputs] == [repr(fg[i]) for i in inputs]
                 for wrt in (0, 1, len(xs), mid, mid + 1):
                     gw = tape.backward(out, wrt)
@@ -450,27 +510,31 @@ def test_sub_and_rsub_match_the_negate_then_add_encoding(monkeypatch):
             assert len({repr(sweep) for sweep in sweeps}) == 1, (point, sweeps)
 
 
-def test_replay_computes_a_repeated_expression_once():
+def test_replay_computes_a_repeated_expression_once(monkeypatch):
     # a constant is keyed by its bits, not by ==: at x = -0.0, x + 0.0 is
-    # 0.0 and x + -0.0 is -0.0
+    # 0.0 and x + -0.0 is -0.0.  Stored as generated, `again` and `twice`
+    # write no copy of their first node's value: nothing reads them
     def build(x):
         plus, minus, again = x + 0.0, x + -0.0, x + 0.0
         once, twice = ad.sigmoid(again), ad.sigmoid(plus)  # equal up to a repeat
         return plus * minus + once - twice, [plus, minus, again, once, twice]
 
-    tape = ad.Tape()
-    x = tape.input(1.0)
-    out, (plus, minus, again, once, twice) = build(x)
-    tape.forward()
-    first = tape._replay.first
-    assert (first[plus.i], first[minus.i], first[again.i], first[twice.i]) == (plus.i, minus.i, plus.i, once.i)
-    for v in (-0.0, 0.7, math.inf):
-        tape.set_input(x, v)
+    for every in (True, False):
+        stored = replays_storing(monkeypatch, every)
+        tape = ad.Tape()
+        x = tape.input(1.0)
+        out, (plus, minus, again, once, twice) = build(x)
         tape.forward()
-        fresh = ad.Tape()
-        fout, _ = build(fresh.input(v))
-        assert list(map(repr, tape.vals)) == list(map(repr, fresh.vals))
-        assert repr(tape.backward(out)[x.i]) == repr(fresh.backward(fout)[0])
+        first = tape._replay.first
+        assert (first[plus.i], first[minus.i], first[again.i], first[twice.i]) == (plus.i, minus.i, plus.i, once.i)
+        assert stored[tape][again.i] == stored[tape][twice.i] == every
+        for v in (-0.0, 0.7, math.inf):
+            tape.set_input(x, v)
+            tape.forward()
+            fresh = ad.Tape()
+            fout, _ = build(fresh.input(v))
+            assert_stored_values_match(tape, fresh, stored[tape])
+            assert repr(tape.backward(out)[x.i]) == repr(fresh.backward(fout)[0])
 
 
 def test_a_repeated_log_raises_on_replay_as_on_recording():

@@ -240,13 +240,18 @@ def test_replay_rejects_inputs_of_another_length():
     assert grad.tobytes() == fresh.gradient().tobytes()
 
 
-def first_step_graph(task_id, kind, n_samples=1):
-    """The ELBO graph of a fit's first step, at one sample by default."""
+def first_step_model(task_id, kind):
+    """The model and surrogate of a fit at seed 1."""
     task = get_task(task_id)
     model = task.model
     if not task.is_pre_conditioned:
         model = condition(model, generate_data(task, seed=1)[0])
-    surrogate = build_surrogate(kind, model, init_seed=1)
+    return model, build_surrogate(kind, model, init_seed=1)
+
+
+def first_step_graph(task_id, kind, n_samples=1):
+    """The ELBO graph of a fit's first step, at one sample by default."""
+    model, surrogate = first_step_model(task_id, kind)
     draws = draw(surrogate, n_samples, np.random.default_rng(1))
     return CompiledElbo(model, surrogate, surrogate.init_params, draws)
 
@@ -289,9 +294,69 @@ def test_every_chunk_runs_the_bytecode_of_its_literal_source(task_id, kind, monk
     graph.tape.forward()
     graph.gradient()
     assert {args for _, args, _ in made} == {"v, d1, d2", "g, v, d1, d2"}
-    assert sum(len(slots) for (_, slots), _, _ in made) > len(graph.tape)
+    # every function binds values, more than one for every two nodes
+    assert min(len(slots) for (_, slots), _, _ in made) > 0
+    assert sum(len(slots) for (_, slots), _, _ in made) > len(graph.tape) // 2
     for (lines, slots), args, chunk in made:
         assert instructions(chunk.__code__) == instructions(literal_code(lines, slots, args))
+
+
+STORE = re.compile(r"v\[(\d+)\] = ")
+READ = re.compile(r"\bv\[(\d+)\]")
+
+
+@pytest.mark.parametrize(
+    "task_id, kind, n_samples",
+    [(task_id, kind, 1) for task_id in TASK_IDS for kind in SURROGATES] + [("es", kind, 8) for kind in SURROGATES],
+)
+def test_the_forward_sweep_stores_only_values_read_again(task_id, kind, n_samples, monkeypatch):
+    # a value goes into `vals` only if a later forward function, the
+    # reverse sweep (for the parameters or for every input) or a caller (a
+    # sink, such as the objective) reads it there: lz x asvi wrote 3562
+    # values and read 973 of them again.  Every line reads an input or a
+    # stored value, the other entries are NaN after `forward`, and the
+    # objective and gradient are a fresh recording's, in bits.
+    generated = []
+    generate = autodiff._generate
+
+    def keep(sources, args):
+        sources = list(sources)
+        generated.extend((args, lines, slots) for lines, slots in sources)
+        return generate(sources, args)
+
+    monkeypatch.setattr(autodiff, "_generate", keep)
+    model, surrogate = first_step_model(task_id, kind)
+    params = surrogate.init_params
+    graph = CompiledElbo(model, surrogate, params, draw(surrogate, n_samples, np.random.default_rng(1)))
+    draws = draw(surrogate, n_samples, np.random.default_rng(2))
+    value, grad = graph.replay(params, draws)
+    tape = graph.tape
+    tape.backward(graph.objective)
+    fresh = CompiledElbo(model, surrogate, params, draws)
+    assert repr(value) == repr(fresh.tape.vals[fresh.objective.i])
+    assert grad.tobytes() == fresh.gradient().tobytes()  # a fresh tape sweeps with the loop
+
+    def named(lines, slots):
+        """The nodes whose `v` entries the lines store, and those they read."""
+        stores, reads = set(), set()
+        for line in lines:
+            m = STORE.match(line)
+            if m:
+                stores.add(slots[int(m[1]) - autodiff._INDEX_SLOT])
+            reads.update(slots[int(r[1]) - autodiff._INDEX_SLOT] for r in READ.finditer(line, m.end() if m else 0))
+        return stores, reads
+
+    forward = [named(lines, slots) for args, lines, slots in generated if args == "v, d1, d2"]
+    stores, reads = [s for s, _ in forward], [r for _, r in forward]
+    reverse = set().union(*(named(lines, slots)[1] for args, lines, slots in generated if args != "v, d1, d2"))
+    read_by_nodes = {p for p in tape.p1 + tape.p2 if p >= 0}
+    for f, stored in enumerate(stores):
+        read_again = set().union(reverse, *reads[f + 1 :])
+        assert all(i in read_again or i not in read_by_nodes for i in stored)
+    inputs, stored = set(range(graph.n_inputs)), set().union(*stores)
+    assert set().union(reverse, *reads) <= inputs | stored
+    assert all(math.isnan(tape.vals[i]) for i in range(len(tape)) if i not in inputs | stored)
+    assert len(stored) < len(tape) - graph.n_inputs
 
 
 CUTS = """
