@@ -31,7 +31,13 @@ part of it), compared as the parent and the change are.
   inputs, the nodes it gives code that depend on no parameter
   (inactive), and its copy lines (`gX = gY`).  Of the forward sweep
   (`forward_*`): its lines and characters, its stores into `v`, its copy
-  lines (`v[i] = xK` or `v[i] = v[j]`) and its slots.  Then, in one
+  lines (`v[i] = xK` or `v[i] = v[j]`) and its slots.  Three sha256
+  digests, each with whether the two checkouts' match (`match`): of the
+  recorded tape (`tape_sha256`: its ops, parents, partials, constants
+  and values, taken before any replay), and of the generated forward and
+  reverse sweeps (`forward_source_sha256`, `reverse_source_sha256`: each
+  function's arguments, lines and slots), so that a change can show its
+  replay to be byte-identical.  Then, in one
   process, both checkouts on copies of the change's tape, checked to
   give the same objective and parameter adjoints in bits: `Tape.forward`
   and `Tape.backward` (after one replayed forward sweep), timed in
@@ -151,16 +157,22 @@ def tapes():
 # the counts of the forward sweep that `Tape.forward` generates and of
 # the reverse sweep that `CompiledElbo.gradient` generates.
 COUNTS = TAPE_SET + r"""
-import json, re
+import hashlib, json, re
 from convexvi import autodiff
+
+def sha256(items):
+    h = hashlib.sha256()
+    for item in items:
+        h.update(repr(item).encode() + b"\n")
+    return h.hexdigest()
 
 bodies, forward_bodies, swept = [], [], []
 generate, backward_source = autodiff._generate, autodiff._backward_source
 
 def keep_bodies(sources, args):
-    sources = list(sources)
+    sources = [(lines, slots, args) for lines, slots in sources]
     (bodies if args.startswith("g,") else forward_bodies).extend(sources)
-    return generate(sources, args)
+    return generate([(lines, slots) for lines, slots, _ in sources], args)
 
 def keep_nodes(tape, nodes, *rest):
     swept.extend(nodes)
@@ -170,6 +182,7 @@ autodiff._generate, autodiff._backward_source = keep_bodies, keep_nodes
 out = {}
 for name, graph in tapes():
     tape, P = graph.tape, graph.n_params
+    tape_sha256 = sha256(getattr(tape, name) for name in ("ops", "p1", "p2", "d1", "d2", "aux", "vals"))
     forward_bodies.clear()
     tape.forward()
     bodies.clear()
@@ -186,13 +199,13 @@ for name, graph in tapes():
                 if p >= 0:
                     live[p] = True
     noise_terms = 0
-    for lines, slots in bodies:
+    for lines, slots, _ in bodies:
         for line in lines:
             for m in re.finditer(r"\bg\[(\d+)\] [+-]= ", line):
                 node = slots[int(m.group(1)) - autodiff._INDEX_SLOT]
                 noise_terms += tape.ops[node] == autodiff.INPUT and node >= P
-    lines = [line for body, _ in bodies for line in body]
-    forward_lines = [line for body, _ in forward_bodies for line in body]
+    lines = [line for body, _, _ in bodies for line in body]
+    forward_lines = [line for body, _, _ in forward_bodies for line in body]
     out[name] = {
         "tape_nodes": len(tape),
         "params": P,
@@ -209,7 +222,10 @@ for name, graph in tapes():
         "forward_copy_lines": sum(
             bool(re.fullmatch(r"v\[\d+\] = (x\d+|v\[\d+\])", line)) for line in forward_lines
         ),
-        "forward_slots": sum(len(slots) for _, slots in forward_bodies),
+        "forward_slots": sum(len(slots) for _, slots, _ in forward_bodies),
+        "tape_sha256": tape_sha256,
+        "forward_source_sha256": sha256(forward_bodies),
+        "reverse_source_sha256": sha256(bodies),
     }
 print(json.dumps(out))
 """
@@ -313,6 +329,9 @@ def run_tapes(dirs):
     tapes = {}
     for name, row in counts["parent"].items():
         tapes[name] = {key: {side: counts[side][name][key] for side in SIDES} for key in row}
+        for key in row:
+            if key.endswith("_sha256"):
+                tapes[name][key]["match"] = tapes[name][key]["parent"] == tapes[name][key]["change"]
         tapes[name].update(sweeps[name])
     return {"sweep_rounds": ROUNDS, "codegen_rounds": GEN_ROUNDS, "tapes": tapes}
 

@@ -44,6 +44,7 @@ from .autodiff import clear_code_cache
 from .inference import (
     _DIVERGENCE,
     TrainConfig,
+    check_integer,
     elbo_estimate,
     fit,
     save_trajectory,
@@ -131,6 +132,11 @@ class RunConfig:
                 raise UsageError(f"invalid surrogate {s!r}; choose from {kinds}")
         if not self.seeds:
             raise UsageError("need at least one seed")
+        try:
+            for what, value in [("workers", self.workers)] + [("seed", seed) for seed in self.seeds]:
+                check_integer(what, value)
+        except ValueError as exc:
+            raise UsageError(str(exc))
         if any(seed < 0 for seed in self.seeds):
             raise UsageError(f"seeds must be >= 0, got {self.seeds}")
         for what, values in (("surrogate", self.surrogates), ("seed", self.seeds)):

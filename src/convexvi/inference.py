@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 import time
 from dataclasses import dataclass, field
 
@@ -247,6 +248,14 @@ def adam_step(state: AdamState, gradient, params):
 # training loop
 
 
+def check_integer(what, value):
+    """Raise ValueError unless `value` is an int or a numpy integer: a
+    bool or a float count would be taken here and fail later, in `range`
+    or `default_rng`."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     steps: int = 10000
@@ -259,7 +268,9 @@ class TrainConfig:
     patience: int = 5  # consecutive stale windows before stopping
 
     def __post_init__(self):
-        for name, low in (("steps", 0), ("n_samples", 1), ("record_every", 1), ("window", 0), ("patience", 1)):
+        lows = (("steps", 0), ("n_samples", 1), ("seed", 0), ("record_every", 1), ("window", 0), ("patience", 1))
+        for name, low in lows:
+            check_integer(f"TrainConfig.{name}", getattr(self, name))
             if getattr(self, name) < low:
                 raise ValueError(f"TrainConfig.{name} must be >= {low}, got {getattr(self, name)!r}")
         if self.lr is not None and not (math.isfinite(self.lr) and self.lr > 0):

@@ -17,6 +17,7 @@ instead of replaying it, and a batch is evaluated one sample at a time.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
@@ -141,6 +142,9 @@ def condition(model: JointModel, observations: Mapping[str, float]) -> JointMode
             raise ModelError(f"cannot observe unknown node {name!r}")
         if name in bound:
             raise ModelError(f"node {name!r} is already observed")
+        # checked first: a family's own test may pass inf or fail on NaN
+        if not math.isfinite(value):
+            raise ModelError(f"observed value {value!r} of {name!r} is not finite")
         if not model.node(name).family.in_support(value):
             raise ModelError(f"observed value {value!r} outside support of {name!r}")
         bound[name] = float(value)

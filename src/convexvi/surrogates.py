@@ -6,13 +6,18 @@ the prior-propagated parameters and a free term:
 
     q_param = sigmoid(lam_logit) * theta(parents) + (1 - sigmoid(lam_logit)) * alpha
 
-with one (lam, alpha) pair per scalar parameter and alpha stored in
+with one (lam, alpha) pair per schema parameter and alpha stored in
 unconstrained space.  Structure, control flow, and family kinds of the
 latent sub-model are preserved.  Baselines: ``mean-field`` (the same
 program with lam frozen at zero), ``ar1``, a linear-Gaussian
 autoregression over unconstrained values, and ``mvn``, a
 full-covariance Gaussian.  ``SURROGATES`` maps each kind to its
 constructor and default learning rate; ``build_surrogate`` builds one.
+
+``ConvexUpdateProgram`` walks the program in one method, for sampling
+and for scoring, through one update rule in which a scalar parameter is
+a one-entry vector.  Its alpha starts at the prior's parameter at the
+prior centers; ar1 and mvn start from prior draws (``_gaussian_start``).
 
 All programs expose the same surface: a flat named parameter vector,
 a noise spec, ``sample_and_log_prob`` (differentiable when given tape
@@ -30,14 +35,13 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import value_of
 from .distributions import (
+    HALF_LOG_2PI,
     SOFTMAX_CENTERED,
     constrain_param,
     support_bijector,
     unconstrain_param,
 )
 from .model import sample_forward
-
-HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 
 
 def convex_update(theta, lam, alpha):
@@ -85,36 +89,47 @@ def _prior_centers(model):
     return centers
 
 
-def _theta_at_centers(node, centers):
-    return node.params([centers[p] for p in node.parents])
+def _alpha_start(kind, theta, size, rng):
+    """alpha's initial entries: the prior's parameter `theta` at the
+    centers, unconstrained; or, where the link failed there (`theta` is
+    None) or `theta` lies outside the domain, `size` standard-normal draws."""
+    if theta is not None:
+        try:
+            if kind == "simplex":
+                return SOFTMAX_CENTERED.inverse([value_of(p) for p in theta])
+            return [unconstrain_param(kind, value_of(theta))]
+        except ValueError:
+            pass
+    return list(rng.standard_normal(size))
 
 
-def _prior_unconstrained_stats(model, init_seed, n=100):
-    """Per-latent mean/SD of the prior in unconstrained space.
-
-    Used to start the Gaussian baselines near the prior marginals; the
-    exact initialization is a free choice, and a unit scale is hopeless
-    for models whose latents live at very different magnitudes.
-    """
+def _gaussian_start(model, init_seed, kind):
+    """Per latent: (node, support bijector, mean, raw scale) of 100 prior
+    draws in unconstrained space, the raw scale being the softplus
+    pre-image of their SD.  This starts the Gaussian baselines near the
+    prior marginals: the exact start is a free choice, and a unit scale is
+    hopeless for models whose latents live at very different magnitudes."""
     latents = model.latent_nodes
+    if any(node.family.is_discrete for node in latents):
+        raise ValueError(f"{kind} surrogate requires continuous latents")
     bijectors = [support_bijector(node.family) for node in latents]
-    draws = {node.name: [] for node in latents}
+    draws = [[] for _ in latents]
     rng = np.random.default_rng(init_seed)
-    for _ in range(n):
+    for _ in range(100):
         trace = sample_forward(model, seed=int(rng.integers(2**31 - 1)))
-        for node, bij in zip(latents, bijectors):
+        for node, bij, u in zip(latents, bijectors, draws):
             try:
-                draws[node.name].append(bij.inverse(trace.values[node.name]))
+                u.append(bij.inverse(trace.values[node.name]))
             except ValueError:
                 pass
-    stats = {}
-    for node in latents:
-        u = np.asarray(draws[node.name])
-        if len(u) < 2:
-            stats[node.name] = (0.0, 1.0)
-        else:
-            stats[node.name] = (float(u.mean()), float(max(u.std(ddof=1), 1e-3)))
-    return stats
+    start = []
+    for node, bij, u in zip(latents, bijectors, draws):
+        mean, sd = 0.0, 1.0
+        if len(u) >= 2:
+            u = np.asarray(u)
+            mean, sd = float(u.mean()), float(max(u.std(ddof=1), 1e-3))
+        start.append((node, bij, mean, unconstrain_param("positive", sd + 2e-6)))
+    return start
 
 
 class _ParamLayout:
@@ -164,15 +179,15 @@ class ConvexUpdateProgram(SurrogateProgram):
         rng = np.random.default_rng(init_seed)
         centers = _prior_centers(model)
         layout = _ParamLayout()
-        noise_spec = []
         self._rules = []
         for node in model.latent_nodes:
+            schema = node.family.param_schema
             try:
-                theta_center = _theta_at_centers(node, centers)
+                theta_center = node.params([centers[p] for p in node.parents])
             except _NUMERICAL:
-                theta_center = None
+                theta_center = [None] * len(schema)
             entries = []
-            for k, (pname, kind) in enumerate(node.family.param_schema):
+            for k, (pname, kind) in enumerate(schema):
                 if kind not in ("unconstrained", "positive", "unit-interval", "simplex"):
                     raise ValueError(
                         f"{node.name}.{pname}: parameter domain {kind!r} is not convex"
@@ -180,56 +195,54 @@ class ConvexUpdateProgram(SurrogateProgram):
                 lam_idx = None
                 if with_lam:
                     lam_idx = layout.add(f"{node.name}.{pname}.lam_logit", rng.uniform(-1.0, 1.0))
-                if kind == "simplex":
-                    k_classes = node.family.num_classes
-                    if theta_center is not None:
-                        try:
-                            alpha0 = SOFTMAX_CENTERED.inverse(
-                                [value_of(p) for p in theta_center[k]]
-                            )
-                        except ValueError:
-                            alpha0 = list(rng.standard_normal(k_classes - 1))
-                    else:
-                        alpha0 = list(rng.standard_normal(k_classes - 1))
-                    alpha_idx = [
-                        layout.add(f"{node.name}.{pname}.alpha_{i}", a0)
-                        for i, a0 in enumerate(alpha0)
-                    ]
-                else:
-                    if theta_center is not None:
-                        try:
-                            a0 = unconstrain_param(kind, value_of(theta_center[k]))
-                        except ValueError:
-                            a0 = rng.standard_normal()
-                    else:
-                        a0 = rng.standard_normal()
-                    alpha_idx = layout.add(f"{node.name}.{pname}.alpha", a0)
+                simplex = kind == "simplex"
+                size = node.family.num_classes - 1 if simplex else 1
+                alpha0 = _alpha_start(kind, theta_center[k], size, rng)
+                names = [f"alpha_{i}" for i in range(len(alpha0))] if simplex else ["alpha"]
+                alpha_idx = [
+                    layout.add(f"{node.name}.{pname}.{name}", a0) for name, a0 in zip(names, alpha0)
+                ]
                 entries.append((kind, lam_idx, alpha_idx))
             self._rules.append((node, entries))
-            noise_spec.append(node.family.noise)
-        super().__init__(model, layout, noise_spec)
+        super().__init__(model, layout, [node.family.noise for node, _ in self._rules])
 
     def _node_params(self, node, entries, params, parent_values):
         # mean-field has no lam, so it never uses the prior link's output
         theta = node.params(parent_values) if self.with_lam else [None] * len(entries)
         out = []
         for (kind, lam_idx, alpha_idx), theta_k in zip(entries, theta):
-            if kind == "simplex":
-                alpha = SOFTMAX_CENTERED.forward([params[i] for i in alpha_idx])
-                if lam_idx is None:
-                    out.append(alpha)
-                else:
-                    lam = ad.sigmoid(params[lam_idx])
-                    out.append(convex_update(theta_k, [lam] * len(alpha), alpha))
-            else:
-                alpha = constrain_param(kind, params[alpha_idx])
-                if lam_idx is None:
-                    out.append(alpha)
-                else:
-                    lam = ad.sigmoid(params[lam_idx])
-                    (updated,) = convex_update((theta_k,), (lam,), (alpha,))
-                    out.append(updated)
+            # a scalar parameter is a one-entry vector; a simplex shares one lam
+            simplex = kind == "simplex"
+            raw = [params[i] for i in alpha_idx]
+            q = SOFTMAX_CENTERED.forward(raw) if simplex else [constrain_param(kind, raw[0])]
+            if lam_idx is not None:
+                lam = ad.sigmoid(params[lam_idx])
+                q = convex_update(theta_k if simplex else [theta_k], [lam] * len(q), q)
+            out.append(q if simplex else q[0])
         return out
+
+    def _walk(self, params, noise, given):
+        """The one ancestral pass: each latent is drawn from its entry of
+        `noise`, or read from `given` when that is not None."""
+        obs = self.model.observations
+        values = {}
+        log_q = None
+        disc_log_q = None
+        for i, (node, entries) in enumerate(self._rules):
+            parent_values = [obs[p] if p in obs else values[p] for p in node.parents]
+            q_params = self._node_params(node, entries, params, parent_values)
+            if given is not None:
+                x = given[node.name]
+            elif node.family.is_discrete:
+                x = node.family.sample_score(q_params, noise[i])
+            else:
+                x = node.family.sample_reparam(q_params, noise[i])
+            term = node.family.log_prob(q_params, x)
+            if node.family.is_discrete:
+                disc_log_q = term if disc_log_q is None else disc_log_q + term
+            values[node.name] = x
+            log_q = term if log_q is None else log_q + term
+        return values, log_q, disc_log_q
 
     def sample_and_log_prob(self, params, noise):
         """Ancestral sampling through the convex-update rules.
@@ -240,36 +253,12 @@ class ConvexUpdateProgram(SurrogateProgram):
         whose density contribution is also accumulated separately for
         the score-function estimator.
         """
-        values = {}
-        obs = self.model.observations
-        log_q = None
-        disc_log_q = None
-        for (node, entries), eps in zip(self._rules, noise):
-            parent_values = [obs.get(p, values.get(p)) for p in node.parents]
-            q_params = self._node_params(node, entries, params, parent_values)
-            if node.family.is_discrete:
-                x = node.family.sample_score(q_params, eps)
-                term = node.family.log_prob(q_params, x)
-                disc_log_q = term if disc_log_q is None else disc_log_q + term
-            else:
-                x = node.family.sample_reparam(q_params, eps)
-                term = node.family.log_prob(q_params, x)
-            values[node.name] = x
-            log_q = term if log_q is None else log_q + term
-        return values, log_q, disc_log_q
+        return self._walk(params, noise, None)
 
     def log_prob(self, params, values):
         """Surrogate log-density of a full latent assignment."""
-        obs = self.model.observations
-        total = None
-        for node, entries in self._rules:
-            parent_values = [
-                obs[p] if p in obs else values[p] for p in node.parents
-            ]
-            q_params = self._node_params(node, entries, params, parent_values)
-            term = node.family.log_prob(q_params, values[node.name])
-            total = term if total is None else total + term
-        return 0.0 if total is None else total
+        log_q = self._walk(params, None, values)[1]
+        return 0.0 if log_q is None else log_q
 
 
 class Ar1Program(SurrogateProgram):
@@ -282,24 +271,16 @@ class Ar1Program(SurrogateProgram):
     """
 
     def __init__(self, model, init_seed=0):
-        stats = _prior_unconstrained_stats(model, init_seed)
-        latents = model.latent_nodes
         layout = _ParamLayout()
         self._rows = []
-        prev_name = None
-        for i, node in enumerate(latents):
-            if node.family.is_discrete:
-                raise ValueError("ar1 surrogate requires continuous latents")
-            bij = support_bijector(node.family)
-            mean_u, sd_u = stats[node.name]
+        for node, bij, mean_u, raw_scale in _gaussian_start(model, init_seed, "ar1"):
             coef_idx = None
-            if i > 0 and prev_name not in model.global_names:
+            if self._rows and self._rows[-1][0].name not in model.global_names:
                 coef_idx = layout.add(f"{node.name}.ar_coef", 0.0)
             offset_idx = layout.add(f"{node.name}.offset", mean_u)
-            scale_idx = layout.add(f"{node.name}.scale", _softplus_inverse_safe(sd_u))
+            scale_idx = layout.add(f"{node.name}.scale", raw_scale)
             self._rows.append((node, bij, coef_idx, offset_idx, scale_idx))
-            prev_name = node.name
-        super().__init__(model, layout, ["normal"] * len(latents))
+        super().__init__(model, layout, ["normal"] * len(self._rows))
 
     def sample_and_log_prob(self, params, noise):
         values = {}
@@ -338,26 +319,18 @@ class MvnProgram(SurrogateProgram):
     """Full-covariance Gaussian over the unconstrained latent space."""
 
     def __init__(self, model, init_seed=0):
-        stats = _prior_unconstrained_stats(model, init_seed)
-        latents = model.latent_nodes
+        start = _gaussian_start(model, init_seed, "mvn")
         layout = _ParamLayout()
-        self._bijectors = []
-        diag_init = []
-        for node in latents:
-            if node.family.is_discrete:
-                raise ValueError("mvn surrogate requires continuous latents")
-            mean_u, sd_u = stats[node.name]
+        for node, _, mean_u, _ in start:
             layout.add(f"{node.name}.mvn_mean", mean_u)
-            self._bijectors.append(support_bijector(node.family))
-            diag_init.append(_softplus_inverse_safe(sd_u))
-        d = len(latents)
+        self._bijectors = [bij for _, bij, _, _ in start]
         self._chol_idx = {}
-        for i in range(d):
+        for i, (_, _, _, raw_scale) in enumerate(start):
             for j in range(i + 1):
-                init = diag_init[i] if i == j else 0.0
+                init = raw_scale if i == j else 0.0
                 self._chol_idx[(i, j)] = layout.add(f"chol.{i}.{j}", init)
-        self._dim = d
-        super().__init__(model, layout, ["normal"] * d)
+        self._dim = len(start)
+        super().__init__(model, layout, ["normal"] * self._dim)
 
     def _chol_entry(self, params, i, j):
         raw = params[self._chol_idx[(i, j)]]
@@ -365,7 +338,6 @@ class MvnProgram(SurrogateProgram):
 
     def sample_and_log_prob(self, params, noise):
         latents = self.model.latent_nodes
-        d = self._dim
         values = {}
         log_q = None
         for i, node in enumerate(latents):
@@ -393,10 +365,6 @@ class MvnProgram(SurrogateProgram):
             total += _std_normal_log_pdf(zi) - math.log(lii)
             total -= value_of(self._bijectors[i].log_det_jacobian(us[i]))
         return total
-
-
-def _softplus_inverse_safe(y):
-    return unconstrain_param("positive", y + 2e-6)
 
 
 class SurrogateKind(NamedTuple):

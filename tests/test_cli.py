@@ -95,6 +95,18 @@ def test_run_config_validation(tmp_path, capsys):
             RunConfig(task="br", lr=lr)
     assert main(["--task", "br", "--seeds", "-1"]) == 2
     assert main(["--task", "br", "--lr", "-0.05"]) == 2
+    # counts built in Python are checked as the flags and JSON are: a
+    # float seed failed later, in the generator, and a float step count in fit
+    for kwargs, message in (
+        ({"seeds": (1.5,)}, "seed must be an integer, got 1.5"),
+        ({"seeds": (1, True)}, "seed must be an integer, got True"),
+        ({"workers": 1.5}, "workers must be an integer"),
+        ({"steps": 2.5}, "TrainConfig.steps must be an integer"),
+        ({"n_samples": 1.5}, "TrainConfig.n_samples must be an integer"),
+    ):
+        with pytest.raises(UsageError, match=message):
+            RunConfig(task="br", **kwargs)
+    assert RunConfig(task="br", seeds=(np.int64(2),)).seeds == (2,)
     # values of the wrong type raised TypeError (exit 1, as if every run
     # failed); non-integral numbers were truncated ({"seeds": [1.5]} ran seed 1)
     run_file = tmp_path / "run.json"

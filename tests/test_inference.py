@@ -1145,15 +1145,33 @@ def test_a_zero_step_fit_reports_an_elbo_that_diverges():
 
 @pytest.mark.parametrize(
     "field, value",
-    [("steps", -3), ("n_samples", 0), ("record_every", 0), ("window", -3), ("patience", 0)],
+    [("steps", -3), ("n_samples", 0), ("seed", -1), ("record_every", 0), ("window", -3), ("patience", 0)],
 )
 def test_train_config_rejects_values_that_break_fit(field, value):
     # unchecked, `fit` gave an empty trajectory (steps < 0), a "divergence"
-    # after 0 steps (n_samples 0), a ZeroDivisionError (record_every 0),
+    # after 0 steps (n_samples 0), a ValueError from the generator (seed < 0),
+    # a ZeroDivisionError (record_every 0),
     # no early stopping (window < 0) and a stop with converged=True at the
     # second window, whatever the loss did (patience 0)
     with pytest.raises(ValueError, match=f"TrainConfig.{field} must be >= "):
         TrainConfig(**{field: value})
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("steps", 2.5), ("steps", True), ("n_samples", 1.5), ("seed", 1.0), ("record_every", 2.0),
+     ("window", 2.5), ("patience", False)],
+)
+def test_train_config_rejects_a_count_that_is_not_an_integer(field, value):
+    # unchecked, `fit` failed later with "'float' object cannot be
+    # interpreted as an integer", and True ran as a one-step fit
+    with pytest.raises(ValueError, match=f"TrainConfig.{field} must be an integer"):
+        TrainConfig(**{field: value})
+
+
+def test_train_config_takes_numpy_integers():
+    cfg = TrainConfig(steps=np.int64(3), n_samples=np.int32(1), seed=np.uint8(2), window=np.int64(0))
+    assert fit(conjugate_pair(), "asvi", cfg).steps_run == 3
 
 
 @pytest.mark.parametrize("tol", [-1e-4, math.inf, math.nan])

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from convexvi.distributions import BERNOULLI, NORMAL
+from convexvi.distributions import BERNOULLI, HALF_NORMAL, LOG_NORMAL, NORMAL, Categorical
 from convexvi.model import (
     ModelError,
     build_joint,
@@ -123,6 +123,17 @@ def test_condition_validations():
     disc = build_joint([rv("b", BERNOULLI, params=(0.5,))])
     with pytest.raises(ModelError, match="support"):
         condition(disc, {"b": 0.25})
+
+
+@pytest.mark.parametrize(
+    "family", [NORMAL, HALF_NORMAL, LOG_NORMAL, BERNOULLI, Categorical(3)], ids=lambda f: f.name
+)
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_condition_rejects_a_non_finite_observation(family, value):
+    params = {"Categorical": ([0.2, 0.3, 0.5],), "HalfNormal": (1.0,), "Bernoulli": (0.5,)}.get(family.name, (0.0, 1.0))
+    m = build_joint([rv("x", family, params=params)])
+    with pytest.raises(ModelError, match="not finite"):
+        condition(m, {"x": value})
 
 
 def test_condition_shrinks_latent_set():

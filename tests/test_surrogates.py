@@ -420,3 +420,35 @@ def test_mean_field_categorical_param_count():
     mf = build_surrogate("mean-field", m, init_seed=0)
     # k-1 = 2 trainable scalars for the lone categorical latent
     assert mf.num_params == 2
+
+
+@pytest.mark.parametrize("kind", ["asvi", "mean-field"])
+@pytest.mark.parametrize("make_model", [mixed_model, categorical_model])
+def test_convex_update_log_prob_is_the_sampled_log_q(kind, make_model):
+    m = make_model()
+    q = build_surrogate(kind, m, init_seed=1)
+    rng = np.random.default_rng(6)
+    for _ in range(10):
+        params = list(q.init_params + 0.3 * rng.standard_normal(q.num_params))
+        values, log_q, disc = q.sample_and_log_prob(params, one_draw(q, rng))
+        assert q.log_prob(params, values) == log_q
+        if make_model is categorical_model:
+            # the lone latent is discrete: its term is all of log_q and
+            # is returned alone for the score-function estimator
+            assert disc == log_q
+        else:
+            assert disc is None
+
+
+@pytest.mark.parametrize("kind", ["ar1", "mvn"])
+def test_gaussian_baselines_reject_a_discrete_latent(kind):
+    # the prior draws asked for a Bernoulli's support bijector first and
+    # raised TypeError, so this ValueError could not be reached
+    nodes = [
+        rv("b", BERNOULLI, params=(0.3,)),
+        rv("x", NORMAL, parents=("b",), link=lambda b: (2.0 * b, 1.0)),
+        rv("y", NORMAL, parents=("x",), link=lambda x: (x, 0.5)),
+    ]
+    m = condition(build_joint(nodes), {"y": 0.4})
+    with pytest.raises(ValueError, match=f"{kind} surrogate requires continuous latents"):
+        build_surrogate(kind, m)
