@@ -5,9 +5,9 @@ A ``Tape`` records a computation over scalar nodes in topological
 gradient with respect to every input, by node id, or with respect to
 the inputs below the id ``wrt`` alone, the other entries being scratch.
 ``forward`` re-evaluates a recorded tape at new input values.  Its first
-call turns the tape into straight-line Python, one statement group per
-node, compiled in small functions; that code then runs every later
-``forward`` and ``backward`` (reverse mode by source transformation).
+call turns the tape into straight-line Python, compiled in small
+functions; that code then runs every later ``forward`` and ``backward``
+(reverse mode by source transformation).
 The generated reverse sweep computes only the active adjoints (activity
 analysis): it sweeps the nodes that depend on a wanted input and that
 the output depends on, and adds no term into any other node; a sum
@@ -18,7 +18,11 @@ It stores a value into ``vals`` only where something reads it there
 (liveness): a later function, a reverse sweep, or a caller, who may read
 the inputs and the sinks (nodes no node reads, such as the objective).
 After ``forward`` every other entry of ``vals`` is NaN, so a stray read
-shows.  Once replayed, a tape is fixed: recording onto it raises
+shows.  A function names a value only where it is stored or read more
+than once: a sum, difference, negation or product read once is written
+into its reader as an expression.  These ops never raise on floats, so
+every node is still computed and every error fires where recording
+raised it.  Once replayed, a tape is fixed: recording onto it raises
 ``ValueError``.  The tape is cut into functions where its structure
 repeats, and each function's source names its list indices and float
 constants by slot, so a pattern the tape repeats (the steps of a chain,
@@ -37,7 +41,9 @@ Everything is double precision.  The unary ops (``exp``, ``log``,
 ``tanh``, ``sigmoid``, ``softplus``, ``sqrt``) are declared once, in the
 table ``_UNARY`` as source text: the value as an expression, inlined
 into replay (so replay calls no Python function but ``_exp``, whose
-overflow rule needs a statement), the partial and the domain check.
+overflow rule needs a statement), the partial and the domain check, and
+an expression that value and partial share (softplus's ``exp``), which
+replay computes once.
 Each accepts a ``Node``, a float, or a float array: the tape, one
 sample, or a batch (one array entry per sample).
 On an array an op maps its float function over the entries (numpy's own
@@ -53,6 +59,7 @@ from __future__ import annotations
 import math
 import re
 from array import array
+from collections import Counter
 from types import CodeType, FunctionType
 
 import numpy as np
@@ -292,7 +299,10 @@ def _exp_float(x):
 # each time and compiled once.  Against fixed functions of 64 nodes, these
 # sizes compiled 60-70% fewer lines for lz and es and replayed a few
 # percent faster; anchors from 32 nodes on (every 8) shared a little more
-# code but replayed 2-6% slower.
+# code but replayed 2-6% slower.  A chain of values read once is
+# written as one expression that nests a parenthesis per node
+# (`_forward_source`), and Python's tokenizer rejects more than 200
+# nested parentheses, so REPLAY_CHUNK has to stay well below 200.
 REPLAY_CHUNK = 128
 CUT_MIN = 64  # nodes before a function may end at an anchor
 CUT_EVERY = 16  # an anchor's window hashes to 0 modulo this
@@ -319,22 +329,28 @@ class _Unary:
     """One unary op as source text, read by recording, the float and
     array paths and replay alike: its `value` as an expression in the
     argument `a`, inlined into replay; its `partial` in `a` and the value
-    `y`; and a domain `check` on `a` that raises `DomainError(message)`.
-    The float function `f` is built from the same text; a value that is
+    `y`; a domain `check` on `a` that raises `DomainError(message)`; and
+    `e`, an expression in `a` that `value` and `partial` both read as
+    `e`, so that replay computes it once for the two.  The float
+    functions `f` and `d` are built from the same text; a value that is
     one call of a global on `a` is that global itself."""
 
-    def __init__(self, value, partial, check=None, message=None):
-        self.value, self.partial, self.check, self.message = value, partial, check, message
+    def __init__(self, value, partial, check=None, message=None, e=None):
+        self.value, self.partial, self.check, self.message, self.e = value, partial, check, message, e
         call = re.fullmatch(r"(\w+)\(a\)", value)
-        self.f = _REPLAY_GLOBALS[call[1]] if call else eval(f"lambda a: {value}", _REPLAY_GLOBALS)
-        self.d = eval(f"lambda a, y: {partial}", _REPLAY_GLOBALS)
+        let = f"e = {e}\n    " if e else ""
+        ns = {}
+        exec(f"def f(a):\n    {let}return {value}\ndef d(a, y):\n    {let}return {partial}", _REPLAY_GLOBALS, ns)
+        self.f = _REPLAY_GLOBALS[call[1]] if call else ns["f"]
+        self.d = ns["d"]
         self.bad = check and eval(f"lambda a: {check}")
         reads = compile(partial, "<partial>", "eval").co_names
         self.binds_a, self.binds_y = bool(check) or "a" in reads or not call, "y" in reads
 
-    def of(self, a):
-        """The value's text with the argument's text `a` in place of `a`."""
-        return re.sub(r"\ba\b", a, self.value)
+    @staticmethod
+    def of(text, a):
+        """`text` with the argument's text `a` in place of `a`."""
+        return re.sub(r"\ba\b", a, text)
 
 
 # exp(-a) and exp(a) are taken only where they cannot overflow
@@ -345,7 +361,13 @@ _UNARY = {
     LOG: _Unary("log(a)", "1.0 / a", "a <= 0.0", "log of non-positive value"),
     TANH: _Unary("tanh(a)", "1.0 - y * y"),
     SIGMOID: _Unary(_SIGMOID, "y * (1.0 - y)"),
-    SOFTPLUS: _Unary("a + log1p(exp(-a)) if a > 0.0 else log1p(exp(a))", _SIGMOID),
+    # the sigmoid's two branches as its partial, with e = exp(-|a|): at
+    # a = 0.0 or -0.0 both give 0.5
+    SOFTPLUS: _Unary(
+        "a + log1p(e) if a > 0.0 else log1p(e)",
+        "1.0 / (1.0 + e) if a > 0.0 else e / (1.0 + e)",
+        e="exp(-a) if a > 0.0 else exp(a)",
+    ),
     SQRT: _Unary("sqrt(a)", "0.5 / y if y > 0.0 else inf", "a < 0.0", "sqrt of negative value"),
 }
 
@@ -354,7 +376,8 @@ class _Replay:
     """A recorded tape as straight-line Python, generated once.
 
     `forward` holds one function per chunk of nodes (`_chunks`); each
-    node becomes the statements that recording ran for it, with the same
+    node becomes the code that recording ran for it (in its reader's line,
+    where `_forward_source` writes it there), with the same
     floating-point expressions, domain checks and overflow rule, so a
     replay gives the bits a fresh recording would.  A node that repeats
     its `first` node is not computed again; the first node's domain
@@ -602,24 +625,39 @@ def _forward_source(tape, nodes, first, stored):
     so a repeated node (`first[i] != i`) has no line, but a stored one
     (a sink) copies its first node's value.  A value is written into
     `v` if `stored` says so, and kept in a local, named by its offset in
-    the chunk, if read again inside the function."""
+    the chunk, if the function reads it more than once.  A value read
+    once and not stored is written into its reader, as an expression,
+    if it is a sum, difference, negation or product: these never raise
+    on floats, so computing them later changes nothing.  Each is fully
+    parenthesized, so a chain of them nests one parenthesis per node.
+    A unary op, POW, DIV or RDIV reads an operand held in a local by its
+    name, and binds any other operand to `a` where its text reads it more
+    than once."""
     ops, p1, p2 = tape.ops, tape.p1, tape.p2
     lo = nodes[0]
     inside = set(nodes)
-    reread = {
+    reads = Counter(
         first[p]
         for i in nodes
         for p in ((p1[i], p2[i]) if first[i] == i else (i,) if stored[i] else ())
         if p >= 0 and first[p] in inside
-    }
+    )
     slots = _Slots()
     index, const = slots.index, slots.const
+    inline = {}  # node -> the expression its one reader writes in its place
+    lines = []
 
     def read(p):
         p = first[p]
-        return f"x{p - lo}" if p in inside else f"v[{index(p)}]"
+        return inline.get(p) or (f"x{p - lo}" if p in inside else f"v[{index(p)}]")
 
-    lines = []
+    def named(a):
+        """A name holding the operand whose text is `a`."""
+        if re.fullmatch(r"x\d+", a):
+            return a
+        lines.append(f"a = {a}")
+        return "a"
+
     for i in nodes:
         if first[i] != i:
             if stored[i]:
@@ -629,48 +667,54 @@ def _forward_source(tape, nodes, first, stored):
         c = float(tape.aux[i])
         a = read(j)
         b = read(k) if k >= 0 else None
-        # a first node's value is stored, read again in this function, or both
-        out = " = ".join(([f"v[{index(i)}]"] if stored[i] else []) + ([f"x{i - lo}"] if i in reread else []))
         if op == ADD:
-            lines.append(f"{out} = {a} + {b or const(c)}")
+            value = f"{a} + {b or const(c)}"
         elif op == SUB:
-            lines.append(f"{out} = {a} - {b}")
+            value = f"{a} - {b}"
         elif op == RSUB:
-            lines.append(f"{out} = {const(c)} - {a}")
+            value = f"{const(c)} - {a}"
         elif op == MUL:
-            lines.append(f"{out} = {a} * {b or const(c)}")
+            value = f"{a} * {b or const(c)}"
         elif op == NEG:
-            lines.append(f"{out} = -{a}")
+            value = f"-{a}"
+        else:
+            value = None
+        if value and not stored[i] and reads[i] == 1:
+            inline[i] = f"({value})"
+            continue
+        # the value is stored, read again in this function, or both
+        out = " = ".join(([f"v[{index(i)}]"] if stored[i] else []) + ([f"x{i - lo}"] if reads[i] else []))
+        if value:
+            lines.append(f"{out} = {value}")
         elif op == EXP:
             lines.append(f"{out} = _exp({a})")  # the reverse sweep reads the value
         elif op in _UNARY:
             u = _UNARY[op]
             if u.binds_a:
-                lines.append(f"a = {a}")
-                a = "a"
+                a = named(a)
             if u.check:
-                lines.append(f"if {u.check}: _domain_error({u.message!r}, a)")
-            if u.binds_y:
-                lines += [f"y = {u.of(a)}", f"{out} = y"]
-            else:
-                lines.append(f"{out} = {u.of(a)}")
-            lines.append(f"d1[{index(i)}] = {u.partial}")
+                lines.append(f"if {u.of(u.check, a)}: _domain_error({u.message!r}, {a})")
+            if u.e:
+                lines.append(f"e = {u.of(u.e, a)}")
+            lines.append(f"{out}{' = y' if u.binds_y else ''} = {u.of(u.value, a)}")
+            lines.append(f"d1[{index(i)}] = {u.of(u.partial, a)}")
         elif op == POW:
-            lines.append(f"a = {a}")
+            a = named(a)
             if not c.is_integer():
-                lines.append("if a < 0.0: _domain_error('fractional power of negative value', a)")
-            lines.append(f"{out} = a ** {const(c)}")
-            lines.append(f"d1[{index(i)}] = {const(c)} * a ** {const(c - 1.0)}")
+                lines.append(f"if {a} < 0.0: _domain_error('fractional power of negative value', {a})")
+            lines.append(f"{out} = {a} ** {const(c)}")
+            lines.append(f"d1[{index(i)}] = {const(c)} * {a} ** {const(c - 1.0)}")
         elif op == DIV:
+            a = named(a)
             lines += [
-                f"a = {a}",
                 f"inv = 1.0 / {b}",
-                f"{out} = a * inv",
+                f"{out} = {a} * inv",
                 f"d1[{index(i)}] = inv",
-                f"d2[{index(i)}] = -a * inv * inv",
+                f"d2[{index(i)}] = -{a} * inv * inv",
             ]
         elif op == RDIV:
-            lines += [f"a = {a}", f"{out} = {const(c)} / a", f"d1[{index(i)}] = {const(-c)} / (a * a)"]
+            a = named(a)
+            lines += [f"{out} = {const(c)} / {a}", f"d1[{index(i)}] = {const(-c)} / ({a} * {a})"]
         else:
             raise ValueError(f"unknown op kind {op}")
     return lines, slots

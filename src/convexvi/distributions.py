@@ -60,7 +60,7 @@ class Softplus:
 
     def inverse(self, y):
         y = float(y)
-        if y <= 0.0:
+        if not y > 0.0:  # NaN too
             raise ValueError(f"softplus inverse needs y > 0, got {y!r}")
         if y > 20.0:
             return y + math.log1p(-math.exp(-y))
@@ -106,8 +106,8 @@ class SoftmaxCentered:
 
     def inverse(self, probs):
         probs = [float(p) for p in probs]
-        if any(p <= 0.0 for p in probs):
-            raise ValueError("simplex inverse needs strictly positive probabilities")
+        if not all(p > 0.0 for p in probs):  # NaN too
+            raise ValueError(f"simplex inverse needs strictly positive probabilities, got {probs!r}")
         ref = math.log(probs[-1])
         return [math.log(p) - ref for p in probs[:-1]]
 
@@ -143,7 +143,7 @@ def unconstrain_param(constraint_kind, y):
     """Inverse of :func:`constrain_param` (float-only)."""
     if constraint_kind == "positive":
         y = float(y)
-        if y <= SCALE_FLOOR:
+        if not y > SCALE_FLOOR:  # NaN too
             raise ValueError(f"positive parameter must exceed the {SCALE_FLOOR} floor, got {y!r}")
         return SOFTPLUS.inverse(y - SCALE_FLOOR)
     return bijector_for(constraint_kind).inverse(y)

@@ -273,6 +273,9 @@ class TrainConfig:
             check_integer(f"TrainConfig.{name}", getattr(self, name))
             if getattr(self, name) < low:
                 raise ValueError(f"TrainConfig.{name} must be >= {low}, got {getattr(self, name)!r}")
+        for name in ("lr", "tol"):  # True would run as a rate of 1.0
+            if isinstance(getattr(self, name), (bool, np.bool_)):
+                raise ValueError(f"TrainConfig.{name} must be a number, got {getattr(self, name)!r}")
         if self.lr is not None and not (math.isfinite(self.lr) and self.lr > 0):
             raise ValueError(f"TrainConfig.lr must be positive and finite, got {self.lr!r}")
         if not (math.isfinite(self.tol) and self.tol >= 0):

@@ -430,6 +430,87 @@ def test_backward_source_copies_no_adjoint(monkeypatch):
         assert g[: wrt or n_inputs] == ad.gradient(fn, tape.vals[:n_inputs])[: wrt or n_inputs]
 
 
+def forward_sources(monkeypatch):
+    """Make each new replay keep its forward functions' `(lines, slots)`
+    in the list returned."""
+    generate, bodies = ad._generate, []
+
+    def keep_source(sources, args):
+        sources = list(sources)
+        if args == "v, d1, d2":
+            bodies.extend(sources)
+        return generate(sources, args)
+
+    monkeypatch.setattr(ad, "_generate", keep_source)
+    return bodies
+
+
+def test_a_chain_of_values_read_once_is_one_expression(monkeypatch):
+    # REPLAY_CHUNK sums, differences, negations and products by a
+    # constant (a node x node product stores its operands for the reverse
+    # sweep), each read once by the next, in one function: the deepest
+    # nesting a function can get.  The function is one line, which the
+    # tokenizer takes, and its replay has the bits of a fresh recording.
+    monkeypatch.setattr(ad, "CUT_MIN", ad.REPLAY_CHUNK)  # no cut at an anchor
+    bodies = forward_sources(monkeypatch)
+    steps = [
+        lambda y, x: y + x, lambda y, x: y * 1.25, lambda y, x: -y, lambda y, x: y - x,
+        lambda y, x: 0.5 - y, lambda y, x: y * -3.0, lambda y, x: y + -0.75,
+    ]
+
+    def chain(xs):
+        y = xs[0]
+        for n in range(ad.REPLAY_CHUNK):
+            y = steps[n % len(steps)](y, xs[1])
+        return y
+
+    tape, xs, out = ad.record(chain, [0.3, -1.1])
+    tape.forward()
+    ((lines, _),) = bodies
+    assert len(lines) == 1
+    depth = deepest = 0
+    for ch in lines[0]:
+        depth += (ch == "(") - (ch == ")")
+        deepest = max(deepest, depth)
+    assert deepest == ad.REPLAY_CHUNK - 1
+    for point in ([0.7, 2.0], [-0.0, 0.0], [math.inf, 1.0], [1e300, 1e10], [math.nan, 1.0], [4.0, -math.inf]):
+        for x, v in zip(xs, point):
+            tape.set_input(x, v)
+        tape.forward()
+        fresh, _, fout = ad.record(chain, point)
+        assert repr(tape.vals[out.i]) == repr(fresh.vals[fout.i]), point
+        assert list(map(repr, tape.backward(out)[:2])) == list(map(repr, fresh.backward(fout)[:2])), point
+
+
+def test_softplus_replays_one_exp_for_its_value_and_partial(monkeypatch):
+    # one line of the node calls `exp`, once per replay, for both the
+    # value and the partial, which have the float path's bits at the edges
+    bodies = forward_sources(monkeypatch)
+    tape = ad.Tape()
+    x = tape.input(0.5)
+    out = ad.softplus(x)
+    tape.forward()
+    ((lines, _),) = bodies
+    assert sum(line.count("exp(") for line in lines) == 2  # `exp(-a) if a > 0.0 else exp(a)`
+    assert [line for line in lines if "exp(" in line] == ["e = exp(-a) if a > 0.0 else exp(a)"]
+    calls = []
+
+    def counted(a):
+        calls.append(a)
+        return math.exp(a)
+
+    monkeypatch.setitem(ad._REPLAY_GLOBALS, "exp", counted)
+    for a in (0.0, -0.0, math.inf, -math.inf, math.nan, 800.0, -800.0, 3.5, -3.5):
+        calls.clear()
+        tape.set_input(x, a)
+        tape.forward()
+        assert len(calls) == 1, a
+        fresh = ad.Tape()
+        y = ad.softplus(fresh.input(a))
+        assert repr(tape.vals[out.i]) == repr(fresh.vals[y.i]) == repr(ad.softplus(a)) == repr(_softplus_reference(a))
+        assert repr(tape.d1[out.i]) == repr(fresh.d1[y.i]) == repr(_sigmoid_reference(a)), a
+
+
 def test_a_slot_the_compiler_folds_away_raises():
     # slot 1's literal under a unary minus compiles to the constant
     # -2e300, so the value has no constant to take; slot 2 is not in the

@@ -103,10 +103,13 @@ def test_run_config_validation(tmp_path, capsys):
         ({"workers": 1.5}, "workers must be an integer"),
         ({"steps": 2.5}, "TrainConfig.steps must be an integer"),
         ({"n_samples": 1.5}, "TrainConfig.n_samples must be an integer"),
+        # a bool rate built in Python ran as a rate of 1.0
+        ({"lr": True}, "TrainConfig.lr must be a number, got True"),
     ):
         with pytest.raises(UsageError, match=message):
             RunConfig(task="br", **kwargs)
     assert RunConfig(task="br", seeds=(np.int64(2),)).seeds == (2,)
+    assert RunConfig(task="br", lr=np.float64(0.05)).train_config(seed=1).lr == 0.05
     # values of the wrong type raised TypeError (exit 1, as if every run
     # failed); non-integral numbers were truncated ({"seeds": [1.5]} ran seed 1)
     run_file = tmp_path / "run.json"

@@ -189,6 +189,19 @@ def test_unconstrain_at_boundary_errors():
         dist.SOFTMAX_CENTERED.inverse([0.0, 1.0])
 
 
+def test_inverses_reject_nan():
+    # NaN passed the `<= 0` tests of all but the sigmoid, and came back as
+    # a NaN parameter where the callers' fallback start was due
+    for call in (
+        lambda: dist.SOFTPLUS.inverse(math.nan),
+        lambda: dist.unconstrain_param("positive", math.nan),
+        lambda: dist.SOFTMAX_CENTERED.inverse([0.5, math.nan, 0.5]),
+        lambda: dist.SIGMOID.inverse(math.nan),
+    ):
+        with pytest.raises(ValueError, match="nan"):
+            call()
+
+
 def test_log_det_jacobians_match_finite_differences():
     # the support bijectors, the only ones that take a Jacobian
     for bij in (dist.IDENTITY, dist.SOFTPLUS):

@@ -359,6 +359,44 @@ def test_the_forward_sweep_stores_only_values_read_again(task_id, kind, n_sample
     assert len(stored) < len(tape) - graph.n_inputs
 
 
+PURE_OPS = (autodiff.ADD, autodiff.SUB, autodiff.RSUB, autodiff.MUL, autodiff.NEG)
+
+
+@pytest.mark.parametrize("task_id, kind", [(task_id, kind) for task_id in TASK_IDS for kind in SURROGATES])
+def test_the_forward_sweep_names_a_sum_or_product_only_where_it_is_kept(task_id, kind, monkeypatch):
+    # a sum, difference, negation or product that is not stored and that
+    # its function reads once is written into its reader; a local that
+    # such an op assigns is stored or read twice or more.  No line copies
+    # a local into the operand `a`.
+    functions = []
+    source = autodiff._forward_source
+
+    def keep(tape, nodes, first, stored):
+        lines, slots = source(tape, nodes, first, stored)
+        functions.append((tape, nodes, first, stored, lines))
+        return lines, slots
+
+    monkeypatch.setattr(autodiff, "_forward_source", keep)
+    first_step_graph(task_id, kind).tape.forward()
+    assert functions
+    inlined = 0
+    for tape, nodes, first, stored, lines in functions:
+        text = "\n".join(lines)
+        locals_ = set()
+        for line in lines:
+            assert not re.fullmatch(r"a = x\d+", line), line
+            *targets, _ = line.split(" = ")
+            for target in targets:
+                if re.fullmatch(r"x\d+", target):
+                    locals_.add(nodes[0] + int(target[1:]))
+                    if tape.ops[nodes[0] + int(target[1:])] in PURE_OPS:
+                        reads = len(re.findall(rf"\b{target}\b", text)) - 1
+                        assert targets[0].startswith("v[") or reads >= 2, line
+        pure = [i for i in nodes if tape.ops[i] in PURE_OPS and first[i] == i]
+        inlined += sum(not stored[i] and i not in locals_ for i in pure)
+    assert inlined > 0
+
+
 CUTS = """
 import json
 import numpy as np
@@ -1187,6 +1225,18 @@ def test_train_config_rejects_a_learning_rate_that_is_not_positive(lr):
     # a negative rate ran to the end and descended the ELBO instead
     with pytest.raises(ValueError, match="TrainConfig.lr must be positive and finite"):
         TrainConfig(lr=lr)
+
+
+@pytest.mark.parametrize("field, value", [("lr", True), ("lr", np.True_), ("tol", False), ("tol", True)])
+def test_train_config_rejects_a_bool_rate_or_tolerance(field, value):
+    # unchecked, lr=True ran as a learning rate of 1.0, and tol=False as 0
+    with pytest.raises(ValueError, match=f"TrainConfig.{field} must be a number, got {value!r}"):
+        TrainConfig(**{field: value})
+
+
+def test_train_config_takes_numpy_floats():
+    cfg = TrainConfig(lr=np.float64(0.05), tol=np.float32(1e-4))
+    assert (cfg.lr, cfg.tol) == (np.float64(0.05), np.float32(1e-4))
 
 
 def test_fit_reproducible():

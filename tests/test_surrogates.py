@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from convexvi import autodiff as ad
+from convexvi import surrogates
 from convexvi.cli import USAGE, RunConfig, UsageError
 from convexvi.distributions import (
     BERNOULLI,
@@ -52,6 +53,30 @@ def mixed_model():
         rv("y", NORMAL, parents=("x",), link=lambda x: (x, 0.5)),
     ]
     return condition(build_joint(nodes), {"y": 0.7})
+
+
+def test_a_nan_start_value_takes_the_fallback_start(monkeypatch):
+    # a NaN prior parameter or prior draw passed the bijectors' inverses
+    # as NaN: the alpha start held NaN, and one NaN draw made a Gaussian
+    # baseline's start NaN.  Now alpha draws standard normals, and the
+    # draw is skipped as one outside the support is.
+    for kind, theta, size in (("positive", math.nan, 1), ("simplex", [0.5, math.nan, 0.5], 2)):
+        start = surrogates._alpha_start(kind, theta, size, np.random.default_rng(3))
+        assert start == list(np.random.default_rng(3).standard_normal(size))
+    starts = []
+    for bad in (math.nan, -1.0):
+        seen = []
+
+        def one_bad_draw(model, seed, bad=bad, seen=seen):
+            trace = sample_forward(model, seed)
+            if not seen:
+                trace.values["scale"] = bad
+            seen.append(seed)
+            return trace
+
+        monkeypatch.setattr(surrogates, "sample_forward", one_bad_draw)
+        starts.append([(mean, raw) for _, _, mean, raw in surrogates._gaussian_start(mixed_model(), 1, "mvn")])
+    assert starts[0] == starts[1] and all(map(math.isfinite, np.ravel(starts[0])))
 
 
 def test_convex_update_examples():
