@@ -44,7 +44,13 @@ part of it), compared as the parent and the change are.
   ROUNDS alternating rounds of CALLS calls, and code generation (the
   first `forward` and `backward` of a new copy, with the shape cache
   emptied first) in GEN_ROUNDS alternating rounds: each side's median
-  and the median ratio.
+  and the median ratio.  Last (`sweep_order`), per perfbench workload,
+  the first-step tapes of its cells in the order a sweep fits them,
+  generated by each side after one emptying of its shape cache, as a
+  sweep does: the chunks, shapes compiled, sources rendered and
+  characters compiled, and the time of code generation in SWEEP_ROUNDS
+  alternating rounds, split into describing and rendering source,
+  compile(), binding, and the analyses (the rest).
 
 Only the standard library is used here; each checkout runs its own code.
 """
@@ -59,6 +65,7 @@ import sys
 SIDES = ("parent", "change")
 ROUNDS, CALLS = 30, 20  # the in-process sweep timing of --tapes
 GEN_ROUNDS = 10  # the in-process code generation timing of --tapes
+SWEEP_ROUNDS = 20  # the sweep-order code generation timing of --tapes
 
 
 def git_commit(directory):
@@ -167,18 +174,25 @@ def sha256(items):
     return h.hexdigest()
 
 bodies, forward_bodies, swept = [], [], []
-generate, backward_source = autodiff._generate, autodiff._backward_source
+generate = autodiff._generate
+# a checkout that keys shapes by structure passes `(key, slots)` and the
+# render function; an older one passes `(lines, slots)`
+DESCRIBE = "_describe_backward" if hasattr(autodiff, "_describe_backward") else "_backward_source"
+backward_source = getattr(autodiff, DESCRIBE)
 
-def keep_bodies(sources, args):
-    sources = [(lines, slots, args) for lines, slots in sources]
-    (bodies if args.startswith("g,") else forward_bodies).extend(sources)
-    return generate([(lines, slots) for lines, slots, _ in sources], args)
+def keep_bodies(sources, *render_args):
+    *render, args = render_args
+    sources = list(sources)
+    kept = [(render[0](key) if render else key, list(slots), args) for key, slots in sources]
+    (bodies if args.startswith("g,") else forward_bodies).extend(kept)
+    return generate(sources, *render_args)
 
 def keep_nodes(tape, nodes, *rest):
     swept.extend(nodes)
     return backward_source(tape, nodes, *rest)
 
-autodiff._generate, autodiff._backward_source = keep_bodies, keep_nodes
+autodiff._generate = keep_bodies
+setattr(autodiff, DESCRIBE, keep_nodes)
 out = {}
 for name, graph in tapes():
     tape, P = graph.tape, graph.n_params
@@ -312,9 +326,117 @@ print(json.dumps(result))
 """
 
 
+# Run with the change's `src` and checkout first on the path, and the
+# parent's autodiff.py and SWEEP_ROUNDS as arguments: per perfbench
+# workload, the first-step ELBO tapes of its cells in the order a sweep
+# fits them (`cli.run_benchmark`: cells sorted by surrogate, then seed),
+# recorded as `fit` records them, then each side's code generation over
+# them all, the side's shape cache emptied once first, as a sweep empties
+# it.  Counts: chunks, shapes compiled, sources rendered (each source the
+# side writes; a text-keyed side writes one per chunk) and characters
+# compiled.  Time, in alternating rounds: the whole, and its split into
+# writing source (describing and rendering), compile() and binding; the
+# rest (`analyses`) is value numbering, cutting, liveness and activity.
+SWEEP_ORDER = r"""
+import importlib.util, json, statistics, sys, time
+import numpy as np
+from convexvi import autodiff
+from convexvi.distributions import draw_noise
+from convexvi.inference import NOISE_BLOCK, CompiledElbo
+from convexvi.model import condition
+from convexvi.surrogates import build_surrogate
+from convexvi.tasks import generate_data, get_task
+from perfbench.workloads import WORKLOADS
+
+spec = importlib.util.spec_from_file_location("parent_autodiff", sys.argv[1])
+parent = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(parent)
+ROUNDS = int(sys.argv[2])
+WRITERS = ("_forward_source", "_backward_source", "_describe_forward", "_describe_backward")
+RENDERS = ("_render_forward", "_render_backward")
+
+def first_step_graphs(workload, seed=1):
+    for task_id, kinds in workload.sweeps:
+        task = get_task(task_id)
+        for kind, s in sorted((kind, s) for kind in kinds for s in workload.program_seeds(seed)):
+            model = task.model if task.is_pre_conditioned else condition(task.model, generate_data(task, seed=s)[0])
+            surrogate = build_surrogate(kind, model, init_seed=s)
+            count, n = min(NOISE_BLOCK, workload.steps), workload.n_samples
+            block = draw_noise(surrogate.noise_spec, count * n, np.random.default_rng(s))
+            yield CompiledElbo(model, surrogate, surrogate.init_params, block.reshape(count, n, -1)[0])
+
+class Probe:
+    # times and counts one side's code generation through its module's names
+    def __init__(self, module):
+        self.module, self.clock = module, {}
+        self.count = dict.fromkeys(("sources_rendered", "shapes_compiled", "compiled_chars"), 0)
+        for name in WRITERS + RENDERS:
+            if hasattr(module, name):
+                setattr(module, name, self.timed(getattr(module, name), "describe_render", name))
+        module.compile = self.timed(compile, "compile", "compile")
+        module._Shape.bind = self.timed(module._Shape.bind, "bind", None)
+        self.text_keyed = not hasattr(module, "_render_forward")
+
+    def timed(self, fn, part, name):
+        def run(*args):
+            start = time.perf_counter()
+            out = fn(*args)
+            self.clock[part] = self.clock.get(part, 0.0) + time.perf_counter() - start
+            if name in RENDERS or (self.text_keyed and name in WRITERS):
+                self.count["sources_rendered"] += 1
+            elif name == "compile":
+                self.count["shapes_compiled"] += 1
+                self.count["compiled_chars"] += len(args[0])
+            return out
+        return run
+
+    def generate(self, graphs):
+        module = self.module
+        tapes = []
+        for graph in graphs:
+            tape = module.Tape()
+            for name in ("ops", "p1", "p2", "d1", "d2", "aux", "vals"):
+                setattr(tape, name, list(getattr(graph.tape, name)))
+            tapes.append((tape, module.Node(tape, graph.objective.i), graph.n_params))
+        self.clock = dict.fromkeys(("describe_render", "compile", "bind"), 0.0)
+        for key in self.count:
+            self.count[key] = 0
+        module.clear_code_cache()
+        start = time.perf_counter()
+        for tape, out, wrt in tapes:  # a fit's first `forward` and `backward`, without running them
+            tape._replay = module._Replay(tape)
+            tape._replay.backward(tape, out.i, wrt)
+        total = time.perf_counter() - start
+        chunks = sum(len(t._replay.forward) + sum(map(len, t._replay._backward.values())) for t, _, _ in tapes)
+        ms = {part: seconds * 1e3 for part, seconds in self.clock.items()}
+        return dict(self.count, chunks=chunks), dict(ms, total=total * 1e3, analyses=(total - sum(self.clock.values())) * 1e3)
+
+result = {}
+probes = {"parent": Probe(parent), "change": Probe(autodiff)}
+for name, workload in WORKLOADS.items():
+    graphs = list(first_step_graphs(workload))
+    times = {side: [] for side in probes}
+    for r in range(ROUNDS):
+        for side in ("parent", "change") if r % 2 == 0 else ("change", "parent"):
+            counts, ms = probes[side].generate(graphs)
+            times[side].append(ms)
+            result.setdefault(name, {"tapes": len(graphs)}).setdefault(side, counts)
+            assert result[name][side] == counts, (name, side)
+    ratios = [c["total"] / p["total"] for p, c in zip(times["parent"], times["change"])]
+    result[name]["codegen_ms"] = {
+        side: {part: statistics.median(t[part] for t in times[side]) for part in times[side][0]} for side in times
+    }
+    result[name]["codegen_ms"].update(
+        median_ratio=statistics.median(ratios), rounds_change_faster=sum(r < 1.0 for r in ratios), rounds=ROUNDS
+    )
+print(json.dumps(result))
+"""
+
 def python_in(directory, code, *args):
-    """The JSON that `code` prints, run with `directory`'s `src` first on the path."""
-    env = dict(os.environ, PYTHONPATH=os.path.join(os.path.abspath(directory), "src"))
+    """The JSON that `code` prints, run with `directory`'s `src`, then
+    the checkout itself, first on the path."""
+    root = os.path.abspath(directory)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join((os.path.join(root, "src"), root)))
     cmd = [sys.executable, "-c", code, *args]
     proc = subprocess.run(cmd, env=env, capture_output=True, text=True, check=False)
     if proc.returncode != 0:
@@ -326,6 +448,7 @@ def run_tapes(dirs):
     counts = {side: python_in(dirs[side], COUNTS) for side in SIDES}
     parent_autodiff = os.path.join(os.path.abspath(dirs["parent"]), "src", "convexvi", "autodiff.py")
     sweeps = python_in(dirs["change"], SWEEPS, parent_autodiff, str(ROUNDS), str(CALLS), str(GEN_ROUNDS))
+    sweep_order = python_in(dirs["change"], SWEEP_ORDER, parent_autodiff, str(SWEEP_ROUNDS))
     tapes = {}
     for name, row in counts["parent"].items():
         tapes[name] = {key: {side: counts[side][name][key] for side in SIDES} for key in row}
@@ -333,7 +456,7 @@ def run_tapes(dirs):
             if key.endswith("_sha256"):
                 tapes[name][key]["match"] = tapes[name][key]["parent"] == tapes[name][key]["change"]
         tapes[name].update(sweeps[name])
-    return {"sweep_rounds": ROUNDS, "codegen_rounds": GEN_ROUNDS, "tapes": tapes}
+    return {"sweep_rounds": ROUNDS, "codegen_rounds": GEN_ROUNDS, "tapes": tapes, "sweep_order": sweep_order}
 
 
 def main(argv=None):

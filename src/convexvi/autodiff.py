@@ -27,15 +27,16 @@ raised it.  Once replayed, a tape is fixed: recording onto it raises
 repeats, and each function's source names its list indices and float
 constants by slot, so a pattern the tape repeats (the steps of a chain,
 the samples of a wide ELBO) is compiled once as a shape, and each chunk
-binds its own values into that shape's bytecode.
-Shapes are cached by source text (``clear_code_cache`` empties the
-cache when each CLI sweep starts); a chunk's bound function is kept by
-its tape alone.  A tape swept only once, just after recording, is swept
-by a loop over the nodes instead.  A replay equals a fresh recording
-only if recording decided nothing on a node's value:
-reads through ``Node.value`` or ``value_of`` set ``Tape.value_read``,
-while the ops, and checks that a replay repeats by itself
-(``value_for_check``), read values without setting it.
+binds its own values into that shape's bytecode.  Shapes are cached by
+structure, a key taken in a walk over a chunk's nodes before any text,
+so source is written and compiled only for a new shape
+(``clear_code_cache`` empties the cache when each CLI sweep starts); a
+chunk's bound function is kept by its tape alone.  A tape swept only
+once, just after recording, is swept by a loop over the nodes instead.
+A replay equals a fresh recording only if recording decided nothing on
+a node's value: reads through ``Node.value`` or ``value_of`` set
+``Tape.value_read``, while the ops, and checks that a replay repeats by
+itself (``value_for_check``), read values without setting it.
 
 Everything is double precision.  The unary ops (``exp``, ``log``,
 ``tanh``, ``sigmoid``, ``softplus``, ``sqrt``) are declared once, in the
@@ -56,6 +57,7 @@ one sample at a time, as it does any batch with a failing sample.
 
 from __future__ import annotations
 
+import marshal
 import math
 import re
 from array import array
@@ -301,7 +303,7 @@ def _exp_float(x):
 # percent faster; anchors from 32 nodes on (every 8) shared a little more
 # code but replayed 2-6% slower.  A chain of values read once is
 # written as one expression that nests a parenthesis per node
-# (`_forward_source`), and Python's tokenizer rejects more than 200
+# (`_render_forward`), and Python's tokenizer rejects more than 200
 # nested parentheses, so REPLAY_CHUNK has to stay well below 200.
 REPLAY_CHUNK = 128
 CUT_MIN = 64  # nodes before a function may end at an anchor
@@ -332,25 +334,27 @@ class _Unary:
     `y`; a domain `check` on `a` that raises `DomainError(message)`; and
     `e`, an expression in `a` that `value` and `partial` both read as
     `e`, so that replay computes it once for the two.  The float
-    functions `f` and `d` are built from the same text; a value that is
-    one call of a global on `a` is that global itself."""
+    functions `f` and `fd` (the value and the partial, `e` computed once)
+    are built from the same text; a value that is one call of a global
+    on `a` is that global itself."""
 
     def __init__(self, value, partial, check=None, message=None, e=None):
         self.value, self.partial, self.check, self.message, self.e = value, partial, check, message, e
         call = re.fullmatch(r"(\w+)\(a\)", value)
         let = f"e = {e}\n    " if e else ""
         ns = {}
-        exec(f"def f(a):\n    {let}return {value}\ndef d(a, y):\n    {let}return {partial}", _REPLAY_GLOBALS, ns)
+        exec(f"def f(a):\n    {let}return {value}\ndef fd(a):\n    {let}y = {value}\n    return y, {partial}", _REPLAY_GLOBALS, ns)
         self.f = _REPLAY_GLOBALS[call[1]] if call else ns["f"]
-        self.d = ns["d"]
+        self.fd = ns["fd"]
         self.bad = check and eval(f"lambda a: {check}")
         reads = compile(partial, "<partial>", "eval").co_names
         self.binds_a, self.binds_y = bool(check) or "a" in reads or not call, "y" in reads
+        # each text with `{a}` in place of the argument, for `of`
+        self._template = {t: re.sub(r"\ba\b", "{a}", t) for t in (value, partial, check, e) if t}
 
-    @staticmethod
-    def of(text, a):
-        """`text` with the argument's text `a` in place of `a`."""
-        return re.sub(r"\ba\b", a, text)
+    def of(self, text, a):
+        """This op's `text` with the argument's text `a` in place of `a`."""
+        return self._template[text].format(a=a)
 
 
 # exp(-a) and exp(a) are taken only where they cannot overflow
@@ -377,7 +381,7 @@ class _Replay:
 
     `forward` holds one function per chunk of nodes (`_chunks`); each
     node becomes the code that recording ran for it (in its reader's line,
-    where `_forward_source` writes it there), with the same
+    where `_render_forward` writes it there), with the same
     floating-point expressions, domain checks and overflow rule, so a
     replay gives the bits a fresh recording would.  A node that repeats
     its `first` node is not computed again; the first node's domain
@@ -385,7 +389,7 @@ class _Replay:
     `vals` only if something reads it there (`_live_values`); the other
     entries are set to NaN here, once.  The reverse sweep is
     generated per output node and `wrt` on first use (`backward`,
-    `_backward_source`).  Each chunk's source names its list indices and
+    `_describe_backward`).  Each chunk's source names its list indices and
     float constants by slot, so chunks of one shape (a step of a chain,
     one sample of several) share one compiled template, and each chunk's
     function is that code with the chunk's own values bound in
@@ -402,7 +406,8 @@ class _Replay:
         for i, keep in enumerate(stored):
             if not keep:
                 vals[i] = math.nan
-        self.forward = _generate((_forward_source(tape, chunk, first, stored) for chunk in chunks), "v, d1, d2")
+        described = (_describe_forward(tape, chunk, first, stored) for chunk in chunks)
+        self.forward = _generate(described, _render_forward, "v, d1, d2")
         self._backward = {}
 
     def backward(self, tape, output, wrt):
@@ -431,28 +436,25 @@ class _Replay:
                             useful[parent] = 1
                             if last_child[parent] < 0:
                                 last_child[parent] = i
-            chunks = _generate(
-                (
-                    _backward_source(tape, chunk, last_child, self.first, varied)
-                    for chunk in _chunks(tape, nodes)
-                ),
-                "g, v, d1, d2",
-            )
+            described = (_describe_backward(tape, chunk, last_child, self.first, varied) for chunk in _chunks(tape, nodes))
+            chunks = _generate(described, _render_backward, "g, v, d1, d2")
             self._backward[output, wrt] = chunks
         return chunks
 
 
 def _value_numbers(tape):
     """`first[i]`: the earliest node with node i's op, operands (up to
-    repeats) and constant, so it holds the same bits.  A constant is
-    keyed by its repr, which tells -0.0 from 0.0.  The replay keeps the
-    numbers, so they are stored as machine integers, not int objects."""
-    first = array("q", range(len(tape.ops)))
+    repeats) and constant, so it holds the same bits.  A constant is keyed
+    by its value, but a zero (-0.0 is not 0.0) and NaN (which equals no
+    float) by their reprs.  The replay keeps the numbers, so they are
+    stored as machine integers, not int objects."""
+    ops, p1, p2, aux = tape.ops, tape.p1, tape.p2, tape.aux
+    first = array("q", range(len(ops)))
     seen = {}
-    for i, op in enumerate(tape.ops):
+    for i, op in enumerate(ops):
         if op > INPUT:
-            j, k = tape.p1[i], tape.p2[i]
-            key = (op, first[j] if j >= 0 else j, first[k] if k >= 0 else k, repr(float(tape.aux[i])))
+            j, k, c = p1[i], p2[i], float(aux[i])
+            key = (op, first[j] if j >= 0 else j, first[k] if k >= 0 else k, c if c == c and c else repr(c))
             first[i] = seen.setdefault(key, i)
     return first
 
@@ -519,14 +521,16 @@ def _chunks(tape, nodes):
         yield nodes[start:]
 
 
-# Compiled shapes by their source text.  A chunk's function takes the
-# tape's lists as arguments and closes over no tape, so tapes with the
-# same graph (one task x kind at another seed) share its shapes.  The
-# cache keeps shapes only: each chunk gets a new function, held by its
-# tape's `_Replay` and freed with the tape.  `cli.run_benchmark` empties
-# the cache when a sweep starts (a sweep compiles a hundred-odd shapes).
-# For other callers it is emptied before a shape is added to a cache
-# holding CODE_CACHE_CAP shapes.
+# Compiled shapes by structure: the key that `_describe_forward` or
+# `_describe_backward` takes of a chunk, with the function's arguments;
+# source is written and compiled only for a key not yet here.  A chunk's
+# function takes the tape's lists as arguments and closes over no tape, so
+# tapes with the same graph (one task x kind at another seed) share its
+# shapes.  The cache keeps shapes only: each chunk gets a new function,
+# held by its tape's `_Replay` and freed with the tape.  `cli.run_benchmark`
+# empties the cache when a sweep starts (a sweep compiles a hundred-odd
+# shapes); for other callers it is emptied before a shape is added to a
+# cache holding CODE_CACHE_CAP shapes.
 _CODE = {}
 CODE_CACHE_CAP = 2048
 
@@ -537,41 +541,37 @@ CODE_CACHE_CAP = 2048
 # constant.
 _INDEX_SLOT = 9_000_000_000_000
 
+# A key is a chunk's records of fields (ints, bools and None) in one flat
+# list, marshalled, so that a cached key takes about the memory of the
+# source it stands for.  Marshal version 2 writes no references, so the
+# bytes depend on the fields' values and types alone.  A constant field is
+# its slot, or ~(the place of its repr in _NONFINITE), which names a global.
+_NONFINITE = ("inf", "-inf", "nan")
+
 
 def clear_code_cache():
     """Drop every compiled shape, so the next replay generates its own."""
     _CODE.clear()
 
 
-class _Slots(list):
-    """A chunk's slot values, in slot order, as its source names them:
-    one slot per distinct index or constant, as compile() keeps one
-    constant per distinct value."""
+def _const_slot(at, c):
+    """The field of float constant `c`.  Its slot in `at`, a chunk's slots
+    by key in slot order, is one per distinct value, as compile() keeps
+    one constant per distinct value: an index is its own key, a
+    constant's `(c,)`, or `(repr(c),)` for a zero, as -0.0 is not 0.0."""
+    if not math.isfinite(c):
+        return ~_NONFINITE.index(repr(c))
+    return at.setdefault((c,) if c else (repr(c),), len(at))
 
-    def __init__(self):
-        super().__init__()
-        self._text = {}  # index, or repr of a constant -> its literal
 
-    def index(self, i):
-        """The literal naming list index `i`."""
-        text = self._text.get(i)
-        if text is None:
-            text = self._text[i] = str(_INDEX_SLOT + len(self))
-            self.append(i)
-        return text
+def _slot_values(at):
+    """The values the slots of `at` bind, in slot order."""
+    return [k if type(k) is int else float(k[0]) for k in at]
 
-    def const(self, c):
-        """The literal naming float constant `c`, told apart from another
-        by its repr (-0.0 is not 0.0).  A non-finite constant is written
-        by its repr, which names a global (`inf`, `nan`), not a slot."""
-        if not math.isfinite(c):
-            return repr(c)
-        key = repr(c)
-        text = self._text.get(key)
-        if text is None:
-            self.append(c)
-            text = self._text[key] = f"{len(self)}e300"
-        return text
+
+def _const(k):
+    """The text of constant field `k`: its slot's literal, or its repr."""
+    return f"{k + 1}e300" if k >= 0 else _NONFINITE[~k]
 
 
 class _Shape:
@@ -599,91 +599,119 @@ class _Shape:
         return FunctionType(self.code.replace(co_consts=tuple(consts)), _REPLAY_GLOBALS)
 
 
-def _generate(bodies, args):
-    """One new function of `args` per `(lines, slots)` in `bodies`.  The
-    lines, which name each value by its slot's literal, are the chunk's
-    shape, compiled unless it is in the cache; the function runs the
-    shape's bytecode with the slots' values as its constants, which is
-    the bytecode a compile() of the lines with the values written in
-    gives."""
+def _generate(described, render, args):
+    """One new function of `args` per `(key, slots)` in `described`.  Only
+    a key not in the cache is rendered (`render(key)` gives the lines,
+    which name each value by its slot's literal) and compiled: a chunk of
+    a cached shape writes no source, and as render reads the key alone,
+    equal keys give equal source.  The function runs the shape's bytecode
+    with the slots' values as its constants, which is the bytecode a
+    compile() of the lines with the values written in gives."""
     chunks = []
-    for lines, slots in bodies:
-        text = f"def chunk({args}):\n    " + "\n    ".join(lines or ["pass"]) + "\n"
-        shape = _CODE.get(text)
+    for key, slots in described:
+        shape = _CODE.get((args, key))
         if shape is None:
             if len(_CODE) >= CODE_CACHE_CAP:
                 _CODE.clear()
-            shape = _CODE[text] = _Shape(text, slots)
+            text = f"def chunk({args}):\n    " + "\n    ".join(render(key) or ["pass"]) + "\n"
+            shape = _CODE[args, key] = _Shape(text, slots)
         chunks.append(shape.bind(slots))
     return chunks
 
 
-def _forward_source(tape, nodes, first, stored):
-    """`(lines, slots)` of one function of the forward sweep over `nodes`
-    (in ascending order): each node's value and partials, computed as
-    recording computed them.  Every operand is read at its first node,
-    so a repeated node (`first[i] != i`) has no line, but a stored one
-    (a sink) copies its first node's value.  A value is written into
-    `v` if `stored` says so, and kept in a local, named by its offset in
-    the chunk, if the function reads it more than once.  A value read
-    once and not stored is written into its reader, as an expression,
-    if it is a sum, difference, negation or product: these never raise
-    on floats, so computing them later changes nothing.  Each is fully
-    parenthesized, so a chain of them nests one parenthesis per node.
-    A unary op, POW, DIV or RDIV reads an operand held in a local by its
-    name, and binds any other operand to `a` where its text reads it more
-    than once."""
-    ops, p1, p2 = tape.ops, tape.p1, tape.p2
+def _describe_forward(tape, nodes, first, stored):
+    """`(key, slots)` of one function of the forward sweep over `nodes`
+    (in ascending order), its slots numbered in the order its source
+    names them.  The key has a record of nine fields per node with lines,
+    in chunk-relative terms: its offset; its op, 0 for a stored repeat of
+    its `first` node (a sink, which copies; other repeats have no lines);
+    whether it is stored; its own index's slot; where each operand is
+    read: a local's offset, or ~slot of a list entry outside the chunk;
+    two constants; whether a POW exponent is whole."""
+    ops, p1, p2, aux = tape.ops, tape.p1, tape.p2, tape.aux
     lo = nodes[0]
     inside = set(nodes)
-    reads = Counter(
-        first[p]
-        for i in nodes
-        for p in ((p1[i], p2[i]) if first[i] == i else (i,) if stored[i] else ())
-        if p >= 0 and first[p] in inside
-    )
-    slots = _Slots()
-    index, const = slots.index, slots.const
-    inline = {}  # node -> the expression its one reader writes in its place
+    at = {}
+    slot = at.setdefault  # slot(index, len(at)): its slot, a new one if new
+    key = []
+    for i in nodes:
+        f = first[i]
+        if f != i:
+            if stored[i]:
+                own = slot(i, len(at))
+                a = f - lo if f in inside else ~slot(f, len(at))
+                key += (i - lo, 0, 1, own, a, None, None, None, False)
+            continue
+        op, j, k, s = ops[i], first[p1[i]], p2[i], stored[i]
+        a = j - lo if j in inside else ~slot(j, len(at))
+        if k >= 0:
+            k = first[k]
+            b = k - lo if k in inside else ~slot(k, len(at))
+            key += (i - lo, op, s, slot(i, len(at)) if s or op == DIV else None, a, b, None, None, False)
+        elif op == POW or op == RDIV:
+            c = float(aux[i])
+            if s:
+                slot(i, len(at))  # the store names the index before the constant
+            c0, own = _const_slot(at, c), slot(i, len(at))
+            c1 = _const_slot(at, c - 1.0) if op == POW else _const_slot(at, -c)
+            key += (i - lo, op, s, own, a, None, c0, c1, op == POW and c.is_integer())
+        else:
+            c0 = _const_slot(at, float(aux[i])) if op == ADD or op == MUL or op == RSUB else None
+            key += (i - lo, op, s, slot(i, len(at)) if s or op in _UNARY else None, a, None, c0, None, False)
+    return marshal.dumps(key, 2), _slot_values(at)
+
+
+def _render_forward(key):
+    """The lines of a forward function from its key (`_describe_forward`):
+    each node's value and partials, computed as recording computed them.
+    Every operand is read at its first node.  A value is written into `v`
+    if it is stored, and kept in a local, named by its offset, if the
+    function reads it more than once.  A value read once and not stored
+    is written into its reader, as an expression, if it is a sum,
+    difference, negation or product: these never raise on floats, so
+    computing them later changes nothing.  Each is fully parenthesized,
+    so a chain of them nests one parenthesis per node.  A unary op, POW,
+    DIV or RDIV reads an operand held in a local by its name, and binds
+    any other operand to `a` where its text reads it more than once."""
+    records = list(zip(*[iter(marshal.loads(key))] * 9))
+    reads = Counter(r for record in records for r in record[4:6] if r is not None and r >= 0)
+    inline = {}  # offset -> the expression its one reader writes in its place
     lines = []
 
-    def read(p):
-        p = first[p]
-        return inline.get(p) or (f"x{p - lo}" if p in inside else f"v[{index(p)}]")
+    def read(r):
+        return inline.get(r) or (f"x{r}" if r >= 0 else f"v[{_INDEX_SLOT + ~r}]")
 
     def named(a):
         """A name holding the operand whose text is `a`."""
-        if re.fullmatch(r"x\d+", a):
+        if a[0] == "x":  # only a local's text starts with x
             return a
         lines.append(f"a = {a}")
         return "a"
 
-    for i in nodes:
-        if first[i] != i:
-            if stored[i]:
-                lines.append(f"v[{index(i)}] = {read(i)}")
+    for n, op, stored, own, a, b, c0, c1, whole in records:
+        d = own is not None and _INDEX_SLOT + own  # the node's own index
+        if not op:
+            lines.append(f"v[{d}] = {read(a)}")
             continue
-        op, j, k = ops[i], p1[i], p2[i]
-        c = float(tape.aux[i])
-        a = read(j)
-        b = read(k) if k >= 0 else None
+        a = read(a)
+        b = read(b) if b is not None else None
         if op == ADD:
-            value = f"{a} + {b or const(c)}"
+            value = f"{a} + {b or _const(c0)}"
         elif op == SUB:
             value = f"{a} - {b}"
         elif op == RSUB:
-            value = f"{const(c)} - {a}"
+            value = f"{_const(c0)} - {a}"
         elif op == MUL:
-            value = f"{a} * {b or const(c)}"
+            value = f"{a} * {b or _const(c0)}"
         elif op == NEG:
             value = f"-{a}"
         else:
             value = None
-        if value and not stored[i] and reads[i] == 1:
-            inline[i] = f"({value})"
+        if value and not stored and reads[n] == 1:
+            inline[n] = f"({value})"
             continue
         # the value is stored, read again in this function, or both
-        out = " = ".join(([f"v[{index(i)}]"] if stored[i] else []) + ([f"x{i - lo}"] if reads[i] else []))
+        out = " = ".join(([f"v[{d}]"] if stored else []) + ([f"x{n}"] if reads[n] else []))
         if value:
             lines.append(f"{out} = {value}")
         elif op == EXP:
@@ -697,114 +725,115 @@ def _forward_source(tape, nodes, first, stored):
             if u.e:
                 lines.append(f"e = {u.of(u.e, a)}")
             lines.append(f"{out}{' = y' if u.binds_y else ''} = {u.of(u.value, a)}")
-            lines.append(f"d1[{index(i)}] = {u.of(u.partial, a)}")
+            lines.append(f"d1[{d}] = {u.of(u.partial, a)}")
         elif op == POW:
             a = named(a)
-            if not c.is_integer():
+            if not whole:
                 lines.append(f"if {a} < 0.0: _domain_error('fractional power of negative value', {a})")
-            lines.append(f"{out} = {a} ** {const(c)}")
-            lines.append(f"d1[{index(i)}] = {const(c)} * {a} ** {const(c - 1.0)}")
+            lines.append(f"{out} = {a} ** {_const(c0)}")
+            lines.append(f"d1[{d}] = {_const(c0)} * {a} ** {_const(c1)}")
         elif op == DIV:
             a = named(a)
-            lines += [
-                f"inv = 1.0 / {b}",
-                f"{out} = {a} * inv",
-                f"d1[{index(i)}] = inv",
-                f"d2[{index(i)}] = -{a} * inv * inv",
-            ]
+            lines += [f"inv = 1.0 / {b}", f"{out} = {a} * inv", f"d1[{d}] = inv", f"d2[{d}] = -{a} * inv * inv"]
         elif op == RDIV:
             a = named(a)
-            lines += [f"{out} = {const(c)} / {a}", f"d1[{index(i)}] = {const(-c)} / ({a} * {a})"]
+            lines += [f"{out} = {_const(c0)} / {a}", f"d1[{d}] = {_const(c1)} / ({a} * {a})"]
         else:
             raise ValueError(f"unknown op kind {op}")
-    return lines, slots
+    return lines
 
 
-def _backward_source(tape, nodes, last_child, first, active):
-    """`(lines, slots)` of one function of the reverse sweep over `nodes`
+# The kinds of a reverse-sweep record (`_describe_backward`), and of a
+# term's factor: none, a constant, or an entry of `v`, `d1` or `d2`
+_START, _NEW, _INTO, _IF, _ALSO = range(5)
+_CONST_FACTOR, _V, _D1, _D2 = 1, 2, 3, 4
+
+
+def _describe_backward(tape, nodes, last_child, first, active):
+    """`(key, slots)` of one function of the reverse sweep over `nodes`
     (active nodes, in descending order), giving the adjoints of the
     active inputs (`active[i]` true) that `Tape.backward`'s loop gives,
-    bit for bit.  No term goes into an inactive parent: no wanted
-    adjoint reads its adjoint.
+    bit for bit; its slots are numbered in the order its source names
+    them.  No term goes into an inactive parent: no wanted adjoint reads
+    its adjoint.  The key has a record per line, which `_render_backward`
+    writes: `(kind, a, target, minus, factor kind, factor, base)`.  A
+    local is named by its node's offset `hi - i`; a target is a local, or
+    ~slot of a `g` entry.  _START starts a local from the `g` entry at
+    slot `base`, or from zero.  The term is local `a`, negated if
+    `minus`, times a constant or a list entry if it has a factor.  _INTO
+    adds it into the target; _NEW starts a local from it (plus `base`'s
+    entry); _IF adds it where `a` is not zero, each _ALSO one more there.
 
     Each node's adjoint sums its children's terms in descending child
     order, as the loop does.  A node inside `nodes` keeps its adjoint in
     a local, starting from the list entry `g[i]` only where a child
-    outside `nodes` added to it; inputs always sum in `g`, which starts
-    at +0.0 and so never holds -0.0.  An ADD or SUB node's local is dead
-    once its terms are emitted, so the first of its `+` parents whose
-    adjoint would start as a copy of it takes the local over instead (a
-    subtrahend starts from the negated adjoint).  The ADD's other parent
-    reads the same local, with no copy, where it is the node just below,
-    so it is swept next, before anything writes the local: it must not
-    add to the local's holder, nor name one parent twice, and it passes
-    the local on only by the same rule, to the node just below it.  An
-    ADD whose first parent is the node just below takes its parents in
-    the other order.  Partials are read at the node's `first`, which
-    forward alone computes, and so are the operands of a MUL and the
-    value of an EXP, which forward stores into `v` there alone; each
-    node keeps its own adjoint, so the sums are those of the loop.  The
-    loop skips a node whose adjoint is zero; that matters only where a
-    partial can be infinite or NaN (0 * inf is NaN), so only those nodes
-    test it.  Elsewhere the term is a signed
-    zero, which changes neither a sum that is not -0.0 nor whether an
-    inner node's adjoint is zero.
+    outside `nodes` added to it (`last_child[i] > hi`); inputs always sum
+    in `g`, which starts at +0.0 and so never holds -0.0.  An ADD or SUB
+    node's local is dead once its terms are emitted, so the first of its
+    `+` parents whose adjoint would start as a copy of it takes the local
+    over instead (a subtrahend starts from the negated adjoint).  The
+    ADD's other parent reads the same local, with no copy, where it is
+    the node just below, so it is swept next, before anything writes the
+    local: it must not add to the local's holder, nor name one parent
+    twice, and it passes the local on only by the same rule, to the node
+    just below it.  An ADD whose first parent is the node just below
+    takes its parents in the other order.  Partials are read at the
+    node's `first`, which forward alone computes, and so are the operands
+    of a MUL and the value of an EXP, which forward stores into `v` there
+    alone; each node keeps its own adjoint, so the sums are those of the
+    loop.  The loop skips a node whose adjoint is zero; that matters only
+    where a partial can be infinite or NaN (0 * inf is NaN), so only
+    those nodes test it.  Elsewhere the term is a signed zero, which
+    changes neither a sum that is not -0.0 nor whether an inner node's
+    adjoint is zero.
     """
-    ops, p1, p2 = tape.ops, tape.p1, tape.p2
+    ops, p1, p2, aux = tape.ops, tape.p1, tape.p2, tape.aux
     hi = nodes[0]
     inside = set(nodes)
-    slots = _Slots()
-    index = slots.index
-    local = {}  # node -> the local holding its adjoint, once defined
+    at = {}
+    slot = at.setdefault  # slot(index, len(at)): its slot, a new one if new
+    local = {}  # node -> the offset naming the local that holds its adjoint
     shares = {}  # node -> the node whose local it reads as well
-    lines = []
+    key = []
+
+    def term(parent, minus, factor_kind=0, factor=None):
+        """The record of a term of local `a` into `parent`'s adjoint."""
+        if parent not in inside:
+            return _INTO, a, ~slot(parent, len(at)), minus, factor_kind, factor, None
+        g = local.get(parent)
+        if g is not None:
+            return _INTO, a, g, minus, factor_kind, factor, None
+        g = local[parent] = hi - parent
+        return _NEW, a, g, minus, factor_kind, factor, slot(parent, len(at)) if last_child[parent] > hi else None
+
+    def guarded(terms):
+        """The records of one line of `terms`, done where `a` is not zero,
+        after those starting its new locals."""
+        fields = []
+        for kind, _, g, _, _, _, base in terms:
+            if kind == _NEW:
+                fields += (_START, a, g, False, 0, None, base)
+        for n, record in enumerate(terms):
+            fields += (_ALSO if n else _IF, *record[1:6], None)
+        return fields
+
     for i in nodes:
         a = local.get(i)
         if a is None:  # the output, or a node whose children are all in earlier functions
-            a = f"g{hi - i}"
-            lines.append(f"{a} = g[{index(i)}]")
-        op, j, k, f = ops[i], p1[i], p2[i], first[i]
-        # (parent, sign, factor): the term is `a`, or `a` times a float
-        # constant or a list entry `(list, index)`
-        if op == ADD:
-            terms = [(j, "+", None), (k, "+", None)]
-            if j == i - 1:
-                terms.reverse()  # the node just below may read the local
-        elif op == SUB:
-            terms = [(j, "+", None), (k, "-", None)]
-        elif op in (NEG, RSUB):
-            terms = [(j, "-", None)]
-        elif op == MUL and k < 0:
-            terms = [(j, "+", float(tape.aux[i]))]
-        elif op == MUL:
-            terms = [(j, "+", ("v", first[k])), (k, "+", ("v", first[j]))]
-        elif op == EXP:
-            terms = [(j, "+", ("v", f))]
-        elif k < 0:
-            terms = [(j, "+", ("d1", f))]
-        else:
-            terms = [(j, "+", ("d1", f)), (k, "+", ("d2", f))]
-        guarded = not (op in (ADD, SUB, NEG, RSUB) or (op == MUL and k < 0 and math.isfinite(tape.aux[i])))
-        # whether this node's local is no longer free, and which other
-        # node holds it
-        handed, holder = op not in (ADD, SUB) or i in shares, shares.get(i)
-        updates = []
-        for parent, sign, factor in terms:
-            if parent < 0 or not active[parent]:
-                continue  # a folded constant, or an adjoint nothing wanted reads
-            if factor is None:
-                term = a
-            elif type(factor) is float:
-                term = f"{a} * {slots.const(factor)}"
-            else:
-                term = f"{a} * {factor[0]}[{index(factor[1])}]"
-            if parent not in inside:
-                updates.append(f"g[{index(parent)}] {sign}= {term}")
-            elif parent in local:
-                updates.append(f"{local[parent]} {sign}= {term}")
-            else:
-                base = f"g[{index(parent)}]" if last_child[parent] > hi else None
-                if sign == "+" and term == a and not base:  # `g{parent} = a` would only copy
+            a = hi - i
+            key += (_START, a, a, False, 0, None, slot(i, len(at)))
+        op, j, k = ops[i], p1[i], p2[i]
+        if op == ADD or op == SUB:
+            # whether this node's local is no longer free, and which
+            # other node holds it
+            handed, holder = i in shares, shares.get(i)
+            if op == ADD and j == i - 1:
+                j, k = k, j  # the node just below may read the local
+            for parent, minus in ((j, False), (k, op == SUB)):
+                if parent < 0 or not active[parent]:
+                    continue  # a folded constant, or an adjoint nothing wanted reads
+                if not minus and parent in inside and parent not in local and last_child[parent] <= hi:
+                    # `g{parent} = a` would only copy
                     if not handed:
                         local[parent] = a
                         handed, holder = True, parent
@@ -813,19 +842,50 @@ def _backward_source(tape, nodes, last_child, first, active):
                         local[parent] = a  # swept next: nothing writes `a` before
                         shares[parent] = holder
                         continue
-                g = local[parent] = f"g{hi - parent}"
-                if guarded:
-                    lines.append(f"{g} = {base or '0.0'}")
-                    updates.append(f"{g} {sign}= {term}")
-                elif base:
-                    updates.append(f"{g} = {base} {sign} {term}")
-                else:
-                    updates.append(f"{g} = {'-' if sign == '-' else ''}{term}")
-        if guarded and updates:
-            lines.append(f"if {a} != 0.0: " + "; ".join(updates))
+                key += term(parent, minus)
+        elif op == NEG or op == RSUB:
+            key += term(j, True)
+        elif op == MUL and k < 0:
+            c = float(aux[i])
+            record = term(j, False, _CONST_FACTOR, _const_slot(at, c))
+            key += record if math.isfinite(c) else guarded([record])
+        else:  # a MUL reads the operands, an EXP its value, another op its partials
+            f = first[i]
+            (fj, sj), (fk, sk) = ((_V, first[k]), (_V, first[j])) if op == MUL else ((_V if op == EXP else _D1, f), (_D2, f))
+            terms = [term(j, False, fj, slot(sj, len(at)))] if active[j] else []
+            if k >= 0 and active[k]:
+                terms.append(term(k, False, fk, slot(sk, len(at))))
+            key += guarded(terms)
+    return marshal.dumps(key, 2), _slot_values(at)
+
+
+def _render_backward(key):
+    """The lines of a reverse function from its key (`_describe_backward`)."""
+    lines = []
+    for kind, a, target, minus, factor_kind, factor, base in zip(*[iter(marshal.loads(key))] * 7):
+        g = f"g{target}" if target >= 0 else f"g[{_INDEX_SLOT + ~target}]"
+        start = base is not None and f"g[{_INDEX_SLOT + base}]"
+        if kind == _START:
+            lines.append(f"{g} = {start or '0.0'}")
+            continue
+        sign, term = "-" if minus else "+", f"g{a}"
+        if factor_kind == _CONST_FACTOR:
+            term += f" * {_const(factor)}"
+        elif factor_kind:
+            term += f" * {('v', 'd1', 'd2')[factor_kind - _V]}[{_INDEX_SLOT + factor}]"
+        if kind != _NEW:
+            text = f"{g} {sign}= {term}"
+        elif start:
+            text = f"{g} = {start} {sign} {term}"
         else:
-            lines.extend(updates)
-    return lines, slots
+            text = f"{g} = {'-' if minus else ''}{term}"
+        if kind == _IF:
+            lines.append(f"if g{a} != 0.0: {text}")
+        elif kind == _ALSO:
+            lines[-1] += f"; {text}"
+        else:
+            lines.append(text)
+    return lines
 
 
 def _unary_helper(name, op):
@@ -834,7 +894,7 @@ def _unary_helper(name, op):
     Node goes on the tape, an array of samples is mapped entry by entry,
     and any other number takes the float path."""
     u = _UNARY[op]
-    f, d, bad, message = u.f, u.d, u.bad, u.message
+    f, fd, bad, message = u.f, u.fd, u.bad, u.message
 
     def helper(x):
         if type(x) is not float:
@@ -842,8 +902,8 @@ def _unary_helper(name, op):
                 a = x.tape.vals[x.i]
                 if bad and bad(a):
                     raise DomainError(f"{message} {a!r}")
-                y = f(a)
-                return x.tape._unary(op, x.i, y, d(a, y))
+                y, d = fd(a)
+                return x.tape._unary(op, x.i, y, d)
             if isinstance(x, np.ndarray):
                 if bad and bad(x).any():
                     raise DomainError(f"{message} {float(x[bad(x)][0])!r}")

@@ -92,12 +92,16 @@ def _prior_centers(model):
 def _alpha_start(kind, theta, size, rng):
     """alpha's initial entries: the prior's parameter `theta` at the
     centers, unconstrained; or, where the link failed there (`theta` is
-    None) or `theta` lies outside the domain, `size` standard-normal draws."""
+    None), `theta` lies outside the domain or its pre-image is not finite
+    (an infinite parameter), `size` standard-normal draws."""
     if theta is not None:
         try:
             if kind == "simplex":
-                return SOFTMAX_CENTERED.inverse([value_of(p) for p in theta])
-            return [unconstrain_param(kind, value_of(theta))]
+                start = SOFTMAX_CENTERED.inverse([value_of(p) for p in theta])
+            else:
+                start = [unconstrain_param(kind, value_of(theta))]
+            if all(map(math.isfinite, start)):
+                return start
         except ValueError:
             pass
     return list(rng.standard_normal(size))
@@ -119,9 +123,11 @@ def _gaussian_start(model, init_seed, kind):
         trace = sample_forward(model, seed=int(rng.integers(2**31 - 1)))
         for node, bij, u in zip(latents, bijectors, draws):
             try:
-                u.append(bij.inverse(trace.values[node.name]))
+                x = bij.inverse(trace.values[node.name])
             except ValueError:
-                pass
+                continue
+            if math.isfinite(x):  # an infinite draw is skipped too
+                u.append(x)
     start = []
     for node, bij, u in zip(latents, bijectors, draws):
         mean, sd = 0.0, 1.0

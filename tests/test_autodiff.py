@@ -270,6 +270,12 @@ def test_replay_follows_recorded_edge_cases():
     assert [g[x.i] for x in xs] == ad.gradient(build, point) == [math.inf, 800.0]
 
 
+def code_bits(code):
+    """What a chunk function runs: its bytecode, names and constants
+    (repr tells -0.0 from 0.0 and 1.5 from 1.25)."""
+    return code.co_code, code.co_names, code.co_varnames, [repr(c) for c in code.co_consts]
+
+
 def test_replay_matches_fresh_record_on_random_graphs(monkeypatch):
     # every op, repeated operands (x + x among them), repeated expressions,
     # folded and infinite constants, and inputs at 0, -0, huge, infinite
@@ -280,18 +286,35 @@ def test_replay_matches_fresh_record_on_random_graphs(monkeypatch):
     # ops, and `lone` depends on it alone.  A sweep asked for the inputs
     # below `wrt` gives their entries of the full sweep, and a sweep from
     # `lone` at `wrt` = that input's id has no code and gives zeros.
-    unary = [
-        lambda a: a + 1.5, lambda a: a * -2.5, lambda a: a * math.inf, lambda a: -a,
-        lambda a: a * a, ad.exp, ad.log, ad.tanh, ad.sigmoid, ad.softplus, ad.sqrt,
-        lambda a: a**2.0, lambda a: a**0.5, lambda a: 2.0 / a, lambda a: 0.0 / a,
-        lambda a: a + -0.75, lambda a: a + a, lambda a: 1.5 - a, lambda a: -0.0 - a,
-        lambda a: a - a,
-    ]
+    #
+    # Each graph is recorded twice, into one warm shape cache: variant 1
+    # has variant 0's structure with constants of another class where it
+    # changes the source: -0.0 for 0.0, two distinct constants for two
+    # equal ones, NaN for a finite constant, a fractional POW exponent for
+    # a whole one, and an infinite factor of a MUL for a finite one (and
+    # back).  Every chunk function is the one an empty cache gives it.  Of
+    # the pairs recorded with one structure, variant 1 shares shapes that
+    # variant 0 compiled, and compiles shapes of its own where a constant
+    # of another class changes the source.
     binary = [lambda a, b: a + b, lambda a, b: a * b, lambda a, b: a / b, lambda a, b: a - b]
     special = [0.0, -0.0, 1e-300, 800.0, -800.0, math.inf, -math.inf, math.nan]
 
-    def build(seed, xs):
+    def unary(variant):
+        zero, one, other, scale, big, shift, power = (
+            (0.0, 1.5, 1.5, -2.5, math.inf, -0.75, 2.0),
+            (-0.0, 1.5, 1.25, -math.inf, 3.0, math.nan, 1.5),
+        )[variant]
+        return [
+            lambda a: a + one, lambda a: a * scale, lambda a: a * big, lambda a: -a,
+            lambda a: a * a, ad.exp, ad.log, ad.tanh, ad.sigmoid, ad.softplus, ad.sqrt,
+            lambda a: a**2.0, lambda a: a**0.5, lambda a: 2.0 / a, lambda a: 0.0 / a,
+            lambda a: a + shift, lambda a: a + a, lambda a: other - a, lambda a: zero - a,
+            lambda a: a - a, lambda a: a + zero, lambda a: (a * a) ** power,
+        ]
+
+    def build(seed, xs, variant=0):
         rng = np.random.default_rng(seed)
+        ops = unary(variant)
         nodes = list(xs)
         n_ops = 120 if seed % 2 else 40
         mid_at = int(rng.integers(n_ops))
@@ -305,45 +328,73 @@ def test_replay_matches_fresh_record_on_random_graphs(monkeypatch):
                 if rng.random() < 0.3:
                     nodes.append(binary[int(rng.integers(len(binary)))](a, b))
                 else:
-                    nodes.append(unary[int(rng.integers(len(unary)))](a))
+                    nodes.append(ops[int(rng.integers(len(ops)))](a))
             except (ValueError, ZeroDivisionError, OverflowError):
                 pass  # recording rejected the op here; the graph skips it
         return sum(nodes[-3:], nodes[0]), ad.tanh(mid) * 3.0 + mid
 
+    generate, made = ad._generate, {}  # shape key -> the (seed, variant) that compiled it
+
+    def one_at_a_time(described, render, args):
+        nonlocal shared, split
+        chunks = []
+        for key, slots in described:
+            hit = (args, key) in ad._CODE
+            if not hit:
+                made[args, key] = (seed, variant)
+            chunks += generate([(key, slots)], render, args)
+            with monkeypatch.context() as empty:
+                empty.setattr(ad, "_CODE", {})
+                (cold,) = generate([(key, slots)], render, args)
+            assert code_bits(chunks[-1].__code__) == code_bits(cold.__code__), (seed, variant)
+            if variant and structures[0] == structures[1]:
+                shared += hit and made[args, key] == (seed, 0)
+                split += not hit
+        return chunks
+
+    ad.clear_code_cache()
+    monkeypatch.setattr(ad, "_generate", one_at_a_time)
     for every, chunk in itertools.product((True, False), (ad.REPLAY_CHUNK, 5)):
         monkeypatch.setattr(ad, "REPLAY_CHUNK", chunk)
         stored = replays_storing(monkeypatch, every)
         rng = np.random.default_rng(5)
-        compared = longer = repeats = 0
+        compared = longer = repeats = pairs = shared = split = 0
         for seed in range(150):
-            tape = ad.Tape()
-            xs = [tape.input(v) for v in rng.uniform(0.5, 2.0, 3)]
-            out, lone = build(seed, xs)
-            inputs = [i for i, op in enumerate(tape.ops) if op == ad.INPUT]
-            mid = inputs[-1]
-            for _ in range(4):
-                point = [float(rng.choice(special)) if rng.random() < 0.3 else rng.normal() for _ in xs]
-                for x, v in zip(xs, point):
-                    tape.set_input(x, v)
-                fresh = ad.Tape()
-                fxs = [fresh.input(v) for v in point]
-                fout, _ = build(seed, fxs)
-                if (fresh.ops, fresh.p1, fresh.p2, fresh.aux) != (tape.ops, tape.p1, tape.p2, tape.aux):
-                    continue  # recording took another path at this point
-                tape.forward()
-                g, fg = tape.backward(out), fresh.backward(fout)
-                assert_stored_values_match(tape, fresh, stored[tape])
-                assert [repr(g[i]) for i in inputs] == [repr(fg[i]) for i in inputs]
-                for wrt in (0, 1, len(xs), mid, mid + 1):
-                    gw = tape.backward(out, wrt)
-                    assert [repr(gw[i]) for i in inputs if i < wrt] == [repr(g[i]) for i in inputs if i < wrt]
-                gl = tape.backward(lone, mid)
-                assert [gl[i] for i in inputs if i < mid] == [0.0] * len(xs)
-                assert tape._replay._backward[lone.i, mid] == []
-                compared += 1
-                longer += len(tape) - len(xs) > 64
-                repeats += sum(f != i for i, f in enumerate(tape._replay.first))
-        assert compared > 150 and longer > 40 and repeats > 100, (compared, longer, repeats)
+            start = rng.uniform(0.5, 2.0, 3)
+            structures = []
+            for variant in (0, 1):
+                tape = ad.Tape()
+                xs = [tape.input(v) for v in start]
+                out, lone = build(seed, xs, variant)
+                structures.append((tape.ops, tape.p1, tape.p2))
+                inputs = [i for i, op in enumerate(tape.ops) if op == ad.INPUT]
+                mid = inputs[-1]
+                for _ in range(4):
+                    point = [float(rng.choice(special)) if rng.random() < 0.3 else rng.normal() for _ in xs]
+                    for x, v in zip(xs, point):
+                        tape.set_input(x, v)
+                    fresh = ad.Tape()
+                    fxs = [fresh.input(v) for v in point]
+                    fout, _ = build(seed, fxs, variant)
+                    if (fresh.ops, fresh.p1, fresh.p2, fresh.aux) != (tape.ops, tape.p1, tape.p2, tape.aux):
+                        continue  # recording took another path at this point
+                    tape.forward()
+                    g, fg = tape.backward(out), fresh.backward(fout)
+                    assert_stored_values_match(tape, fresh, stored[tape])
+                    assert [repr(g[i]) for i in inputs] == [repr(fg[i]) for i in inputs]
+                    for wrt in (0, 1, len(xs), mid, mid + 1):
+                        gw = tape.backward(out, wrt)
+                        assert [repr(gw[i]) for i in inputs if i < wrt] == [repr(g[i]) for i in inputs if i < wrt]
+                    gl = tape.backward(lone, mid)
+                    assert [gl[i] for i in inputs if i < mid] == [0.0] * len(xs)
+                    assert tape._replay._backward[lone.i, mid] == []
+                    compared += 1
+                    longer += len(tape) - len(xs) > 64
+                    repeats += sum(f != i for i, f in enumerate(tape._replay.first))
+            pairs += structures[0] == structures[1]
+        counts = compared, longer, repeats, pairs, shared, split
+        assert compared > 300 and longer > 80 and repeats > 200 and pairs > 30, counts
+        assert shared > 40 and split > 50, counts
 
 
 def test_sums_read_their_adjoint_locals_on_random_chains(monkeypatch):
@@ -397,10 +448,10 @@ def test_backward_source_copies_no_adjoint(monkeypatch):
     monkeypatch.setattr(ad, "REPLAY_CHUNK", 64)
     generate, bodies = ad._generate, []
 
-    def keep_source(sources, args):
-        sources = list(sources)
-        bodies.extend(sources)
-        return generate(sources, args)
+    def keep_source(described, render, args):
+        described = list(described)
+        bodies.extend((render(key), slots) for key, slots in described)
+        return generate(described, render, args)
 
     def squares(xs):
         return sum([x * x for x in xs])
@@ -435,11 +486,11 @@ def forward_sources(monkeypatch):
     in the list returned."""
     generate, bodies = ad._generate, []
 
-    def keep_source(sources, args):
-        sources = list(sources)
+    def keep_source(described, render, args):
+        described = list(described)
         if args == "v, d1, d2":
-            bodies.extend(sources)
-        return generate(sources, args)
+            bodies.extend((render(key), slots) for key, slots in described)
+        return generate(described, render, args)
 
     monkeypatch.setattr(ad, "_generate", keep_source)
     return bodies
@@ -484,7 +535,8 @@ def test_a_chain_of_values_read_once_is_one_expression(monkeypatch):
 
 def test_softplus_replays_one_exp_for_its_value_and_partial(monkeypatch):
     # one line of the node calls `exp`, once per replay, for both the
-    # value and the partial, which have the float path's bits at the edges
+    # value and the partial, which have the float path's bits at the edges;
+    # recording the node calls it once too
     bodies = forward_sources(monkeypatch)
     tape = ad.Tape()
     x = tape.input(0.5)
@@ -507,6 +559,7 @@ def test_softplus_replays_one_exp_for_its_value_and_partial(monkeypatch):
         assert len(calls) == 1, a
         fresh = ad.Tape()
         y = ad.softplus(fresh.input(a))
+        assert len(calls) == 2, a
         assert repr(tape.vals[out.i]) == repr(fresh.vals[y.i]) == repr(ad.softplus(a)) == repr(_softplus_reference(a))
         assert repr(tape.d1[out.i]) == repr(fresh.d1[y.i]) == repr(_sigmoid_reference(a)), a
 
@@ -517,11 +570,11 @@ def test_a_slot_the_compiler_folds_away_raises():
     # text at all.  Neither is bound, and nothing is cached.
     ad.clear_code_cache()
     with pytest.raises(ValueError, match="slot 1 "):
-        ad._generate([(["v[9000000000000] = -2e300"], [5, 2.5])], "v, d1, d2")
+        ad._generate([(("v[9000000000000] = -2e300",), [5, 2.5])], list, "v, d1, d2")
     with pytest.raises(ValueError, match="slot 2 "):
-        ad._generate([(["v[9000000000000] = 2e300"], [5, 2.5, 7])], "v, d1, d2")
+        ad._generate([(("v[9000000000000] = 2e300",), [5, 2.5, 7])], list, "v, d1, d2")
     assert ad._CODE == {}
-    (chunk,) = ad._generate([(["v[9000000000000] = 2e300"], [1, -0.0])], "v, d1, d2")
+    (chunk,) = ad._generate([(("v[9000000000000] = 2e300",), [1, -0.0])], list, "v, d1, d2")
     v = [0.0, 0.0]
     chunk(v, None, None)
     assert repr(v) == "[0.0, -0.0]"
@@ -531,8 +584,8 @@ def test_a_shape_binds_each_chunk_with_the_bits_of_its_values():
     # 0.0 == -0.0, but a chunk writing -0.0 is not the chunk writing 0.0:
     # the two share one shape, and each function writes its own zero
     ad.clear_code_cache()
-    lines = ["v[9000000000000] = v[9000000000001] + 3e300"]
-    plus, minus = ad._generate([(lines, [2, 0, 0.0]), (lines, [2, 0, -0.0])], "v")
+    lines = ("v[9000000000000] = v[9000000000001] + 3e300",)
+    plus, minus = ad._generate([(lines, [2, 0, 0.0]), (lines, [2, 0, -0.0])], list, "v")
     assert len(ad._CODE) == 1 and plus is not minus
     sums = []
     for chunk in (plus, minus):

@@ -256,24 +256,29 @@ def test_results_are_bit_reproducible(tmp_path):
 
 def test_every_sweep_starts_with_no_compiled_code(tmp_path, monkeypatch):
     # the second seed reuses most of the first seed's chunks within a
-    # sweep, and a sweep run again compiles them all again
-    generate, compiled, used = autodiff._generate, [], []
+    # sweep, and a sweep run again compiles them all again.  A chunk of a
+    # shape already compiled writes no source: a sweep renders as many
+    # sources as it compiles shapes.
+    generate, compiled, rendered, used = autodiff._generate, [], [], []
 
-    def counted(bodies, args):
-        chunks = generate(bodies, args)
+    def counted(*described_render_args):
+        chunks = generate(*described_render_args)
         used.extend(chunks)
         return chunks
 
     monkeypatch.setattr(autodiff, "_generate", counted)
     monkeypatch.setattr(autodiff, "compile", lambda *a: compiled.append(a) or compile(*a), raising=False)
+    for name in ("_render_forward", "_render_backward"):
+        render = getattr(autodiff, name)
+        monkeypatch.setattr(autodiff, name, lambda key, render=render: rendered.append(key) or render(key))
     counts = []
     for run in ("a", "b"):
-        compiled.clear()
-        used.clear()
+        for kept in (compiled, rendered, used):
+            kept.clear()
         run_benchmark(small_config(tmp_path, steps=20, out_dir=str(tmp_path / run)))
-        counts.append((len(compiled), len(used)))
+        counts.append((len(compiled), len(rendered), len(used)))
     assert counts[0] == counts[1]
-    assert 0 < counts[0][0] < counts[0][1]
+    assert 0 < counts[0][0] == counts[0][1] < counts[0][2]
 
 
 def test_summarize_single_row_se_zero(tmp_path):

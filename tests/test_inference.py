@@ -282,9 +282,10 @@ def test_every_chunk_runs_the_bytecode_of_its_literal_source(task_id, kind, monk
     # in as constants; it runs what compiling the values in would give
     generate, made = autodiff._generate, []
 
-    def keep(bodies, args):
-        bodies = list(bodies)
-        chunks = generate(bodies, args)
+    def keep(described, render, args):
+        described = list(described)
+        chunks = generate(described, render, args)
+        bodies = [(render(key), slots) for key, slots in described]
         made.extend(zip(bodies, [args] * len(bodies), chunks))
         return chunks
 
@@ -319,10 +320,10 @@ def test_the_forward_sweep_stores_only_values_read_again(task_id, kind, n_sample
     generated = []
     generate = autodiff._generate
 
-    def keep(sources, args):
-        sources = list(sources)
-        generated.extend((args, lines, slots) for lines, slots in sources)
-        return generate(sources, args)
+    def keep(described, render, args):
+        described = list(described)
+        generated.extend((args, render(key), slots) for key, slots in described)
+        return generate(described, render, args)
 
     monkeypatch.setattr(autodiff, "_generate", keep)
     model, surrogate = first_step_model(task_id, kind)
@@ -369,14 +370,14 @@ def test_the_forward_sweep_names_a_sum_or_product_only_where_it_is_kept(task_id,
     # such an op assigns is stored or read twice or more.  No line copies
     # a local into the operand `a`.
     functions = []
-    source = autodiff._forward_source
+    describe = autodiff._describe_forward
 
     def keep(tape, nodes, first, stored):
-        lines, slots = source(tape, nodes, first, stored)
-        functions.append((tape, nodes, first, stored, lines))
-        return lines, slots
+        key, slots = describe(tape, nodes, first, stored)
+        functions.append((tape, nodes, first, stored, autodiff._render_forward(key)))
+        return key, slots
 
-    monkeypatch.setattr(autodiff, "_forward_source", keep)
+    monkeypatch.setattr(autodiff, "_describe_forward", keep)
     first_step_graph(task_id, kind).tape.forward()
     assert functions
     inlined = 0
@@ -507,19 +508,19 @@ def test_the_reverse_sweep_computes_the_parameter_adjoints_alone(task_id, kind, 
     # sweep still gives each one's adjoint, as the loop over a fresh
     # recording does.
     swept, bodies = [], []
-    generate, backward_source = autodiff._generate, autodiff._backward_source
+    generate, describe = autodiff._generate, autodiff._describe_backward
 
-    def keep_bodies(sources, args):
-        sources = list(sources)
-        bodies.extend(sources)
-        return generate(sources, args)
+    def keep_bodies(described, render, args):
+        described = list(described)
+        bodies.extend((render(key), slots) for key, slots in described)
+        return generate(described, render, args)
 
     def keep_nodes(tape, nodes, *rest):
         swept.extend(nodes)
-        return backward_source(tape, nodes, *rest)
+        return describe(tape, nodes, *rest)
 
     monkeypatch.setattr(autodiff, "_generate", keep_bodies)
-    monkeypatch.setattr(autodiff, "_backward_source", keep_nodes)
+    monkeypatch.setattr(autodiff, "_describe_backward", keep_nodes)
     for n_samples in (1, 8) if task_id == "es" else (1,):
         graph = first_step_graph(task_id, kind, n_samples)
         tape, P = graph.tape, graph.n_params
@@ -1254,8 +1255,8 @@ def test_code_cache_shares_chunks_and_keeps_the_bits(monkeypatch):
     model = get_task("es").model
     generate, made, compiled = autodiff._generate, [], []
 
-    def keep_chunks(bodies, args):
-        made.append(generate(bodies, args))
+    def keep_chunks(*described_render_args):
+        made.append(generate(*described_render_args))
         return made[-1]
 
     monkeypatch.setattr(autodiff, "_generate", keep_chunks)

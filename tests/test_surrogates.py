@@ -79,6 +79,32 @@ def test_a_nan_start_value_takes_the_fallback_start(monkeypatch):
     assert starts[0] == starts[1] and all(map(math.isfinite, np.ravel(starts[0])))
 
 
+def test_an_infinite_start_value_takes_the_fallback_start(monkeypatch):
+    # the bijectors' inverses take an infinite value to an infinite
+    # pre-image (softplus and the positive floor map inf to inf, a
+    # simplex with an infinite entry has an infinite logit), which no fit
+    # can start from: alpha draws standard normals, and an infinite prior
+    # draw is skipped as a NaN one is
+    for kind, theta, size in (("positive", math.inf, 1), ("simplex", [math.inf, 0.5], 1)):
+        start = surrogates._alpha_start(kind, theta, size, np.random.default_rng(3))
+        assert start == list(np.random.default_rng(3).standard_normal(size))
+    assert surrogates._alpha_start("positive", 2.0, 1, None) == [surrogates.unconstrain_param("positive", 2.0)]
+    starts = []
+    for bad in (math.inf, math.nan):
+        seen = []
+
+        def one_bad_draw(model, seed, bad=bad, seen=seen):
+            trace = sample_forward(model, seed)
+            if not seen:
+                trace.values["spread"] = trace.values["x"] = bad
+            seen.append(seed)
+            return trace
+
+        monkeypatch.setattr(surrogates, "sample_forward", one_bad_draw)
+        starts.append([(mean, raw) for _, _, mean, raw in surrogates._gaussian_start(mixed_model(), 1, "mvn")])
+    assert starts[0] == starts[1] and all(map(math.isfinite, np.ravel(starts[0])))
+
+
 def test_convex_update_examples():
     assert convex_update((2.0,), (1.0,), (7.0,)) == [2.0]
     assert convex_update((2.0,), (0.0,), (7.0,)) == [7.0]
