@@ -103,7 +103,7 @@ flags (last occurrence wins; --config applies its file at its position):
   --out DIR          output directory (default results)
   --config FILE      JSON file with any of the above keys
   --task-config FILE JSON overrides for SDE task defaults (steps, dt, ...)
-  --workers N        parallel worker processes (default 1)
+  --workers N        parallel worker processes, at most one per cell (default 1)
 """
 
 
@@ -407,8 +407,9 @@ def run_benchmark(config: RunConfig):
     cells = sorted((s, seed) for s in config.surrogates for seed in config.seeds)
     kinds, seeds = zip(*cells)
     args = ([config] * len(cells), kinds, seeds, [oracles.get(None if fixed else s) for s in seeds])
-    if config.workers > 1:
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
+    workers = min(config.workers, len(cells))  # a pool forks every worker at once
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(run_single, *args))
     else:
         outcomes = list(map(run_single, *args))

@@ -306,7 +306,7 @@ _DIVERGENCE = (DomainError, ParameterError, OverflowError, ZeroDivisionError, No
 
 def fit(model, surrogate, config: TrainConfig = TrainConfig(), init_params=None) -> FitResult:
     """Optimize a surrogate's ELBO; `surrogate` is a key of `SURROGATES`
-    or a program from `build_surrogate`.  Divergence (a non-finite
+    or a surrogate program.  Divergence (a non-finite
     loss, or a domain or distribution-parameter error, overflow or zero
     division while recording or evaluating the graph) is reported in
     the result, not raised; any other error is raised.

@@ -14,14 +14,14 @@ autoregression over unconstrained values, and ``mvn``, a
 full-covariance Gaussian.  ``SURROGATES`` maps each kind to its
 constructor and default learning rate; ``build_surrogate`` builds one.
 
-``ConvexUpdateProgram`` walks the program in one method, for sampling
-and for scoring, through one update rule in which a scalar parameter is
-a one-entry vector.  Its alpha starts at the prior's parameter at the
-prior centers; ar1 and mvn start from prior draws (``_gaussian_start``).
-
-All programs expose the same surface: a flat named parameter vector,
-a noise spec, ``sample_and_log_prob`` (differentiable when given tape
-nodes), and ``log_prob`` of a given trace.
+Every kind walks its program in one method, ``_walk``, which draws a
+trace from the noise or scores a given one; ``SurrogateProgram`` builds
+the common surface on it: a flat named parameter vector, a noise spec,
+``sample_and_log_prob`` and ``log_prob`` of a given trace, both
+differentiable when given tape nodes.  ``ConvexUpdateProgram`` walks
+through one update rule in which a scalar parameter is a one-entry
+vector; its alpha starts at the prior's parameter at the prior centers.
+ar1 and mvn start from prior draws (``_gaussian_start``).
 """
 
 from __future__ import annotations
@@ -69,24 +69,24 @@ _NUMERICAL = (ValueError, ArithmeticError)
 
 
 def _prior_centers(model):
-    """Per-node central values, propagated through the links.
+    """Per latent, its link's parameters at the central values of its
+    parents, propagated through the links; Nones where the link failed.
 
     Used only to initialize alpha at the prior's parameter values; a
     numerical failure (a domain, parameter or model error, an overflow
     or a zero division) falls back to a neutral center, and any other
     error, a bug in a link, raises.
     """
-    centers = {}
-    for node in model.nodes:
-        if node.name in model.observations:
-            centers[node.name] = model.observations[node.name]
-            continue
+    centers = dict(model.observations)
+    thetas = {}
+    for node in model.latent_nodes:
+        thetas[node.name] = [None] * len(node.family.param_schema)
         try:
-            params = node.params([centers[p] for p in node.parents])
-            centers[node.name] = node.family.mean_proxy(params)
+            thetas[node.name] = node.params([centers[p] for p in node.parents])
+            centers[node.name] = node.family.mean_proxy(thetas[node.name])
         except _NUMERICAL:
             centers[node.name] = 0.0
-    return centers
+    return thetas
 
 
 def _alpha_start(kind, theta, size, rng):
@@ -154,9 +154,11 @@ class _ParamLayout:
 
 
 class SurrogateProgram:
-    """Base container: flat named trainable vector plus a noise spec."""
-
-    kind = None  # the SURROGATES key, set by build_surrogate
+    """Base container: flat named trainable vector plus a noise spec,
+    and the surface each kind's `_walk(params, noise, given)` serves:
+    one ancestral pass that draws each latent from its entry of `noise`,
+    or reads it from the trace `given` when that is not None, and
+    returns (values, log_q, discrete_log_q)."""
 
     def __init__(self, model, layout, noise_spec):
         self.model = model
@@ -170,6 +172,22 @@ class SurrogateProgram:
     def num_params(self):
         return len(self.param_names)
 
+    def sample_and_log_prob(self, params, noise):
+        """A trace drawn from `noise` and its log-density.
+
+        Returns (values, log_q, discrete_log_q); the sampled values of
+        continuous nodes are differentiable functions of `params` via
+        the reparameterization path, discrete values are plain floats
+        whose density contribution is also accumulated separately for
+        the score-function estimator (None when there is none).
+        """
+        return self._walk(params, noise, None)
+
+    def log_prob(self, params, values):
+        """Surrogate log-density of a full latent assignment."""
+        log_q = self._walk(params, None, values)[1]
+        return 0.0 if log_q is None else log_q
+
 
 class ConvexUpdateProgram(SurrogateProgram):
     """ASVI program; also serves as mean-field when lam is frozen at 0.
@@ -182,18 +200,14 @@ class ConvexUpdateProgram(SurrogateProgram):
 
     def __init__(self, model, with_lam, init_seed=0):
         self.with_lam = with_lam
+        self.kind = "asvi" if with_lam else "mean-field"
         rng = np.random.default_rng(init_seed)
-        centers = _prior_centers(model)
+        thetas = _prior_centers(model)
         layout = _ParamLayout()
         self._rules = []
         for node in model.latent_nodes:
-            schema = node.family.param_schema
-            try:
-                theta_center = node.params([centers[p] for p in node.parents])
-            except _NUMERICAL:
-                theta_center = [None] * len(schema)
             entries = []
-            for k, (pname, kind) in enumerate(schema):
+            for k, (pname, kind) in enumerate(node.family.param_schema):
                 if kind not in ("unconstrained", "positive", "unit-interval", "simplex"):
                     raise ValueError(
                         f"{node.name}.{pname}: parameter domain {kind!r} is not convex"
@@ -203,7 +217,7 @@ class ConvexUpdateProgram(SurrogateProgram):
                     lam_idx = layout.add(f"{node.name}.{pname}.lam_logit", rng.uniform(-1.0, 1.0))
                 simplex = kind == "simplex"
                 size = node.family.num_classes - 1 if simplex else 1
-                alpha0 = _alpha_start(kind, theta_center[k], size, rng)
+                alpha0 = _alpha_start(kind, thetas[node.name][k], size, rng)
                 names = [f"alpha_{i}" for i in range(len(alpha0))] if simplex else ["alpha"]
                 alpha_idx = [
                     layout.add(f"{node.name}.{pname}.{name}", a0) for name, a0 in zip(names, alpha0)
@@ -228,8 +242,6 @@ class ConvexUpdateProgram(SurrogateProgram):
         return out
 
     def _walk(self, params, noise, given):
-        """The one ancestral pass: each latent is drawn from its entry of
-        `noise`, or read from `given` when that is not None."""
         obs = self.model.observations
         values = {}
         log_q = None
@@ -250,22 +262,6 @@ class ConvexUpdateProgram(SurrogateProgram):
             log_q = term if log_q is None else log_q + term
         return values, log_q, disc_log_q
 
-    def sample_and_log_prob(self, params, noise):
-        """Ancestral sampling through the convex-update rules.
-
-        Returns (values, log_q, discrete_log_q); the sampled values of
-        continuous nodes are differentiable functions of `params` via
-        the reparameterization path, discrete values are plain floats
-        whose density contribution is also accumulated separately for
-        the score-function estimator.
-        """
-        return self._walk(params, noise, None)
-
-    def log_prob(self, params, values):
-        """Surrogate log-density of a full latent assignment."""
-        log_q = self._walk(params, None, values)[1]
-        return 0.0 if log_q is None else log_q
-
 
 class Ar1Program(SurrogateProgram):
     """Linear-Gaussian conditionals between successive latents.
@@ -275,6 +271,8 @@ class Ar1Program(SurrogateProgram):
     frozen at zero when its predecessor is a global variable, and the
     first node has none.
     """
+
+    kind = "ar1"
 
     def __init__(self, model, init_seed=0):
         layout = _ParamLayout()
@@ -288,41 +286,32 @@ class Ar1Program(SurrogateProgram):
             self._rows.append((node, bij, coef_idx, offset_idx, scale_idx))
         super().__init__(model, layout, ["normal"] * len(self._rows))
 
-    def sample_and_log_prob(self, params, noise):
+    def _walk(self, params, noise, given):
         values = {}
         log_q = None
         prev_u = None
-        for (node, bij, coef_idx, offset_idx, scale_idx), eps in zip(self._rows, noise):
+        for i, (node, bij, coef_idx, offset_idx, scale_idx) in enumerate(self._rows):
             mean_u = params[offset_idx]
             if coef_idx is not None:
                 mean_u = mean_u + params[coef_idx] * prev_u
             scale = constrain_param("positive", params[scale_idx])
-            u = mean_u + scale * eps
+            if given is None:
+                u = mean_u + scale * noise[i]
+            else:
+                u = bij.inverse(given[node.name])
             term = _std_normal_log_pdf((u - mean_u) / scale) - ad.log(scale)
             term = term - bij.log_det_jacobian(u)
-            values[node.name] = bij.forward(u)
+            # after the term: recording the value first reorders the tape
+            values[node.name] = bij.forward(u) if given is None else given[node.name]
             log_q = term if log_q is None else log_q + term
             prev_u = u
         return values, log_q, None
 
-    def log_prob(self, params, values):
-        total = None
-        prev_u = None
-        for node, bij, coef_idx, offset_idx, scale_idx in self._rows:
-            u = bij.inverse(values[node.name])
-            mean_u = params[offset_idx]
-            if coef_idx is not None:
-                mean_u = mean_u + params[coef_idx] * prev_u
-            scale = constrain_param("positive", params[scale_idx])
-            term = _std_normal_log_pdf((u - mean_u) / scale) - ad.log(scale)
-            term = term - bij.log_det_jacobian(u)
-            total = term if total is None else total + term
-            prev_u = u
-        return 0.0 if total is None else total
-
 
 class MvnProgram(SurrogateProgram):
     """Full-covariance Gaussian over the unconstrained latent space."""
+
+    kind = "mvn"
 
     def __init__(self, model, init_seed=0):
         start = _gaussian_start(model, init_seed, "mvn")
@@ -335,42 +324,33 @@ class MvnProgram(SurrogateProgram):
             for j in range(i + 1):
                 init = raw_scale if i == j else 0.0
                 self._chol_idx[(i, j)] = layout.add(f"chol.{i}.{j}", init)
-        self._dim = len(start)
-        super().__init__(model, layout, ["normal"] * self._dim)
+        super().__init__(model, layout, ["normal"] * len(start))
 
     def _chol_entry(self, params, i, j):
         raw = params[self._chol_idx[(i, j)]]
         return constrain_param("positive", raw) if i == j else raw
 
-    def sample_and_log_prob(self, params, noise):
-        latents = self.model.latent_nodes
+    def _walk(self, params, noise, given):
         values = {}
         log_q = None
-        for i, node in enumerate(latents):
-            u = params[i]  # mean entry
-            for j in range(i + 1):
-                u = u + self._chol_entry(params, i, j) * noise[j]
-            term = _std_normal_log_pdf(noise[i]) - ad.log(self._chol_entry(params, i, i))
-            term = term - self._bijectors[i].log_det_jacobian(u)
-            values[node.name] = self._bijectors[i].forward(u)
+        z = noise if given is None else []  # standard-normal coordinates
+        for i, (node, bij) in enumerate(zip(self.model.latent_nodes, self._bijectors)):
+            if given is None:
+                u = params[i]  # mean entry
+                for j in range(i + 1):
+                    u = u + self._chol_entry(params, i, j) * z[j]
+            else:  # forward substitution through the same entries
+                u = bij.inverse(given[node.name])
+                resid = u - params[i]
+                for j in range(i):
+                    resid = resid - self._chol_entry(params, i, j) * z[j]
+                z.append(resid / self._chol_entry(params, i, i))
+            term = _std_normal_log_pdf(z[i]) - ad.log(self._chol_entry(params, i, i))
+            term = term - bij.log_det_jacobian(u)
+            # after the term: recording the value first reorders the tape
+            values[node.name] = bij.forward(u) if given is None else given[node.name]
             log_q = term if log_q is None else log_q + term
         return values, log_q, None
-
-    def log_prob(self, params, values):
-        latents = self.model.latent_nodes
-        us = [self._bijectors[i].inverse(values[n.name]) for i, n in enumerate(latents)]
-        z = []
-        total = 0.0
-        for i in range(self._dim):
-            resid = us[i] - value_of(params[i])
-            for j in range(i):
-                resid -= value_of(self._chol_entry(params, i, j)) * z[j]
-            lii = value_of(self._chol_entry(params, i, i))
-            zi = resid / lii
-            z.append(zi)
-            total += _std_normal_log_pdf(zi) - math.log(lii)
-            total -= value_of(self._bijectors[i].log_det_jacobian(us[i]))
-        return total
 
 
 class SurrogateKind(NamedTuple):
@@ -387,9 +367,7 @@ SURROGATES = {
 
 
 def build_surrogate(kind, model, init_seed=0):
-    """The `kind` program over `model`'s latents, with `.kind` set."""
+    """The `kind` program over `model`'s latents."""
     if kind not in SURROGATES:
         raise ValueError(f"unknown surrogate kind {kind!r}; choose from {sorted(SURROGATES)}")
-    program = SURROGATES[kind].build(model, init_seed=init_seed)
-    program.kind = kind
-    return program
+    return SURROGATES[kind].build(model, init_seed=init_seed)

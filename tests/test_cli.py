@@ -504,6 +504,33 @@ def test_workers_match_sequential(tmp_path):
     assert open(p1, "rb").read() == open(p2, "rb").read()
 
 
+def test_a_sweep_forks_no_more_workers_than_cells(tmp_path, monkeypatch):
+    # a process pool forks all its workers at the first submit; this fake
+    # records the count asked for and maps serially, starting no process
+    asked = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(cli_mod, "ProcessPoolExecutor", SerialPool)
+    one_cell = dict(surrogates=("asvi",), seeds=(1,), steps=2)
+    run_benchmark(small_config(tmp_path, out_dir=str(tmp_path / "one"), workers=3, **one_cell))
+    assert asked == []  # one cell runs serially
+    two_cells = dict(surrogates=("asvi",), seeds=(1, 2), steps=2)
+    run_benchmark(small_config(tmp_path, out_dir=str(tmp_path / "two"), workers=3, **two_cells))
+    assert asked == [2]
+
+
 def test_main_end_to_end(tmp_path, capsys, monkeypatch):
     calls = []
     monkeypatch.setattr(cli_mod, "summarize", lambda d: calls.append(d) or summarize(d))

@@ -411,6 +411,11 @@ def test_every_kind_in_the_table_builds_fits_and_parses(kind, task_id):
     # Adam's first step moves each parameter by lr * |g| / (|g| + eps)
     step = np.abs(result.params - result.surrogate.init_params)
     assert step.max() == pytest.approx(SURROGATES[kind].lr, rel=1e-3)
+    # a program built by its own constructor knows its kind and its rate
+    program = SURROGATES[kind].build(model, init_seed=1)
+    assert program.kind == kind
+    own = fit(model, program, TrainConfig(steps=1, lr=None, seed=1))
+    assert np.array_equal(own.params, result.params)
 
     assert RunConfig(task=task_id, surrogates=(kind,)).surrogates == (kind,)
     with pytest.raises(UsageError, match="invalid surrogate"):
@@ -489,6 +494,21 @@ def test_convex_update_log_prob_is_the_sampled_log_q(kind, make_model):
             assert disc == log_q
         else:
             assert disc is None
+
+
+@pytest.mark.parametrize("kind", list(SURROGATES))
+def test_log_prob_on_tape_params_is_differentiable(kind):
+    # positive latents, so ar1's and mvn's bijectors carry a log-det
+    m = mixed_model()
+    q = build_surrogate(kind, m, init_seed=1)
+    rng = np.random.default_rng(8)
+    params = list(q.init_params + 0.3 * rng.standard_normal(q.num_params))
+    values = q.sample_and_log_prob(params, one_draw(q, rng))[0]
+    tape = ad.Tape()
+    lp = q.log_prob([tape.input(p) for p in params], values)
+    assert isinstance(lp, ad.Node) and not tape.value_read
+    assert tape.vals[lp.i] == q.log_prob(params, values)
+    assert ad.finite_difference_check(lambda ps: q.log_prob(ps, values), params) < 1e-6
 
 
 @pytest.mark.parametrize("kind", ["ar1", "mvn"])
