@@ -44,13 +44,20 @@ part of it), compared as the parent and the change are.
   ROUNDS alternating rounds of CALLS calls, and code generation (the
   first `forward` and `backward` of a new copy, with the shape cache
   emptied first) in GEN_ROUNDS alternating rounds: each side's median
-  and the median ratio.  Last (`sweep_order`), per perfbench workload,
+  and the median ratio.  Then (`sweep_order`), per perfbench workload,
   the first-step tapes of its cells in the order a sweep fits them,
   generated by each side after one emptying of its shape cache, as a
   sweep does: the chunks, shapes compiled, sources rendered and
   characters compiled, and the time of code generation in SWEEP_ROUNDS
   alternating rounds, split into describing and rendering source,
-  compile(), binding, and the analyses (the rest).
+  compile(), binding, and the analyses (the rest).  Then
+  (`init_params_sha256`), per task x surrogate kind x seed 1-5, a sha256
+  digest of the initial parameters of the surrogate a sweep's cell builds
+  at that seed, from each checkout, with `match`.  Last (`build_ms`), per
+  task x surrogate kind, `build_surrogate` at seed 1, timed in one process
+  that loads both checkouts' packages, in BUILD_ROUNDS alternating
+  rounds, after a check that both sides give the same initial parameters
+  in bits: each side's median and the median ratio.
 
 Only the standard library is used here; each checkout runs its own code.
 """
@@ -66,6 +73,7 @@ SIDES = ("parent", "change")
 ROUNDS, CALLS = 30, 20  # the in-process sweep timing of --tapes
 GEN_ROUNDS = 10  # the in-process code generation timing of --tapes
 SWEEP_ROUNDS = 20  # the sweep-order code generation timing of --tapes
+BUILD_ROUNDS = 20  # the in-process `build_surrogate` timing of --tapes
 
 
 def git_commit(directory):
@@ -432,6 +440,82 @@ for name, workload in WORKLOADS.items():
 print(json.dumps(result))
 """
 
+# Run in each checkout with its own `src` first on the path: per task x
+# surrogate kind x seed 1-5, the sha256 of the initial parameters of the
+# surrogate a sweep's cell builds (the task's data at that seed, then
+# `build_surrogate` at that seed), with the parameter names.
+INITS = r"""
+import hashlib, json
+from convexvi.model import condition
+from convexvi.surrogates import SURROGATES, build_surrogate
+from convexvi.tasks import TASK_IDS, generate_data, get_task
+
+out = {}
+for task_id in TASK_IDS:
+    task = get_task(task_id)
+    for seed in range(1, 6):
+        model = task.model if task.is_pre_conditioned else condition(task.model, generate_data(task, seed=seed)[0])
+        for kind in SURROGATES:
+            surrogate = build_surrogate(kind, model, init_seed=seed)
+            text = repr((surrogate.param_names, surrogate.init_params.tolist()))
+            out[f"{task_id} x {kind}, seed {seed}"] = hashlib.sha256(text.encode()).hexdigest()
+print(json.dumps(out))
+"""
+
+# Run with the change's `src` first on the path, and the parent's `src`
+# and BUILD_ROUNDS as arguments: the parent's package is loaded beside
+# the change's as `parent_convexvi`, and per task x surrogate kind each
+# side builds the surrogate of seed 1 on its own model of the task's
+# seed-1 data, in BUILD_ROUNDS alternating rounds, after one untimed
+# build that is checked to give the same initial parameters in bits.
+BUILDS = r"""
+import importlib, importlib.util, json, os, statistics, sys, time
+from convexvi import model as _model, surrogates as _surrogates, tasks as _tasks
+
+init = os.path.join(sys.argv[1], "convexvi", "__init__.py")
+spec = importlib.util.spec_from_file_location("parent_convexvi", init, submodule_search_locations=[os.path.dirname(init)])
+parent = importlib.util.module_from_spec(spec)
+sys.modules["parent_convexvi"] = parent
+spec.loader.exec_module(parent)
+ROUNDS = int(sys.argv[2])
+modules = {
+    "parent": tuple(importlib.import_module(f"parent_convexvi.{m}") for m in ("model", "surrogates", "tasks")),
+    "change": (_model, _surrogates, _tasks),
+}
+
+def side_models(task_id):
+    out = {}
+    for side, (model, _, tasks) in modules.items():
+        task = tasks.get_task(task_id)
+        out[side] = task.model if task.is_pre_conditioned else model.condition(task.model, tasks.generate_data(task, seed=1)[0])
+    return out
+
+result = {}
+for task_id in _tasks.TASK_IDS:
+    models = side_models(task_id)
+    for kind in _surrogates.SURROGATES:
+        def build(side):
+            start = time.perf_counter()
+            surrogate = modules[side][1].build_surrogate(kind, models[side], init_seed=1)
+            return (time.perf_counter() - start) * 1e3, surrogate.init_params
+        inits = {side: build(side)[1] for side in modules}
+        assert inits["parent"].tobytes() == inits["change"].tobytes(), (task_id, kind)
+        times = {side: [] for side in modules}
+        for r in range(ROUNDS):
+            for side in ("parent", "change") if r % 2 == 0 else ("change", "parent"):
+                times[side].append(build(side)[0])
+        ratios = [c / p for p, c in zip(times["parent"], times["change"])]
+        result[f"{task_id} x {kind}"] = {
+            "parent_ms": statistics.median(times["parent"]),
+            "change_ms": statistics.median(times["change"]),
+            "median_ratio": statistics.median(ratios),
+            "rounds_change_faster": sum(r < 1.0 for r in ratios),
+            "rounds": ROUNDS,
+        }
+print(json.dumps(result))
+"""
+
+
 def python_in(directory, code, *args):
     """The JSON that `code` prints, run with `directory`'s `src`, then
     the checkout itself, first on the path."""
@@ -449,6 +533,9 @@ def run_tapes(dirs):
     parent_autodiff = os.path.join(os.path.abspath(dirs["parent"]), "src", "convexvi", "autodiff.py")
     sweeps = python_in(dirs["change"], SWEEPS, parent_autodiff, str(ROUNDS), str(CALLS), str(GEN_ROUNDS))
     sweep_order = python_in(dirs["change"], SWEEP_ORDER, parent_autodiff, str(SWEEP_ROUNDS))
+    inits = {side: python_in(dirs[side], INITS) for side in SIDES}
+    parent_src = os.path.join(os.path.abspath(dirs["parent"]), "src")
+    builds = python_in(dirs["change"], BUILDS, parent_src, str(BUILD_ROUNDS))
     tapes = {}
     for name, row in counts["parent"].items():
         tapes[name] = {key: {side: counts[side][name][key] for side in SIDES} for key in row}
@@ -456,7 +543,18 @@ def run_tapes(dirs):
             if key.endswith("_sha256"):
                 tapes[name][key]["match"] = tapes[name][key]["parent"] == tapes[name][key]["change"]
         tapes[name].update(sweeps[name])
-    return {"sweep_rounds": ROUNDS, "codegen_rounds": GEN_ROUNDS, "tapes": tapes, "sweep_order": sweep_order}
+    init_params = {
+        name: {**{side: inits[side][name] for side in SIDES}, "match": inits["parent"][name] == inits["change"][name]}
+        for name in inits["parent"]
+    }
+    return {
+        "sweep_rounds": ROUNDS,
+        "codegen_rounds": GEN_ROUNDS,
+        "tapes": tapes,
+        "sweep_order": sweep_order,
+        "init_params_sha256": init_params,
+        "build_ms": builds,
+    }
 
 
 def main(argv=None):

@@ -102,8 +102,7 @@ def elbo_estimate(model, surrogate, params, n_samples=1, seed=0) -> ElboEstimate
     `NonFiniteError` with its sample index.  The value can differ from
     `CompiledElbo.value` in the last bits: a node divided by `b` is
     `a * (1 / b)` on the tape, floats compute `a / b`."""
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
+    check_sample_count(n_samples, 1)
     rng = np.random.default_rng(seed)
     _, terms = sample_batch(surrogate, params, n_samples, rng, model)
     bad = np.flatnonzero(~np.isfinite(terms))
@@ -195,8 +194,7 @@ def elbo_gradient(model, surrogate, params, n_samples=1, seed=0):
     (common random numbers), so central finite differences of the
     estimate at a fixed seed match this gradient for continuous models.
     """
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
+    check_sample_count(n_samples, 1)
     draws = draw_noise(surrogate.noise_spec, n_samples, np.random.default_rng(seed))
     graph = CompiledElbo(model, surrogate, params, draws)
     grad = graph.gradient()
@@ -254,6 +252,13 @@ def check_integer(what, value):
     or `default_rng`."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{what} must be an integer, got {value!r}")
+
+
+def check_sample_count(n_samples, low):
+    """Raise ValueError unless `n_samples` is an integer >= `low`."""
+    check_integer("n_samples", n_samples)
+    if n_samples < low:
+        raise ValueError(f"n_samples must be >= {low}, got {n_samples!r}")
 
 
 @dataclass(frozen=True)
@@ -413,9 +418,9 @@ def surrogate_moments(surrogate, params, n_samples=4000, seed=0):
     the mean and SD (ddof 1) of each latent's `sample_batch` array, which
     comes from one pass over arrays, or from the per-sample loop where the
     arrays cannot take the batch whole.  A sample is kept as drawn, even
-    one outside its support (no density of the model is checked here)."""
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
+    one outside its support (no density of the model is checked here).
+    An SD of one sample is undefined, so `n_samples` must be >= 2."""
+    check_sample_count(n_samples, 2)
     values, _ = sample_batch(surrogate, params, n_samples, np.random.default_rng(seed))
     means = {name: float(v.mean()) for name, v in values.items()}
     sds = {name: float(v.std(ddof=1)) for name, v in values.items()}

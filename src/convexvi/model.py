@@ -13,6 +13,10 @@ carry gradients), selecting among pre-declared parameter rules.  A link
 may also read a continuous parent's value (``value_of``); the ELBO graph
 then depends on the sampled values, and ``fit`` records it every step
 instead of replaying it, and a batch is evaluated one sample at a time.
+
+``sample_forward`` draws one prior trace from a seed; ``sample_prior``
+draws the traces of many seeds in one pass over float arrays, with the
+bits ``sample_forward`` gives each seed.
 """
 
 from __future__ import annotations
@@ -23,8 +27,8 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .autodiff import value_for_check
-from .distributions import NEG_INF, draw_noise, zero_density
+from .autodiff import DomainError, PerSampleOnly, value_for_check
+from .distributions import NEG_INF, ParameterError, draw_noise, zero_density
 
 
 class ModelError(ValueError):
@@ -163,14 +167,9 @@ def _parent_values(node, values, observations):
     return out
 
 
-def sample_forward(model: JointModel, seed) -> Trace:
-    """Ancestral sampling; observed nodes keep their bound values.
-
-    Deterministic given the seed: one `draw_noise` row holds the latents'
-    noise, in node order.
-    """
-    kinds = [n.family.noise for n in model.latent_nodes]
-    noise = iter(draw_noise(kinds, 1, np.random.default_rng(seed))[0].tolist())
+def _ancestral(model, noise):
+    """One ancestral pass: each latent takes the next entry of the
+    iterator `noise`; returns (values of every node, joint log-density)."""
     values = {}
     total = 0.0
     for node in model.nodes:
@@ -183,7 +182,48 @@ def sample_forward(model: JointModel, seed) -> Trace:
             x = node.family.sample_reparam(params, next(noise))
         values[node.name] = x
         total += node.family.log_prob(params, x)
-    return Trace(values=values, total=total)
+    return values, total
+
+
+def sample_forward(model: JointModel, seed) -> Trace:
+    """Ancestral sampling; observed nodes keep their bound values.
+
+    Deterministic given the seed: one `draw_noise` row holds the latents'
+    noise, in node order.
+    """
+    kinds = [n.family.noise for n in model.latent_nodes]
+    noise = draw_noise(kinds, 1, np.random.default_rng(seed))[0].tolist()
+    return Trace(*_ancestral(model, iter(noise)))
+
+
+def sample_prior(model: JointModel, seeds) -> dict:
+    """`sample_forward` over a seed axis: each latent's values as a float
+    array with one entry per seed, each entry with the bits
+    `sample_forward(model, seed)` gives.
+
+    Each seed's noise row is `sample_forward`'s, from its own generator.
+    The links, `sample_reparam` and every node's `log_prob`, observed
+    nodes included, then run once, with one array in place of each float,
+    so a density that fails for a seed fails here too.  The arrays take
+    the seeds whole or not at all: uniform noise, `PerSampleOnly`, a
+    floating-point error (numpy raises here), a `DomainError` or a
+    `ParameterError` run `sample_forward` once per seed instead, which
+    gives the same values or raises the same error.
+    """
+    seeds = list(seeds)
+    latents = model.latent_nodes
+    kinds = [n.family.noise for n in latents]
+    if "uniform" not in kinds:
+        rows = [draw_noise(kinds, 1, np.random.default_rng(seed)) for seed in seeds]
+        noise = np.array(rows).reshape(len(seeds), len(kinds)).T.copy()
+        try:
+            with np.errstate(all="raise", under="ignore"):
+                values, _ = _ancestral(model, iter(noise))
+            return {n.name: values[n.name] for n in latents}
+        except (PerSampleOnly, FloatingPointError, DomainError, ParameterError):
+            pass
+    traces = [sample_forward(model, seed).values for seed in seeds]
+    return {n.name: np.array([t[n.name] for t in traces], dtype=float) for n in latents}
 
 
 def _accumulate(model, node_subset, values):

@@ -21,7 +21,8 @@ the common surface on it: a flat named parameter vector, a noise spec,
 differentiable when given tape nodes.  ``ConvexUpdateProgram`` walks
 through one update rule in which a scalar parameter is a one-entry
 vector; its alpha starts at the prior's parameter at the prior centers.
-ar1 and mvn start from prior draws (``_gaussian_start``).
+ar1 and mvn start from 100 prior draws (``_gaussian_start``), taken in
+one array pass (``model.sample_prior``).
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from .distributions import (
     support_bijector,
     unconstrain_param,
 )
-from .model import sample_forward
+from .model import sample_prior
 
 
 def convex_update(theta, lam, alpha):
@@ -112,24 +113,26 @@ def _gaussian_start(model, init_seed, kind):
     draws in unconstrained space, the raw scale being the softplus
     pre-image of their SD.  This starts the Gaussian baselines near the
     prior marginals: the exact start is a free choice, and a unit scale is
-    hopeless for models whose latents live at very different magnitudes."""
+    hopeless for models whose latents live at very different magnitudes.
+    The draws are `sample_forward`'s at 100 seeds from `init_seed`, taken
+    in one pass over arrays (`sample_prior`); a draw whose pre-image fails
+    or is not finite is skipped."""
     latents = model.latent_nodes
     if any(node.family.is_discrete for node in latents):
         raise ValueError(f"{kind} surrogate requires continuous latents")
-    bijectors = [support_bijector(node.family) for node in latents]
-    draws = [[] for _ in latents]
     rng = np.random.default_rng(init_seed)
-    for _ in range(100):
-        trace = sample_forward(model, seed=int(rng.integers(2**31 - 1)))
-        for node, bij, u in zip(latents, bijectors, draws):
+    prior = sample_prior(model, [int(rng.integers(2**31 - 1)) for _ in range(100)])
+    start = []
+    for node in latents:
+        bij = support_bijector(node.family)
+        u = []
+        for y in prior[node.name].tolist():
             try:
-                x = bij.inverse(trace.values[node.name])
+                x = bij.inverse(y)
             except ValueError:
                 continue
             if math.isfinite(x):  # an infinite draw is skipped too
                 u.append(x)
-    start = []
-    for node, bij, u in zip(latents, bijectors, draws):
         mean, sd = 0.0, 1.0
         if len(u) >= 2:
             u = np.asarray(u)

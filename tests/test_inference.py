@@ -129,9 +129,31 @@ def test_elbo_estimate_rejects_bad_sample_count():
 
 
 def test_surrogate_moments_rejects_bad_sample_count():
+    # an SD (ddof 1) of one sample is undefined: one sample gave NaN SDs
+    # and a numpy warning
     mf = build_surrogate("mean-field", conjugate_pair())
-    with pytest.raises(ValueError, match="n_samples must be >= 1"):
-        surrogate_moments(mf, mf.init_params, n_samples=0)
+    for n in (0, 1):
+        with pytest.raises(ValueError, match=f"n_samples must be >= 2, got {n}$"):
+            surrogate_moments(mf, mf.init_params, n_samples=n)
+    means, sds = surrogate_moments(mf, mf.init_params, n_samples=2)
+    assert all(map(math.isfinite, list(means.values()) + list(sds.values())))
+
+
+@pytest.mark.parametrize("n_samples", [True, 2.0, np.float64(3.0), "4", None])
+def test_sample_counts_must_be_integers(n_samples):
+    # a bool or a float count failed deep in numpy with a TypeError, or
+    # ran (True as one sample)
+    m = conjugate_pair()
+    mf = build_surrogate("mean-field", m)
+    for call in (
+        lambda: elbo_estimate(m, mf, mf.init_params, n_samples=n_samples),
+        lambda: elbo_gradient(m, mf, mf.init_params, n_samples=n_samples),
+        lambda: surrogate_moments(mf, mf.init_params, n_samples=n_samples),
+    ):
+        with pytest.raises(ValueError, match="n_samples must be an integer"):
+            call()
+    # numpy integers are counts
+    assert elbo_estimate(m, mf, mf.init_params, n_samples=np.int64(2)).n_samples == 2
 
 
 def test_elbo_nonfinite_raises_diagnostic():
@@ -589,10 +611,8 @@ def test_every_subtraction_is_one_node(task_id, kind):
     assert SUB in tape.ops
 
 
-# numpy's warnings for the SD of one sample, or of samples holding inf
-SD_WARNINGS = pytest.mark.filterwarnings(
-    "ignore:Degrees of freedom", "ignore:invalid value encountered"
-)
+# numpy's warning for the SD of samples holding inf
+SD_WARNINGS = pytest.mark.filterwarnings("ignore:invalid value encountered")
 
 
 def reference_samples(model, surrogate, params, n_samples, seed):
@@ -627,6 +647,10 @@ def assert_batch_is_the_loop(model, surrogate, params, n_samples, seed):
         assert np.array(est.per_sample_terms).tobytes() == terms.tobytes()
         assert all(type(t) is float for t in est.per_sample_terms)
         assert est.value == float(np.mean(terms.tolist()))
+    if n_samples < 2:  # no SD of one sample
+        with pytest.raises(ValueError, match="n_samples must be >= 2"):
+            surrogate_moments(surrogate, params, n_samples, seed=seed)
+        return
     means, sds = surrogate_moments(surrogate, params, n_samples, seed=seed)
     assert list(means) == list(sds) == list(surrogate.latent_names)
     for name, v in values.items():
@@ -791,9 +815,9 @@ def test_the_first_bad_link_scale_in_sample_order_is_reported():
 @SD_WARNINGS
 @pytest.mark.parametrize(
     "make_model, loops_expected",
-    # uniform noise: every pass; y's link reads x: the ELBOs only, as q
-    # never calls it
-    [("two_bernoulli_model", 6), ("branching_link_model", 3)],
+    # uniform noise: every pass (no moments of one sample); y's link
+    # reads x: the ELBOs only, as q never calls it
+    [("two_bernoulli_model", 5), ("branching_link_model", 3)],
 )
 def test_programs_that_cannot_run_on_arrays_go_one_sample_at_a_time(
     make_model, loops_expected, monkeypatch

@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from convexvi.distributions import BERNOULLI, HALF_NORMAL, LOG_NORMAL, NORMAL, Categorical
+from convexvi import model as model_module
+from convexvi.autodiff import value_of
+from convexvi.distributions import BERNOULLI, HALF_NORMAL, LOG_NORMAL, NORMAL, Categorical, ParameterError
 from convexvi.model import (
     ModelError,
     build_joint,
@@ -12,7 +14,9 @@ from convexvi.model import (
     latent_log_prob,
     rv,
     sample_forward,
+    sample_prior,
 )
+from convexvi.tasks import TASK_IDS, generate_data, get_task
 
 LOG_2PI = math.log(2.0 * math.pi)
 
@@ -215,3 +219,98 @@ def test_brownian_increment_sd():
         incs.extend(np.diff(xs))
     sd = float(np.std(incs))
     assert abs(sd - step_scale) / step_scale < 0.05
+
+
+def count_per_seed_passes(monkeypatch):
+    """A list that gets one seed per `sample_forward` that `sample_prior`
+    runs, which it does only when the arrays cannot take the seeds."""
+    seeds = []
+
+    def counted(model, seed):
+        seeds.append(seed)
+        return sample_forward(model, seed)
+
+    monkeypatch.setattr(model_module, "sample_forward", counted)
+    return seeds
+
+
+def per_seed_values(model, seeds):
+    """Each latent's `sample_forward` values over `seeds`, as bytes."""
+    traces = [sample_forward(model, seed).values for seed in seeds]
+    return {n.name: np.array([t[n.name] for t in traces]).tobytes() for n in model.latent_nodes}
+
+
+@pytest.mark.parametrize("task_id", TASK_IDS)
+def test_sample_prior_is_sample_forward_per_seed(task_id, monkeypatch):
+    # at seed s: the data of seed s and the 100 seeds a Gaussian baseline
+    # built at seed s draws, with a repeated seed and the extremes
+    task = get_task(task_id)
+    for s in (1, 2, 3):
+        model = task.model if task.is_pre_conditioned else condition(task.model, generate_data(task, seed=s)[0])
+        rng = np.random.default_rng(s)
+        seeds = [int(rng.integers(2**31 - 1)) for _ in range(100)] + [0, 2**31 - 2, 0]
+        expected = per_seed_values(model, seeds)
+        passes = count_per_seed_passes(monkeypatch)
+        prior = sample_prior(model, seeds)
+        assert not passes  # one pass over arrays
+        assert list(prior) == list(expected)
+        assert {name: v.tobytes() for name, v in prior.items()} == expected
+        monkeypatch.undo()
+
+
+def test_sample_prior_runs_per_seed_where_a_link_reads_a_value(monkeypatch):
+    # z's link branches on x's value, which an array of seeds cannot give;
+    # a Bernoulli latent draws uniform noise, which the arrays never take
+    branching = build_joint(
+        [
+            rv("x", NORMAL, params=(0.0, 1.0)),
+            rv("z", NORMAL, parents=("x",), link=lambda x: (1.0 if value_of(x) > 0.0 else -1.0, 0.5)),
+            rv("y", NORMAL, parents=("z",), link=lambda z: (z, 1.0)),
+        ]
+    )
+    gated = build_joint(
+        [
+            rv("gate", BERNOULLI, params=(0.5,)),
+            rv("x", NORMAL, parents=("gate",), link=lambda g: (5.0, 0.1) if g == 1.0 else (-5.0, 0.1)),
+        ]
+    )
+    seeds = list(range(20))
+    for model in (condition(branching, {"y": 0.4}), gated):
+        expected = per_seed_values(model, seeds)
+        passes = count_per_seed_passes(monkeypatch)
+        prior = sample_prior(model, seeds)
+        assert passes == seeds
+        assert {name: v.tobytes() for name, v in prior.items()} == expected
+        monkeypatch.undo()
+    assert set(np.sign(sample_prior(branching, seeds)["x"])) == {-1.0, 1.0}
+
+
+def test_sample_prior_raises_what_the_first_failing_seed_raises(monkeypatch):
+    # the observed y's scale is x, which is negative at some seeds: the
+    # density of y fails there, in the arrays and then for that seed
+    model = build_joint(
+        [
+            rv("x", NORMAL, params=(0.3, 0.3)),
+            rv("y", NORMAL, parents=("x",), link=lambda x: (0.0, x)),
+        ]
+    )
+    model = condition(model, {"y": 0.1})
+    seeds = list(range(12))
+    failing = []
+    for seed in seeds:
+        try:
+            sample_forward(model, seed)
+        except ParameterError as error:
+            failing.append((seed, str(error)))
+    assert 0 < len(failing) < len(seeds) and failing[0][0] > 0
+    passes = count_per_seed_passes(monkeypatch)
+    with pytest.raises(ParameterError) as error:
+        sample_prior(model, seeds)
+    assert str(error.value) == failing[0][1]
+    assert "Normal requires scale > 0, got -" in failing[0][1]
+    assert passes == seeds[: failing[0][0] + 1]  # the arrays raised, then the loop
+    # the good seeds alone run on arrays
+    good = [seed for seed in seeds if seed not in dict(failing)]
+    passes.clear()
+    assert sample_prior(model, good)["x"].tobytes() == per_seed_values(model, good)["x"]
+    assert not passes

@@ -16,7 +16,7 @@ from convexvi.distributions import (
     SOFTPLUS,
     draw_noise,
 )
-from convexvi.model import build_joint, condition, latent_log_prob, rv, sample_forward
+from convexvi.model import build_joint, condition, latent_log_prob, rv, sample_forward, sample_prior
 from convexvi.inference import TrainConfig, fit
 from convexvi.oracles import LinearGaussianChainSpec, kalman_filter_smoother
 from convexvi.surrogates import SURROGATES, build_surrogate, convex_update
@@ -55,6 +55,48 @@ def mixed_model():
     return condition(build_joint(nodes), {"y": 0.7})
 
 
+def gaussian_start_of_edited_draws(monkeypatch, edit):
+    """`_gaussian_start` of `mixed_model` at seed 1, as (mean, raw scale)
+    pairs, with `edit` applied to the prior draws it reads (each latent's
+    array); checks that the edit ran once, on 100 draws."""
+    edits = []
+
+    def edited(model, seeds):
+        prior = sample_prior(model, seeds)
+        edits.append(len(seeds))
+        return edit(prior)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(surrogates, "sample_prior", edited)
+        start = surrogates._gaussian_start(mixed_model(), 1, "mvn")
+    assert edits == [100]
+    return [(mean, raw) for _, _, mean, raw in start]
+
+
+def assert_bad_first_draws_are_skipped(monkeypatch, names, bads):
+    """A bad first draw of each latent in `names` gives the start of the
+    other 99 draws of those latents, and moves the start."""
+
+    def set_first(bad):
+        def edit(prior):
+            for name in names:
+                prior[name][0] = bad
+            return prior
+
+        return edit
+
+    unedited = gaussian_start_of_edited_draws(monkeypatch, lambda prior: prior)
+    without_first = gaussian_start_of_edited_draws(
+        monkeypatch, lambda prior: {name: v[1:] if name in names else v for name, v in prior.items()}
+    )
+    for bad in bads:
+        assert gaussian_start_of_edited_draws(monkeypatch, set_first(bad)) == without_first
+    latents = [n.name for n in mixed_model().latent_nodes]
+    for name, kept, full in zip(latents, without_first, unedited):
+        assert (kept != full) == (name in names), name
+    assert all(map(math.isfinite, np.ravel(without_first)))
+
+
 def test_a_nan_start_value_takes_the_fallback_start(monkeypatch):
     # a NaN prior parameter or prior draw passed the bijectors' inverses
     # as NaN: the alpha start held NaN, and one NaN draw made a Gaussian
@@ -63,20 +105,7 @@ def test_a_nan_start_value_takes_the_fallback_start(monkeypatch):
     for kind, theta, size in (("positive", math.nan, 1), ("simplex", [0.5, math.nan, 0.5], 2)):
         start = surrogates._alpha_start(kind, theta, size, np.random.default_rng(3))
         assert start == list(np.random.default_rng(3).standard_normal(size))
-    starts = []
-    for bad in (math.nan, -1.0):
-        seen = []
-
-        def one_bad_draw(model, seed, bad=bad, seen=seen):
-            trace = sample_forward(model, seed)
-            if not seen:
-                trace.values["scale"] = bad
-            seen.append(seed)
-            return trace
-
-        monkeypatch.setattr(surrogates, "sample_forward", one_bad_draw)
-        starts.append([(mean, raw) for _, _, mean, raw in surrogates._gaussian_start(mixed_model(), 1, "mvn")])
-    assert starts[0] == starts[1] and all(map(math.isfinite, np.ravel(starts[0])))
+    assert_bad_first_draws_are_skipped(monkeypatch, ("scale",), (math.nan, -1.0))
 
 
 def test_an_infinite_start_value_takes_the_fallback_start(monkeypatch):
@@ -89,20 +118,7 @@ def test_an_infinite_start_value_takes_the_fallback_start(monkeypatch):
         start = surrogates._alpha_start(kind, theta, size, np.random.default_rng(3))
         assert start == list(np.random.default_rng(3).standard_normal(size))
     assert surrogates._alpha_start("positive", 2.0, 1, None) == [surrogates.unconstrain_param("positive", 2.0)]
-    starts = []
-    for bad in (math.inf, math.nan):
-        seen = []
-
-        def one_bad_draw(model, seed, bad=bad, seen=seen):
-            trace = sample_forward(model, seed)
-            if not seen:
-                trace.values["spread"] = trace.values["x"] = bad
-            seen.append(seed)
-            return trace
-
-        monkeypatch.setattr(surrogates, "sample_forward", one_bad_draw)
-        starts.append([(mean, raw) for _, _, mean, raw in surrogates._gaussian_start(mixed_model(), 1, "mvn")])
-    assert starts[0] == starts[1] and all(map(math.isfinite, np.ravel(starts[0])))
+    assert_bad_first_draws_are_skipped(monkeypatch, ("spread", "x"), (math.inf, -math.inf, math.nan))
 
 
 def test_convex_update_examples():
