@@ -13,7 +13,10 @@ to the file at --out (made if missing) and keeps the others, so the
 phases of a comparison can run one at a time.  perfbench sets the run
 length.  With `--section NAME` the sections go under the key NAME
 instead, for an ablation: two variants of the change (ALONE lacks one
-part of it), compared as the parent and the change are.
+part of it), compared as the parent and the change are.  Each call
+records under `checkouts` what each side holds: the sha256 of its `src/`
+and, for a git work tree of its own, its commit and whether `src/`
+differs from it (a `git archive` copy has no commit).
 
 - pairs: `python3 perfbench/run.py --workload <w> --seed <s>` in each
   checkout, `--pairs` times per workload; pair p runs the parent first
@@ -63,6 +66,7 @@ Only the standard library is used here; each checkout runs its own code.
 """
 
 import argparse
+import hashlib
 import json
 import os
 import statistics
@@ -76,11 +80,37 @@ SWEEP_ROUNDS = 20  # the sweep-order code generation timing of --tapes
 BUILD_ROUNDS = 20  # the in-process `build_surrogate` timing of --tapes
 
 
-def git_commit(directory):
-    out = subprocess.run(
-        ["git", "-C", directory, "rev-parse", "--short", "HEAD"], capture_output=True, text=True, check=False
-    )
-    return out.stdout.strip() or None
+def git(directory, *args):
+    """`git` in `directory`, kept from looking above it (as perfbench's
+    `_git` is), so that a copy inside another work tree does not report
+    that tree's HEAD: its output, or None where it fails."""
+    env = dict(os.environ, GIT_CEILING_DIRECTORIES=os.path.dirname(directory))
+    cmd = ["git", "-C", directory, "--no-optional-locks", *args]
+    proc = subprocess.run(cmd, capture_output=True, text=True, env=env, check=False)
+    return proc.stdout.strip() if proc.returncode == 0 else None
+
+
+def checkout(directory):
+    """What a checkout holds: the sha256 of its `src/` (perfbench's
+    `source_digest` rule: each file's path relative to `src/`, then its
+    bytes, in sorted walk order, `__pycache__` skipped), and where it is
+    a git work tree of its own, its commit and whether its `src/`
+    differs from that commit."""
+    root = os.path.abspath(directory)
+    src = os.path.join(root, "src")
+    digest = hashlib.sha256()
+    for base, dirs, files in sorted(os.walk(src)):
+        dirs[:] = sorted(d for d in dirs if d != "__pycache__")
+        for name in sorted(files):
+            path = os.path.join(base, name)
+            digest.update(os.path.relpath(path, src).encode())
+            with open(path, "rb") as fh:
+                digest.update(fh.read())
+    out = {"src_sha256": digest.hexdigest()}
+    commit = git(root, "rev-parse", "--short", "HEAD")
+    if commit:
+        out.update(commit=commit, src_changed=bool(git(root, "status", "--porcelain", "--", "src")))
+    return out
 
 
 def perfbench(directory, workload, seed, trace):
@@ -182,25 +212,20 @@ def sha256(items):
     return h.hexdigest()
 
 bodies, forward_bodies, swept = [], [], []
-generate = autodiff._generate
-# a checkout that keys shapes by structure passes `(key, slots)` and the
-# render function; an older one passes `(lines, slots)`
-DESCRIBE = "_describe_backward" if hasattr(autodiff, "_describe_backward") else "_backward_source"
-backward_source = getattr(autodiff, DESCRIBE)
+generate, describe_backward = autodiff._generate, autodiff._describe_backward
 
-def keep_bodies(sources, *render_args):
-    *render, args = render_args
+def keep_bodies(sources, render, args):
     sources = list(sources)
-    kept = [(render[0](key) if render else key, list(slots), args) for key, slots in sources]
+    kept = [(render(key), list(slots), args) for key, slots in sources]
     (bodies if args.startswith("g,") else forward_bodies).extend(kept)
-    return generate(sources, *render_args)
+    return generate(sources, render, args)
 
 def keep_nodes(tape, nodes, *rest):
     swept.extend(nodes)
-    return backward_source(tape, nodes, *rest)
+    return describe_backward(tape, nodes, *rest)
 
 autodiff._generate = keep_bodies
-setattr(autodiff, DESCRIBE, keep_nodes)
+autodiff._describe_backward = keep_nodes
 out = {}
 for name, graph in tapes():
     tape, P = graph.tape, graph.n_params
@@ -257,10 +282,10 @@ print(json.dumps(out))
 # side on copies of the change's recorded tape, timed in alternating
 # rounds in this one process.  `Tape.forward` and `Tape.backward` run on
 # a copy replayed once; code generation is the first `forward` and
-# `backward` of a new copy with the side's shape cache empty.  A side
-# whose `Tape.backward` takes `wrt` is asked for the parameters' adjoints.
+# `backward` of a new copy with the side's shape cache empty.  Each side
+# is asked for the parameters' adjoints alone (`Tape.backward`'s `wrt`).
 SWEEPS = TAPE_SET + r"""
-import importlib.util, inspect, json, statistics, sys, time
+import importlib.util, json, statistics, sys, time
 from convexvi import autodiff
 
 spec = importlib.util.spec_from_file_location("parent_autodiff", sys.argv[1])
@@ -272,9 +297,7 @@ def copy_of(module, graph):
     tape = module.Tape()
     for name in ("ops", "p1", "p2", "d1", "d2", "aux", "vals"):
         setattr(tape, name, list(getattr(graph.tape, name)))
-    out = module.Node(tape, graph.objective.i)
-    args = (out, graph.n_params) if "wrt" in inspect.signature(module.Tape.backward).parameters else (out,)
-    return tape, args
+    return tape, (module.Node(tape, graph.objective.i), graph.n_params)
 
 def per_call(run):
     def measure():
@@ -340,8 +363,7 @@ print(json.dumps(result))
 # fits them (`cli.run_benchmark`: cells sorted by surrogate, then seed),
 # recorded as `fit` records them, then each side's code generation over
 # them all, the side's shape cache emptied once first, as a sweep empties
-# it.  Counts: chunks, shapes compiled, sources rendered (each source the
-# side writes; a text-keyed side writes one per chunk) and characters
+# it.  Counts: chunks, shapes compiled, sources rendered and characters
 # compiled.  Time, in alternating rounds: the whole, and its split into
 # writing source (describing and rendering), compile() and binding; the
 # rest (`analyses`) is value numbering, cutting, liveness and activity.
@@ -360,7 +382,7 @@ spec = importlib.util.spec_from_file_location("parent_autodiff", sys.argv[1])
 parent = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(parent)
 ROUNDS = int(sys.argv[2])
-WRITERS = ("_forward_source", "_backward_source", "_describe_forward", "_describe_backward")
+DESCRIBERS = ("_describe_forward", "_describe_backward")
 RENDERS = ("_render_forward", "_render_backward")
 
 def first_step_graphs(workload, seed=1):
@@ -378,19 +400,17 @@ class Probe:
     def __init__(self, module):
         self.module, self.clock = module, {}
         self.count = dict.fromkeys(("sources_rendered", "shapes_compiled", "compiled_chars"), 0)
-        for name in WRITERS + RENDERS:
-            if hasattr(module, name):
-                setattr(module, name, self.timed(getattr(module, name), "describe_render", name))
+        for name in DESCRIBERS + RENDERS:
+            setattr(module, name, self.timed(getattr(module, name), "describe_render", name))
         module.compile = self.timed(compile, "compile", "compile")
         module._Shape.bind = self.timed(module._Shape.bind, "bind", None)
-        self.text_keyed = not hasattr(module, "_render_forward")
 
     def timed(self, fn, part, name):
         def run(*args):
             start = time.perf_counter()
             out = fn(*args)
             self.clock[part] = self.clock.get(part, 0.0) + time.perf_counter() - start
-            if name in RENDERS or (self.text_keyed and name in WRITERS):
+            if name in RENDERS:
                 self.count["sources_rendered"] += 1
             elif name == "compile":
                 self.count["shapes_compiled"] += 1
@@ -576,11 +596,10 @@ def main(argv=None):
     if os.path.exists(args.out):
         with open(args.out) as fh:
             record = json.load(fh)
-    if args.section is None:  # an ablation's sides are variants of the change
-        record["parent"] = git_commit(args.parent)
     record.update(command="python3 perfbench/run.py --workload <w> --seed <s>", host=f"{os.cpu_count()} CPUs")
     table = metric_table(args.parent)
     target = record if args.section is None else record.setdefault(args.section, {})
+    target["checkouts"] = {side: checkout(dirs[side]) for side in SIDES}
     for workload in args.workload:
         result = run_pairs(dirs, workload, args.seed, args.pairs, table, args.trace)
         target.setdefault("traced" if args.trace else "pairs", {})[f"{workload} seed {args.seed}"] = result

@@ -51,8 +51,8 @@ On an array an op maps its float function over the entries (numpy's own
 ``exp``/``log`` differ from libm in the last bit on some inputs), so
 each entry has the float path's bits; ``+ - * /`` and ``abs`` are exact
 either way.  A batch cannot branch on a value: ``value_of`` of an array
-raises ``PerSampleOnly``, and ``inference.sample_batch`` runs the batch
-one sample at a time, as it does any batch with a failing sample.
+raises ``PerSampleOnly``, and ``model.over_rows`` (the batch policy)
+runs the batch one sample at a time, as it does any failing batch.
 """
 
 from __future__ import annotations

@@ -130,8 +130,6 @@ class RunConfig:
             if s not in SURROGATES:
                 kinds = tuple(sorted(SURROGATES))
                 raise UsageError(f"invalid surrogate {s!r}; choose from {kinds}")
-        if not self.seeds:
-            raise UsageError("need at least one seed")
         try:
             for what, value in [("workers", self.workers)] + [("seed", seed) for seed in self.seeds]:
                 check_integer(what, value)
@@ -140,6 +138,8 @@ class RunConfig:
         if any(seed < 0 for seed in self.seeds):
             raise UsageError(f"seeds must be >= 0, got {self.seeds}")
         for what, values in (("surrogate", self.surrogates), ("seed", self.seeds)):
+            if not values:
+                raise UsageError(f"need at least one {what}")
             for i, v in enumerate(values):
                 if v in values[:i]:
                     raise UsageError(f"{what} {v!r} is given more than once")

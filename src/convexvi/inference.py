@@ -1,11 +1,10 @@
 """Monte-Carlo ELBO estimation, gradients, Adam, and the fit loop.
 
-The final ELBO (``elbo_estimate``) and the posterior moments
-(``surrogate_moments``) are reductions over one evaluator,
-``sample_batch``: it runs the program once over a sample axis, one float
-array per latent, with the bits the per-sample float loop gives; a
-batch the arrays cannot take whole (uniform noise, a read value, a
-failing sample) runs that loop instead.
+A sample's ELBO term has one definition, ``elbo_term``, on tape nodes,
+floats and float arrays alike.  The final ELBO (``elbo_estimate``) and
+the posterior moments (``surrogate_moments``) are reductions over one
+evaluator, ``sample_batch``, which runs the program over a sample axis
+through ``model.over_rows``, the one home of the batch policy.
 
 Gradients go through the reparameterized sampling path for continuous
 nodes; discrete nodes contribute score-function terms weighted by each
@@ -33,9 +32,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import DomainError, Node, PerSampleOnly, Tape, value_of
+from .autodiff import DomainError, Node, Tape, value_of
 from .distributions import ParameterError, draw_noise
-from .model import joint_log_prob
+from .model import joint_log_prob, over_rows
 from .surrogates import SURROGATES, build_surrogate
 
 
@@ -50,55 +49,40 @@ class ElboEstimate:
     n_samples: int
 
 
+def elbo_term(model, surrogate, params, noise):
+    """`(values, log p(x, y) - log q(x), log q of the discrete latents or
+    None)` of the surrogate's sample from `noise`: the one ELBO term, on
+    tape nodes, floats or float arrays."""
+    values, log_q, disc_log_q = surrogate.sample_and_log_prob(params, noise)
+    return values, joint_log_prob(model, values) - log_q, disc_log_q
+
+
 def sample_batch(surrogate, params, n, rng, model=None):
     """`n` samples of the surrogate program at `params`, noise from `rng`.
 
     Returns `(values, terms)`: `values` maps each latent to a float array
-    of its `n` sampled values, and `terms` holds each sample's ELBO term
-    log p(x, y) - log q(x) under `model` (None without a model).
-
-    The noise is one `draw_noise` array, row `s` for sample `s`, kept
-    transposed; `sample_and_log_prob` and `joint_log_prob` then run
-    once, with one array of `n` entries in place of each float, and
-    every entry has the bits that sample gets on floats.  The arrays take
-    the batch whole or not at all: uniform noise (discrete values, which
-    links branch on), `PerSampleOnly` (a read value, a sample of density
-    0), a floating-point error (numpy raises here), a `DomainError` or a
-    `ParameterError` run the per-sample float loop on the same noise, so
-    a caller gets its values, terms or error.  Any other error is raised.
+    of its `n` sampled values, and `terms` holds each sample's
+    `elbo_term` under `model` (None without a model).  The noise is one
+    `draw_noise` array, row `s` for sample `s`, run by `over_rows`, so a
+    caller gets the values, terms or error of the per-sample float loop.
     """
     params = [float(p) for p in params]
-    # row j holds noise entry j of every sample; only this copy is kept
-    eps = draw_noise(surrogate.noise_spec, n, rng).T.copy()
-    if "uniform" not in surrogate.noise_spec:
-        try:
-            with np.errstate(all="raise", under="ignore"):
-                values, log_q, _ = surrogate.sample_and_log_prob(params, list(eps))
-                terms = None if model is None else joint_log_prob(model, values) - log_q
-            return {name: values[name] for name in surrogate.latent_names}, terms
-        except (PerSampleOnly, FloatingPointError, DomainError, ParameterError):
-            pass
-    return _one_at_a_time(surrogate, params, eps.T.tolist(), model)
+    kinds, keys = surrogate.noise_spec, list(surrogate.latent_names)
 
+    def run(noise):
+        if model is None:
+            return surrogate.sample_and_log_prob(params, noise)[0]
+        values, term, _ = elbo_term(model, surrogate, params, noise)
+        return {**values, None: term}  # None names no latent
 
-def _one_at_a_time(surrogate, params, noise, model):
-    """`sample_batch` on floats, one sample (one list in `noise`) at a time."""
-    values = {name: np.empty(len(noise)) for name in surrogate.latent_names}
-    terms = None if model is None else np.empty(len(noise))
-    for s, eps in enumerate(noise):
-        sample, log_q, _ = surrogate.sample_and_log_prob(params, eps)
-        for name, column in values.items():
-            column[s] = value_of(sample[name])
-        if model is not None:
-            terms[s] = joint_log_prob(model, sample) - log_q
+    values = over_rows(kinds, draw_noise(kinds, n, rng), run, keys + ([] if model is None else [None]))
+    terms = values.pop(None, None)
     return values, terms
 
 
 def elbo_estimate(model, surrogate, params, n_samples=1, seed=0) -> ElboEstimate:
     """Mean over samples of log p(x, y) - log q(x) with x ~ q, on floats:
-    the mean of `sample_batch`'s terms, which come from one pass over
-    arrays, or from the per-sample loop where the arrays cannot take the
-    batch whole.  The first non-finite term raises
+    the mean of `sample_batch`'s terms.  The first non-finite term raises
     `NonFiniteError` with its sample index.  The value can differ from
     `CompiledElbo.value` in the last bits: a node divided by `b` is
     `a * (1 / b)` on the tape, floats compute `a / b`."""
@@ -143,10 +127,7 @@ class CompiledElbo:
             for row in np.asarray(draws, dtype=float).tolist()
         ]
         self.n_inputs = len(tape)
-        samples = []
-        for noise in rows:
-            values, log_q, disc_log_q = surrogate.sample_and_log_prob(param_nodes, noise)
-            samples.append((joint_log_prob(model, values) - log_q, disc_log_q))
+        samples = [elbo_term(model, surrogate, param_nodes, noise)[1:] for noise in rows]
         n = len(rows)
         # taken before the reads of the terms' values just below
         self.replayable = not tape.value_read and "uniform" not in surrogate.noise_spec
@@ -415,11 +396,10 @@ def save_trajectory(trajectory, path):
 
 def surrogate_moments(surrogate, params, n_samples=4000, seed=0):
     """Per-latent posterior mean/SD estimated by sampling the program:
-    the mean and SD (ddof 1) of each latent's `sample_batch` array, which
-    comes from one pass over arrays, or from the per-sample loop where the
-    arrays cannot take the batch whole.  A sample is kept as drawn, even
-    one outside its support (no density of the model is checked here).
-    An SD of one sample is undefined, so `n_samples` must be >= 2."""
+    the mean and SD (ddof 1) of each latent's `sample_batch` array.  A
+    sample is kept as drawn, even one outside its support (no density of
+    the model is checked here).  An SD of one sample is undefined, so
+    `n_samples` must be >= 2."""
     check_sample_count(n_samples, 2)
     values, _ = sample_batch(surrogate, params, n_samples, np.random.default_rng(seed))
     means = {name: float(v.mean()) for name, v in values.items()}

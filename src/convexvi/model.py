@@ -14,9 +14,10 @@ may also read a continuous parent's value (``value_of``); the ELBO graph
 then depends on the sampled values, and ``fit`` records it every step
 instead of replaying it, and a batch is evaluated one sample at a time.
 
-``sample_forward`` draws one prior trace from a seed; ``sample_prior``
-draws the traces of many seeds in one pass over float arrays, with the
-bits ``sample_forward`` gives each seed.
+``over_rows`` is the one home of the batch policy: a pass over rows of
+noise runs once on float arrays, or else once per row on floats, with
+the same bits.  ``sample_forward`` draws one prior trace from a seed;
+``sample_prior`` draws the traces of many seeds through ``over_rows``.
 """
 
 from __future__ import annotations
@@ -197,33 +198,46 @@ def sample_forward(model: JointModel, seed) -> Trace:
 
 
 def sample_prior(model: JointModel, seeds) -> dict:
-    """`sample_forward` over a seed axis: each latent's values as a float
-    array with one entry per seed, each entry with the bits
-    `sample_forward(model, seed)` gives.
-
-    Each seed's noise row is `sample_forward`'s, from its own generator.
-    The links, `sample_reparam` and every node's `log_prob`, observed
-    nodes included, then run once, with one array in place of each float,
-    so a density that fails for a seed fails here too.  The arrays take
-    the seeds whole or not at all: uniform noise, `PerSampleOnly`, a
-    floating-point error (numpy raises here), a `DomainError` or a
-    `ParameterError` run `sample_forward` once per seed instead, which
-    gives the same values or raises the same error.
-    """
-    seeds = list(seeds)
+    """`sample_forward` over a seed axis, through `over_rows`: each
+    latent's values as a float array, one entry per seed, with the bits
+    `sample_forward(model, seed)` gives.  Each seed's noise row comes
+    from its own generator; every node's `log_prob` runs, observed nodes
+    included, so a density that fails for a seed fails here too."""
     latents = model.latent_nodes
     kinds = [n.family.noise for n in latents]
+    rows = [draw_noise(kinds, 1, np.random.default_rng(seed)) for seed in seeds]
+    noise = np.array(rows).reshape(len(rows), len(kinds))
+    return over_rows(kinds, noise, lambda eps: _ancestral(model, iter(eps))[0], [n.name for n in latents])
+
+
+def over_rows(kinds, noise, run, keys) -> dict:
+    """Each of `keys` in what `run` returns over the rows of `noise` (an
+    `(n, k)` float array, one column per noise kind in `kinds`), as a
+    float array with one entry per row, each with the bits `run` gives
+    on that row's floats; no rows give one empty array per key.
+
+    `run` is called once, with one float array per column in place of
+    each float.  The arrays take the rows whole or not at all: uniform
+    noise (discrete values, which links branch on), `PerSampleOnly` (a
+    read value, a row of density 0), a floating-point error (numpy
+    raises here), a `DomainError` or a `ParameterError` call `run` once
+    per row on floats instead, which gives the same values or raises
+    what the first failing row raises.  Any other error is raised.
+    """
+    noise = np.ascontiguousarray(noise.T)  # row j: column j of every row, the one copy kept
     if "uniform" not in kinds:
-        rows = [draw_noise(kinds, 1, np.random.default_rng(seed)) for seed in seeds]
-        noise = np.array(rows).reshape(len(seeds), len(kinds)).T.copy()
         try:
             with np.errstate(all="raise", under="ignore"):
-                values, _ = _ancestral(model, iter(noise))
-            return {n.name: values[n.name] for n in latents}
+                out = run(list(noise))
+            return {key: out[key] for key in keys}
         except (PerSampleOnly, FloatingPointError, DomainError, ParameterError):
             pass
-    traces = [sample_forward(model, seed).values for seed in seeds]
-    return {n.name: np.array([t[n.name] for t in traces], dtype=float) for n in latents}
+    columns = {key: np.empty(noise.shape[1]) for key in keys}
+    for s, row in enumerate(noise.T.tolist()):
+        out = run(row)
+        for key, column in columns.items():
+            column[s] = out[key]
+    return columns
 
 
 def _accumulate(model, node_subset, values):

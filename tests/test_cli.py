@@ -144,6 +144,22 @@ def test_run_config_validation(tmp_path, capsys):
     assert main(["--task", "br", "--steps", "2.7"]) == 2
 
 
+def test_no_surrogate_is_a_usage_error(tmp_path, capsys):
+    # an empty list passed the parser, and the sweep ran the oracle and
+    # made the output directory before it raised a bare ValueError
+    with pytest.raises(UsageError, match="need at least one surrogate"):
+        RunConfig(task="br", surrogates=())
+    out = tmp_path / "out"
+    run_file = tmp_path / "run.json"
+    run_file.write_text(json.dumps({"task": "br", "surrogate": [], "out": str(out)}))
+    for argv in (["--task", "br", "--surrogate", ",", "--out", str(out)], ["--config", str(run_file)]):
+        with pytest.raises(UsageError, match="need at least one surrogate"):
+            parse_flags(argv)
+        assert main(argv) == 2
+        assert "need at least one surrogate" in capsys.readouterr().err
+        assert not out.exists()
+
+
 def test_task_overrides_are_checked_from_either_file(tmp_path, capsys):
     run_file = tmp_path / "run.json"
     task_file = tmp_path / "task.json"

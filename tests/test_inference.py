@@ -659,15 +659,25 @@ def assert_batch_is_the_loop(model, surrogate, params, n_samples, seed):
 
 
 def count_loops(monkeypatch):
-    """A list that gets one entry per batch evaluated one sample at a time."""
+    """A list that gets one entry per batch evaluated one sample at a
+    time: per `over_rows` call that gives its `run` a row of floats."""
     calls = []
-    loop = inference._one_at_a_time
+    over_rows = inference.over_rows
 
-    def counted(*args):
-        calls.append(1)
-        return loop(*args)
+    def counted(kinds, noise, run, keys):
+        on_floats = []
 
-    monkeypatch.setattr(inference, "_one_at_a_time", counted)
+        def watched(eps):
+            on_floats.append(not any(isinstance(e, np.ndarray) for e in eps))
+            return run(eps)
+
+        try:
+            return over_rows(kinds, noise, watched, keys)
+        finally:
+            if any(on_floats):
+                calls.append(1)
+
+    monkeypatch.setattr(inference, "over_rows", counted)
     return calls
 
 

@@ -5,7 +5,15 @@ import pytest
 
 from convexvi import model as model_module
 from convexvi.autodiff import value_of
-from convexvi.distributions import BERNOULLI, HALF_NORMAL, LOG_NORMAL, NORMAL, Categorical, ParameterError
+from convexvi.distributions import (
+    BERNOULLI,
+    HALF_NORMAL,
+    LOG_NORMAL,
+    NORMAL,
+    Categorical,
+    ParameterError,
+    draw_noise,
+)
 from convexvi.model import (
     ModelError,
     build_joint,
@@ -221,17 +229,26 @@ def test_brownian_increment_sd():
     assert abs(sd - step_scale) / step_scale < 0.05
 
 
-def count_per_seed_passes(monkeypatch):
-    """A list that gets one seed per `sample_forward` that `sample_prior`
-    runs, which it does only when the arrays cannot take the seeds."""
-    seeds = []
+def count_per_seed_passes(monkeypatch, model, seeds):
+    """A list that gets the seed of each ancestral pass on floats that
+    `sample_prior(model, seeds)` runs (`over_rows`' per-row path), which
+    it does only when the arrays cannot take the seeds.  A pass's seed is
+    the one whose `sample_forward` noise row it is given."""
+    noise_kinds = [n.family.noise for n in model.latent_nodes]
+    seed_of = {tuple(draw_noise(noise_kinds, 1, np.random.default_rng(s))[0].tolist()): s for s in seeds}
+    passes = []
+    over_rows = model_module.over_rows
 
-    def counted(model, seed):
-        seeds.append(seed)
-        return sample_forward(model, seed)
+    def counted(kinds, noise, run, keys):
+        def watched(row):
+            if not any(isinstance(e, np.ndarray) for e in row):
+                passes.append(seed_of[tuple(row)])
+            return run(row)
 
-    monkeypatch.setattr(model_module, "sample_forward", counted)
-    return seeds
+        return over_rows(kinds, noise, watched, keys)
+
+    monkeypatch.setattr(model_module, "over_rows", counted)
+    return passes
 
 
 def per_seed_values(model, seeds):
@@ -250,7 +267,7 @@ def test_sample_prior_is_sample_forward_per_seed(task_id, monkeypatch):
         rng = np.random.default_rng(s)
         seeds = [int(rng.integers(2**31 - 1)) for _ in range(100)] + [0, 2**31 - 2, 0]
         expected = per_seed_values(model, seeds)
-        passes = count_per_seed_passes(monkeypatch)
+        passes = count_per_seed_passes(monkeypatch, model, seeds)
         prior = sample_prior(model, seeds)
         assert not passes  # one pass over arrays
         assert list(prior) == list(expected)
@@ -277,7 +294,7 @@ def test_sample_prior_runs_per_seed_where_a_link_reads_a_value(monkeypatch):
     seeds = list(range(20))
     for model in (condition(branching, {"y": 0.4}), gated):
         expected = per_seed_values(model, seeds)
-        passes = count_per_seed_passes(monkeypatch)
+        passes = count_per_seed_passes(monkeypatch, model, seeds)
         prior = sample_prior(model, seeds)
         assert passes == seeds
         assert {name: v.tobytes() for name, v in prior.items()} == expected
@@ -303,7 +320,7 @@ def test_sample_prior_raises_what_the_first_failing_seed_raises(monkeypatch):
         except ParameterError as error:
             failing.append((seed, str(error)))
     assert 0 < len(failing) < len(seeds) and failing[0][0] > 0
-    passes = count_per_seed_passes(monkeypatch)
+    passes = count_per_seed_passes(monkeypatch, model, seeds)
     with pytest.raises(ParameterError) as error:
         sample_prior(model, seeds)
     assert str(error.value) == failing[0][1]
@@ -314,3 +331,32 @@ def test_sample_prior_raises_what_the_first_failing_seed_raises(monkeypatch):
     passes.clear()
     assert sample_prior(model, good)["x"].tobytes() == per_seed_values(model, good)["x"]
     assert not passes
+
+
+def test_sample_prior_of_no_seeds_is_one_empty_array_per_latent(monkeypatch):
+    # es runs on arrays, of no entries; a Bernoulli latent draws uniform
+    # noise, so its model goes one seed at a time, of which there is none
+    gated = build_joint(
+        [
+            rv("gate", BERNOULLI, params=(0.5,)),
+            rv("x", NORMAL, parents=("gate",), link=lambda g: (5.0 * g, 0.1)),
+        ]
+    )
+    for model, array_runs in ((get_task("es").model, [True]), (gated, [])):
+        runs = []
+        over_rows = model_module.over_rows
+
+        def spied(kinds, noise, run, keys):
+            def watched(eps):
+                runs.append(any(isinstance(e, np.ndarray) for e in eps))
+                return run(eps)
+
+            return over_rows(kinds, noise, watched, keys)
+
+        monkeypatch.setattr(model_module, "over_rows", spied)
+        prior = sample_prior(model, [])
+        monkeypatch.undo()
+        assert runs == array_runs
+        assert list(prior) == [n.name for n in model.latent_nodes]
+        for values in prior.values():
+            assert type(values) is np.ndarray and values.dtype == np.float64 and values.shape == (0,)
